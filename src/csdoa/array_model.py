@@ -157,8 +157,11 @@ def steering_vector(theta_deg: float, geometry: ArrayGeometry) -> np.ndarray:
 
 def build_manifold(grid: AngleGrid, geometry: ArrayGeometry) -> np.ndarray:
     """Dictionary A(theta): one steering-vector column per grid angle (N x N_s)."""
-    # Columns come from steering_vector itself so they match it bit for bit.
-    return np.column_stack([steering_vector(t, geometry) for t in grid.angles_deg])
+    # One broadcast in steering_vector's operation order, so every column
+    # matches steering_vector bit for bit.
+    n = np.arange(geometry.num_sensors)
+    scale = -2.0 * np.pi * geometry.spacing_over_wavelength * n
+    return np.exp(1j * (scale[:, None] * np.sin(np.deg2rad(grid.angles_deg))[None, :]))
 
 
 def _draw_amplitudes(sources: SourceSet, rng: np.random.Generator) -> np.ndarray:

@@ -364,9 +364,8 @@ def cmd_montecarlo(args: argparse.Namespace, config: dict, scenario: Scenario) -
     out_dir.mkdir(parents=True, exist_ok=True)
     sweep = _mc_sweep(config)
     trials = int(config["trials"])
-    workers = int(getattr(args, "workers", 1) or 1)
     started = time.perf_counter()
-    curve = run_monte_carlo(scenario, sweep, trials, workers=workers)
+    curve = run_monte_carlo(scenario, sweep, trials, workers=args.workers)
     duration = time.perf_counter() - started
 
     summary = {
@@ -415,8 +414,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         scenario = _scenario_from_config(config)
-        if args.command == "montecarlo":
-            _mc_sweep(config)  # validate the sweep before any work happens
+        if args.command == "montecarlo":  # validate the run before any work happens
+            _mc_sweep(config)
+            if int(config["trials"]) < 1:
+                raise ValueError(f"--trials must be >= 1, got {config['trials']}")
+            if args.workers < 1:
+                raise ValueError(f"--workers must be >= 1, got {args.workers}")
     except (CsdoaError, ValueError, KeyError, OSError) as exc:
         print(f"csdoa: error: {exc}", file=sys.stderr)
         return 2

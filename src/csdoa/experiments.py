@@ -4,7 +4,9 @@ A :class:`Scenario` bundles everything one experiment needs (array, grid,
 sources, SNR, measurement scheme, solver settings, seed). ``run_single``
 produces spectra and peak estimates for each requested algorithm;
 ``run_monte_carlo`` sweeps SNR and aggregates RMSE and success rates over
-independently seeded trials, optionally across worker processes.
+independently seeded trials, optionally across worker processes. Both run
+their trials through one engine, ``_run_trials``, that solves a chunk of
+trials as one stacked problem; a single run is a chunk of one.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -26,8 +29,8 @@ from .array_model import (
     make_grid,
     synthesize,
 )
-from .errors import DimensionMismatchError, RankDeficientError
-from .recovery import SolverConfig, cosamp, omp
+from .errors import DimensionMismatchError
+from .recovery import SolverConfig, SparseEstimate, cosamp_stack, omp_stack
 from .sensing import (
     GAUSSIAN,
     IDENTITY,
@@ -36,6 +39,7 @@ from .sensing import (
     compress,
     draw_measurement_matrix,
     min_measurements,
+    stack_measurements,
 )
 from .spectrum import (
     MISS_PENALTY_DEG,
@@ -50,7 +54,12 @@ OMP = "omp"
 COSAMP = "cosamp"
 ALGORITHMS = (OMP, COSAMP)
 
-_SOLVERS = {OMP: omp, COSAMP: cosamp}
+_STACK_SOLVERS = {OMP: omp_stack, COSAMP: cosamp_stack}
+
+# Most trials one stacked solve holds: a bound on the stacks' memory. At 15
+# sensors, m <= 10 and 181 atoms a sweep's traced peak grows by about 90 KiB a
+# trial of chunk (4-6 MiB at 64); the time per trial stops falling near 32-64.
+CHUNK_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -242,60 +251,79 @@ def build_scenario(
     )
 
 
-def _run_trial(
+def _score(
     scenario: Scenario,
-    manifold: np.ndarray,
-    snr_db: float,
-    snr_index: int,
     trial_index: int,
-) -> SingleRunResult:
-    """One fully seeded trial: synthesize, compress, solve, and score."""
-    data_seed, phi_seed = trial_seeds(scenario.seed, snr_index, trial_index)
-    trial_scenario = scenario if snr_db == scenario.snr_db else replace(scenario, snr_db=snr_db)
-    snapshot = synthesize(trial_scenario, np.random.default_rng(data_seed))
-    phi = draw_measurement_matrix(
-        trial_scenario.measurement.num_measurements,
-        trial_scenario.geometry.num_sensors,
-        trial_scenario.measurement.kind,
-        seed=phi_seed,
-    )
-    system = build_sensing_system(phi, manifold)
-    y = compress(phi, snapshot.data)
+    algorithm: str,
+    estimate: SparseEstimate | None,
+    y: np.ndarray,
+) -> AlgorithmRun:
+    """Spectrum, peaks and scored record of one solve; None marks a rank-deficient one.
 
-    grid = trial_scenario.grid
-    num_sources = trial_scenario.sources.num_sources
-    runs: dict[str, AlgorithmRun] = {}
-    for algorithm in trial_scenario.algorithms:
-        try:
-            estimate = _SOLVERS[algorithm](system, y, trial_scenario.solver)
-        except RankDeficientError:
-            spectrum = AngleSpectrum(grid=grid, power=np.zeros(len(grid)))
-            estimated = DoaEstimate(doas_deg=(), powers=())
-            record = TrialRecord(
-                trial_index=trial_index,
-                algorithm=algorithm,
-                estimated=estimated,
-                errors_deg=np.full(num_sources, MISS_PENALTY_DEG),
-                residual_norm=float(np.linalg.norm(y)),
-                iterations=0,
-                success=False,
-            )
-            runs[algorithm] = AlgorithmRun(algorithm, spectrum, estimated, record)
-            continue
+    A rank-deficient solve has an empty spectrum and misses every source.
+    """
+    grid = scenario.grid
+    if estimate is None:
+        spectrum = AngleSpectrum(grid=grid, power=np.zeros(len(grid)))
+        estimated = DoaEstimate(doas_deg=(), powers=())
+        errors = np.full(scenario.sources.num_sources, MISS_PENALTY_DEG)
+        residual_norm, iterations = float(np.linalg.norm(y)), 0
+    else:
         spectrum = angle_spectrum(estimate, grid)
-        estimated = pick_peaks(spectrum, trial_scenario.solver.sparsity)
-        errors = trial_error(estimated, trial_scenario.sources)
-        record = TrialRecord(
-            trial_index=trial_index,
-            algorithm=algorithm,
-            estimated=estimated,
-            errors_deg=errors,
-            residual_norm=estimate.residual_norm,
-            iterations=estimate.iterations,
-            success=bool(errors.max() < grid.step_deg),
+        estimated = pick_peaks(spectrum, scenario.solver.sparsity)
+        errors = trial_error(estimated, scenario.sources)
+        residual_norm, iterations = estimate.residual_norm, estimate.iterations
+    record = TrialRecord(
+        trial_index=trial_index,
+        algorithm=algorithm,
+        estimated=estimated,
+        errors_deg=errors,
+        residual_norm=residual_norm,
+        iterations=iterations,
+        success=bool(errors.max() < grid.step_deg),
+    )
+    return AlgorithmRun(algorithm, spectrum, estimated, record)
+
+
+def _run_trials(
+    points: dict[int, Scenario],
+    manifold: np.ndarray,
+    tasks: Sequence[tuple[int, int]],
+) -> list[SingleRunResult]:
+    """Fully seeded trials ``(snr_index, trial_index)``, solved as one stacked problem.
+
+    ``points[i]`` is the scenario at sweep point ``i``; the points differ only
+    in SNR. Every trial draws its snapshot and measurement matrix from its own
+    ``trial_seeds`` streams, so its outcome does not depend on which trials
+    share the stack.
+    """
+    base = points[tasks[0][0]]
+    spec = base.measurement
+    snapshots, phis = [], []
+    for snr_index, trial_index in tasks:
+        data_seed, phi_seed = trial_seeds(base.seed, snr_index, trial_index)
+        snapshots.append(synthesize(points[snr_index], np.random.default_rng(data_seed)))
+        phis.append(
+            draw_measurement_matrix(
+                spec.num_measurements, base.geometry.num_sensors, spec.kind, seed=phi_seed
+            )
         )
-        runs[algorithm] = AlgorithmRun(algorithm, spectrum, estimated, record)
-    return SingleRunResult(scenario=trial_scenario, snapshot=snapshot, runs=runs)
+    phi = stack_measurements(phis)
+    system = build_sensing_system(phi, manifold)
+    y = compress(phi, np.stack([snapshot.data for snapshot in snapshots]))
+    estimates = {
+        algorithm: _STACK_SOLVERS[algorithm](system, y, base.solver)
+        for algorithm in base.algorithms
+    }
+    results = []
+    for k, (snr_index, trial_index) in enumerate(tasks):
+        scenario = points[snr_index]
+        runs = {
+            algorithm: _score(scenario, trial_index, algorithm, estimates[algorithm][k], y[k])
+            for algorithm in base.algorithms
+        }
+        results.append(SingleRunResult(scenario=scenario, snapshot=snapshots[k], runs=runs))
+    return results
 
 
 def run_single(scenario: Scenario) -> SingleRunResult:
@@ -304,39 +332,22 @@ def run_single(scenario: Scenario) -> SingleRunResult:
     Equivalent to trial 0 of the first sweep point of ``run_monte_carlo``.
     """
     manifold = build_manifold(scenario.grid, scenario.geometry)
-    return _run_trial(scenario, manifold, scenario.snr_db, 0, 0)
+    return _run_trials({0: scenario}, manifold, [(0, 0)])[0]
 
 
-def _mc_trial(
-    scenario: Scenario,
-    manifold: np.ndarray,
-    snr_db: float,
-    snr_index: int,
-    trial_index: int,
-) -> dict[str, tuple[np.ndarray, bool]]:
-    """Slim per-trial result for aggregation: per-algorithm (errors, success)."""
-    result = _run_trial(scenario, manifold, snr_db, snr_index, trial_index)
-    return {
-        algorithm: (run.record.errors_deg, run.record.success)
-        for algorithm, run in result.runs.items()
-    }
+def _sweep_chunk(
+    points: dict[int, Scenario], manifold: np.ndarray, trials: int, flat: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trials ``flat`` of the sweep's flat ``(snr_index, trial)`` order, slimmed for aggregation.
 
-
-# Worker-process state installed by the pool initializer: the scenario plus
-# the manifold built once per process instead of once per trial.
-_WORKER: dict = {}
-
-
-def _init_mc_worker(scenario: Scenario, sweep: tuple[float, ...]) -> None:
-    _WORKER["scenario"] = scenario
-    _WORKER["sweep"] = sweep
-    _WORKER["manifold"] = build_manifold(scenario.grid, scenario.geometry)
-
-
-def _mc_worker(task: tuple[int, int]) -> dict[str, tuple[np.ndarray, bool]]:
-    snr_index, trial_index = task
-    scenario = _WORKER["scenario"]
-    return _mc_trial(scenario, _WORKER["manifold"], _WORKER["sweep"][snr_index], snr_index, trial_index)
+    Returns per-source errors (trials, algorithms, sources) and success flags
+    (trials, algorithms), algorithms in scenario order.
+    """
+    results = _run_trials(points, manifold, [divmod(k, trials) for k in flat])
+    algorithms = points[0].algorithms
+    errors = np.array([[r.runs[a].record.errors_deg for a in algorithms] for r in results])
+    success = np.array([[r.runs[a].record.success for a in algorithms] for r in results])
+    return errors, success
 
 
 def run_monte_carlo(
@@ -353,46 +364,72 @@ def run_monte_carlo(
     Aggregates, per algorithm and SNR point, the RMSE over all per-source
     errors (misses included at the 180 degree penalty), the RMSE over
     successful trials only (NaN when there are none), and the success rate.
+
+    The flat list of (point, trial) pairs runs in chunks of at most
+    ``CHUNK_TRIALS`` trials, each solved as one stacked problem; a pool of
+    ``workers`` processes takes whole chunks. Each point is aggregated as
+    soon as its last chunk is in, so memory holds one chunk's stacks and one
+    point's per-source errors. Neither the chunking nor ``workers`` changes
+    the result.
     """
     sweep = tuple(float(s) for s in snr_sweep_db)
     if not sweep:
         raise ValueError("snr_sweep_db must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
-    tasks = [(i, t) for i in range(len(sweep)) for t in range(trials)]
+    points = {
+        i: scenario if snr == scenario.snr_db else replace(scenario, snr_db=snr)
+        for i, snr in enumerate(sweep)
+    }
+    manifold = build_manifold(scenario.grid, scenario.geometry)
+    total = len(sweep) * trials
+    size = CHUNK_TRIALS
+    if workers > 1:  # several chunks per worker keep the pool evenly loaded
+        size = max(1, min(size, -(-total // (4 * workers))))
+    chunks = [range(start, min(start + size, total)) for start in range(0, total, size)]
+    solve = partial(_sweep_chunk, points, manifold, trials)
+
+    algorithms = scenario.algorithms
+    errors = np.empty((trials, len(algorithms), scenario.sources.num_sources))
+    success = np.empty((trials, len(algorithms)), dtype=bool)
+    rmse: list[list[float]] = [[] for _ in algorithms]
+    rmse_success: list[list[float]] = [[] for _ in algorithms]
+    rate: list[list[float]] = [[] for _ in algorithms]
+
+    def collect(flat: range, chunk_errors: np.ndarray, chunk_success: np.ndarray) -> None:
+        for row, k in enumerate(flat):
+            t = k % trials
+            errors[t] = chunk_errors[row]
+            success[t] = chunk_success[row]
+            if t < trials - 1:
+                continue
+            for a in range(len(algorithms)):  # the point is complete
+                point_errors = errors[:, a].ravel()
+                rmse[a].append(float(np.sqrt(np.mean(point_errors**2))))
+                hits = errors[success[:, a], a].ravel()
+                rmse_success[a].append(
+                    float(np.sqrt(np.mean(hits**2))) if hits.size else float("nan")
+                )
+                rate[a].append(int(success[:, a].sum()) / trials)
+
     if workers > 1:
-        chunk = max(1, len(tasks) // (workers * 8))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_mc_worker,
-            initargs=(scenario, sweep),
-        ) as pool:
-            outcomes = list(pool.map(_mc_worker, tasks, chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for flat, outcome in zip(chunks, pool.map(solve, chunks)):
+                collect(flat, *outcome)
     else:
-        manifold = build_manifold(scenario.grid, scenario.geometry)
-        outcomes = [_mc_trial(scenario, manifold, sweep[i], i, t) for i, t in tasks]
+        for flat in chunks:
+            collect(flat, *solve(flat))
 
-    per_algorithm: dict[str, AlgorithmRmse] = {}
-    for algorithm in scenario.algorithms:
-        rmse: list[float] = []
-        rmse_success: list[float] = []
-        rate: list[float] = []
-        for i in range(len(sweep)):
-            point = outcomes[i * trials : (i + 1) * trials]
-            errors = np.concatenate([trial[algorithm][0] for trial in point])
-            rmse.append(float(np.sqrt(np.mean(errors**2))))
-            hits = [trial[algorithm][0] for trial in point if trial[algorithm][1]]
-            if hits:
-                hit_errors = np.concatenate(hits)
-                rmse_success.append(float(np.sqrt(np.mean(hit_errors**2))))
-            else:
-                rmse_success.append(float("nan"))
-            rate.append(sum(trial[algorithm][1] for trial in point) / trials)
-        per_algorithm[algorithm] = AlgorithmRmse(
+    per_algorithm = {
+        algorithm: AlgorithmRmse(
             algorithm=algorithm,
-            rmse_deg=tuple(rmse),
-            rmse_success_only_deg=tuple(rmse_success),
-            success_rate=tuple(rate),
+            rmse_deg=tuple(rmse[a]),
+            rmse_success_only_deg=tuple(rmse_success[a]),
+            success_rate=tuple(rate[a]),
         )
+        for a, algorithm in enumerate(algorithms)
+    }
     return RmseCurve(snr_points_db=sweep, per_algorithm=per_algorithm, trials=trials)

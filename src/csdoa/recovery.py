@@ -4,6 +4,11 @@ All solvers work on a :class:`~csdoa.sensing.SensingSystem` and return a
 :class:`SparseEstimate` whose coefficient vector is zero off the support.
 Atom selection always uses column-normalized correlations so it is invariant
 to column scaling; the least-squares refits use the raw columns.
+
+OMP and CoSaMP have one implementation each, over a stack of T trials
+(:func:`omp_stack`, :func:`cosamp_stack`): every greedy step runs once for
+the whole stack, and ``omp``/``cosamp`` are a stack of one. Per trial, the
+stacked steps round exactly as the single-trial ones do.
 """
 
 from __future__ import annotations
@@ -11,11 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InstanceTooLargeError, RankDeficientError
-from .sensing import SensingSystem
+from .sensing import SensingSystem, _row_norms
 
 # Relative threshold on the QR diagonal below which a column set is treated
 # as rank deficient.
@@ -63,31 +69,114 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Solved through a reduced QR factorization with an explicit rank guard:
     the smallest magnitude on the R diagonal must exceed ``RANK_TOL`` times
-    the largest, otherwise :class:`RankDeficientError` is raised. Requires at
-    least as many rows as columns.
+    the largest. A single system (``basis`` m x k, ``y`` of length m) that
+    fails the guard raises :class:`RankDeficientError`. A stack of T systems
+    (``basis`` (T, m, k), ``y`` (T, m)) is solved trial by trial, and the
+    coefficient rows of trials that fail the guard are NaN. Requires at least
+    as many rows as columns.
     """
     basis = np.asarray(basis)
     y = np.asarray(y)
-    m, k = basis.shape
+    m, k = basis.shape[-2:]
     if k == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros(basis.shape[:-2] + (0,), dtype=complex)
     if k > m:
         raise RankDeficientError(f"system with {k} columns and {m} rows is underdetermined")
     q, r = np.linalg.qr(basis)
-    diag = np.abs(np.diag(r))
-    if diag.min() <= RANK_TOL * diag.max():
-        raise RankDeficientError("selected columns are numerically rank deficient")
-    return np.linalg.solve(r, q.conj().T @ y)
+    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+    deficient = diag.min(axis=-1) <= RANK_TOL * diag.max(axis=-1)
+    if deficient.any():
+        if basis.ndim == 2:
+            raise RankDeficientError("selected columns are numerically rank deficient")
+        r[deficient] = np.eye(k)  # solvable stand-ins; their rows are set to NaN below
+    coef = np.linalg.solve(r, np.matmul(q.conj().swapaxes(-1, -2), y[..., None]))[..., 0]
+    if basis.ndim > 2:
+        coef[deficient] = np.nan
+    return coef
 
 
 def correlate(system: SensingSystem, residual: np.ndarray) -> np.ndarray:
-    """Normalized correlation magnitudes ``|<residual, psi_j>| / ||psi_j||``."""
-    return np.abs(system.psi.conj().T @ np.asarray(residual)) / system.column_norms
+    """Normalized correlation magnitudes ``|<residual, psi_j>| / ||psi_j||``.
+
+    ``residual`` is one vector of length m, or a (T, m) stack matched row by
+    row with a stacked system (a single system serves every row).
+    """
+    # psi^T conj(r) is the exact conjugate of psi^H r and needs no conjugated copy of psi.
+    products = np.matmul(system.psi.swapaxes(-1, -2), np.asarray(residual).conj()[..., None])
+    return np.abs(products[..., 0]) / system.column_norms
 
 
 def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the ``count`` largest entries, ties resolved to lowest index."""
-    return np.argsort(-values, kind="stable")[:count]
+    """Per row, indices of the ``count`` largest entries, ties resolved to lowest index.
+
+    The same choice as a stable argsort of ``-values``, by repeated argmax,
+    which is far cheaper for the few entries the solvers keep.
+    """
+    values = values.copy()
+    rows = np.arange(values.shape[0])
+    top = np.empty((values.shape[0], count), dtype=int)
+    for j in range(count):
+        top[:, j] = np.argmax(values, axis=1)
+        values[rows, top[:, j]] = -np.inf
+    return top
+
+
+def _columns(psi: np.ndarray, indices: np.ndarray, trials: np.ndarray | None = None) -> np.ndarray:
+    """``psi[trials[i]][:, indices[i]]`` for each row ``i``; every trial by default.
+
+    Each slice is column-major, as ``psi[:, indices]`` is for one system, so
+    products with it round exactly as a single trial's do.
+    """
+    if trials is None:
+        trials = np.arange(indices.shape[0])
+    rows = np.arange(psi.shape[1])
+    return psi[trials[:, None, None], rows[None, None, :], indices[:, :, None]].swapaxes(1, 2)
+
+
+def _stack_inputs(system: SensingSystem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``y`` as a complex (T, m) stack and psi as a matching (T, m, N_s) view."""
+    y = np.asarray(y, dtype=complex)
+    if y.ndim != 2 or y.shape[1] != system.num_measurements:
+        raise ValueError(f"y must be a (trials, {system.num_measurements}) stack")
+    psi = np.broadcast_to(system.psi, (y.shape[0],) + system.psi.shape[-2:])
+    return y, psi
+
+
+def _estimates(
+    coefficients: np.ndarray,
+    supports: Sequence[np.ndarray],
+    residual_norms: np.ndarray,
+    iterations: np.ndarray,
+    norm_y: np.ndarray,
+    deficient: np.ndarray,
+    config: SolverConfig,
+) -> list[SparseEstimate | None]:
+    """Per-trial estimates of a stacked solve; None for a rank-deficient trial."""
+    estimates: list[SparseEstimate | None] = []
+    for t, support in enumerate(supports):
+        if deficient[t]:
+            estimates.append(None)
+            continue
+        if norm_y[t] == 0.0:
+            estimates.append(_empty_estimate(coefficients.shape[1]))
+            continue
+        estimates.append(
+            SparseEstimate(
+                coefficients=coefficients[t],
+                support=tuple(support.tolist()),
+                residual_norm=float(residual_norms[t]),
+                iterations=int(iterations[t]),
+                converged=bool(residual_norms[t] <= config.residual_tol * norm_y[t]),
+            )
+        )
+    return estimates
+
+
+def _one(estimates: list[SparseEstimate | None], solver: str) -> SparseEstimate:
+    (estimate,) = estimates
+    if estimate is None:
+        raise RankDeficientError(f"{solver} hit a rank-deficient least-squares fit")
+    return estimate
 
 
 def _empty_estimate(num_atoms: int) -> SparseEstimate:
@@ -108,43 +197,61 @@ def omp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> SparseEst
     column with the largest normalized correlation against the residual
     (ties break to the lowest index; already-selected columns are excluded),
     refits all selected columns by least squares, and updates the residual,
-    which is therefore orthogonal to every selected column.
+    which is therefore orthogonal to every selected column. A batch of one
+    over :func:`omp_stack`.
     """
-    y = np.asarray(y, dtype=complex)
+    return _one(omp_stack(system, np.asarray(y)[None], config), "omp")
+
+
+def omp_stack(
+    system: SensingSystem, y: np.ndarray, config: SolverConfig
+) -> list[SparseEstimate | None]:
+    """:func:`omp` on T trials at once: ``y`` is (T, m), ``system`` stacked or shared.
+
+    Each greedy step runs once for the whole stack; trials that converge or
+    hit a rank-deficient fit stop while the others go on. Returns one
+    estimate per trial, None where the fit was rank deficient.
+    """
+    y, psi = _stack_inputs(system, y)
     m = system.num_measurements
     if config.sparsity > m:
         raise ValueError(f"sparsity {config.sparsity} exceeds {m} measurements")
     if config.max_iterations < config.sparsity:
         raise ValueError("max_iterations must be at least the sparsity budget")
-    norm_y = float(np.linalg.norm(y))
-    if norm_y == 0.0:
-        return _empty_estimate(system.num_atoms)
-
-    support: list[int] = []
-    coef = np.zeros(0, dtype=complex)
+    trials = y.shape[0]
+    rows = np.arange(trials)[:, None]
+    norm_y = _row_norms(y)
+    tolerance = config.residual_tol * norm_y
+    support = np.zeros((trials, config.sparsity), dtype=int)
+    coef = np.zeros((trials, config.sparsity), dtype=complex)
     residual = y
-    residual_norm = norm_y
-    for _ in range(config.sparsity):
-        proxy = correlate(system, residual)
-        if support:
-            proxy[support] = -1.0  # an index is never re-selected
-        support.append(int(np.argmax(proxy)))
-        basis = system.psi[:, support]
-        coef = least_squares(basis, y)
-        residual = y - basis @ coef
-        residual_norm = float(np.linalg.norm(residual))
-        if residual_norm <= config.residual_tol * norm_y:
+    residual_norm = norm_y.copy()
+    iterations = np.zeros(trials, dtype=int)
+    deficient = np.zeros(trials, dtype=bool)
+    active = norm_y > 0.0
+    for step in range(config.sparsity):
+        if not active.any():
             break
+        proxy = correlate(system, residual)
+        proxy[rows, support[:, :step]] = -1.0  # an index is never re-selected
+        support[:, step] = np.argmax(proxy, axis=1)
+        basis = _columns(psi, support[:, : step + 1])
+        fit = least_squares(basis, y)
+        deficient |= active & np.isnan(fit[:, 0])
+        active &= ~deficient
+        fitted = y - np.matmul(basis, fit[..., None])[..., 0]
+        fitted_norm = _row_norms(fitted)
+        coef[active, : step + 1] = fit[active]
+        residual = np.where(active[:, None], fitted, residual)
+        residual_norm = np.where(active, fitted_norm, residual_norm)
+        iterations[active] = step + 1
+        active &= fitted_norm > tolerance
 
-    coefficients = np.zeros(system.num_atoms, dtype=complex)
-    coefficients[support] = coef
-    return SparseEstimate(
-        coefficients=coefficients,
-        support=tuple(support),
-        residual_norm=residual_norm,
-        iterations=len(support),
-        converged=residual_norm <= config.residual_tol * norm_y,
-    )
+    coefficients = np.zeros((trials, system.num_atoms), dtype=complex)
+    supports = [support[t, : iterations[t]] for t in range(trials)]
+    for t, chosen in enumerate(supports):
+        coefficients[t, chosen] = coef[t, : iterations[t]]
+    return _estimates(coefficients, supports, residual_norm, iterations, norm_y, deficient, config)
 
 
 def cosamp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> SparseEstimate:
@@ -155,58 +262,77 @@ def cosamp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> Sparse
     merged set, prune back to the M largest coefficients, and recompute the
     residual. Halts on a small relative residual, on stagnation (relative
     improvement below ``STAGNATION_TOL``), or after ``max_iterations``; the
-    best-residual iterate seen is returned.
+    best-residual iterate seen is returned. A batch of one over
+    :func:`cosamp_stack`.
     """
-    y = np.asarray(y, dtype=complex)
+    return _one(cosamp_stack(system, np.asarray(y)[None], config), "cosamp")
+
+
+def cosamp_stack(
+    system: SensingSystem, y: np.ndarray, config: SolverConfig
+) -> list[SparseEstimate | None]:
+    """:func:`cosamp` on T trials at once: ``y`` is (T, m), ``system`` stacked or shared.
+
+    Each iteration runs once for the stack. The least-squares fit runs once
+    per merged-support size among the active trials, so nothing is padded.
+    A trial whose merged support outgrows the m measurements, or whose fit is
+    rank deficient, stops and is returned as None.
+    """
+    y, psi = _stack_inputs(system, y)
     m = system.num_measurements
     sparsity = config.sparsity
     if 2 * sparsity > m:
         raise ValueError(f"cosamp needs 2 * sparsity <= measurements, got {sparsity} vs {m}")
-    norm_y = float(np.linalg.norm(y))
-    if norm_y == 0.0:
-        return _empty_estimate(system.num_atoms)
-
-    support = np.zeros(0, dtype=int)
+    trials, num_atoms = y.shape[0], system.num_atoms
+    keep_count = min(sparsity, num_atoms)
+    norm_y = _row_norms(y)
+    tolerance = config.residual_tol * norm_y
+    support = np.zeros((trials, 0), dtype=int)
     residual = y
     prev_norm = norm_y
-    best_norm = math.inf
-    best_support = support
-    best_coef = np.zeros(0, dtype=complex)
-    iterations = 0
+    best_norm = np.full(trials, np.inf)
+    best_support = np.zeros((trials, keep_count), dtype=int)
+    best_coef = np.zeros((trials, keep_count), dtype=complex)
+    iterations = np.zeros(trials, dtype=int)
+    deficient = np.zeros(trials, dtype=bool)
+    active = norm_y > 0.0
     for _ in range(config.max_iterations):
+        if not active.any():
+            break
         proxy = correlate(system, residual)
-        omega = _top_indices(proxy, min(2 * sparsity, system.num_atoms))
-        merged = np.union1d(omega, support)
-        if merged.size > m:
-            raise RankDeficientError(
-                f"merged support of {merged.size} columns exceeds {m} measurements"
-            )
-        fit = least_squares(system.psi[:, merged], y)
-        keep = np.sort(_top_indices(np.abs(fit), sparsity))
-        support = merged[keep]
-        coef = fit[keep]
-        residual = y - system.psi[:, support] @ coef
-        residual_norm = float(np.linalg.norm(residual))
-        iterations += 1
-        if residual_norm < best_norm:
-            best_norm = residual_norm
-            best_support = support
-            best_coef = coef
-        if residual_norm <= config.residual_tol * norm_y:
-            break
-        if prev_norm - residual_norm < STAGNATION_TOL * prev_norm:
-            break
-        prev_norm = residual_norm
+        omega = _top_indices(proxy, min(2 * sparsity, num_atoms))
+        candidates = np.sort(np.concatenate([omega, support], axis=1), axis=1)
+        fresh = np.ones(candidates.shape, dtype=bool)
+        fresh[:, 1:] = candidates[:, 1:] != candidates[:, :-1]
+        sizes = fresh.sum(axis=1)
+        deficient |= active & (sizes > m)
+        active &= ~deficient
+        support = np.zeros((trials, keep_count), dtype=int)
+        coef = np.zeros((trials, keep_count), dtype=complex)
+        for size in np.unique(sizes[active]):
+            group = np.flatnonzero(active & (sizes == size))
+            merged = candidates[group][fresh[group]].reshape(group.size, size)
+            fit = least_squares(_columns(psi, merged, group), y[group])
+            deficient[group] = np.isnan(fit[:, 0])
+            keep = np.sort(_top_indices(np.abs(fit), keep_count), axis=1)
+            support[group] = np.take_along_axis(merged, keep, axis=1)
+            coef[group] = np.take_along_axis(fit, keep, axis=1)
+        active &= ~deficient
+        fitted = y - np.matmul(_columns(psi, support), coef[..., None])[..., 0]
+        fitted_norm = _row_norms(fitted)
+        iterations[active] += 1
+        better = active & (fitted_norm < best_norm)
+        best_norm[better] = fitted_norm[better]
+        best_support[better] = support[better]
+        best_coef[better] = coef[better]
+        residual = np.where(active[:, None], fitted, residual)
+        stalled = prev_norm - fitted_norm < STAGNATION_TOL * prev_norm
+        prev_norm = np.where(active, fitted_norm, prev_norm)
+        active &= (fitted_norm > tolerance) & ~stalled
 
-    coefficients = np.zeros(system.num_atoms, dtype=complex)
-    coefficients[best_support] = best_coef
-    return SparseEstimate(
-        coefficients=coefficients,
-        support=tuple(int(i) for i in best_support),
-        residual_norm=best_norm,
-        iterations=iterations,
-        converged=best_norm <= config.residual_tol * norm_y,
-    )
+    coefficients = np.zeros((trials, num_atoms), dtype=complex)
+    np.put_along_axis(coefficients, best_support, best_coef, axis=1)
+    return _estimates(coefficients, best_support, best_norm, iterations, norm_y, deficient, config)
 
 
 def l0_oracle(system: SensingSystem, y: np.ndarray, sparsity: int) -> SparseEstimate:

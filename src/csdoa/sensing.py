@@ -1,13 +1,16 @@
 """Measurement-matrix draw, snapshot compression, and the effective dictionary.
 
 Compression is ``y = Phi x``; the sparse-recovery dictionary is
-``Psi = Phi A(theta)``, cached together with its column norms.
+``Psi = Phi A(theta)``, cached together with its column norms. Each of these
+also takes a stack of T trials' matrices, which the Monte Carlo engine builds
+with :func:`stack_measurements`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,36 +23,44 @@ MEASUREMENT_KINDS = (GAUSSIAN, IDENTITY)
 
 @dataclass(eq=False)
 class MeasurementMatrix:
-    """Compression operator Phi (m x N) with its provenance."""
+    """Compression operator Phi (m x N) with its provenance.
+
+    ``entries`` may also be a stack (T, m, N) of T trials' operators, built by
+    :func:`stack_measurements`; a stack keeps no seed (``seed`` is 0).
+    """
 
     entries: np.ndarray
     kind: str
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.entries.ndim != 2 or self.entries.shape[0] < 1:
-            raise ValueError("entries must be a matrix with at least one row")
+        if self.entries.ndim not in (2, 3) or self.entries.shape[-2] < 1:
+            raise ValueError("entries must be a matrix or a stack of them, with at least one row")
         if self.kind not in MEASUREMENT_KINDS:
             raise ValueError(f"unknown measurement kind {self.kind!r}")
         if self.kind == IDENTITY:
-            m, n = self.entries.shape
+            m, n = self.entries.shape[-2:]
             if m != n:
                 raise DimensionMismatchError("identity measurement requires m == n")
-            if not np.array_equal(self.entries, np.eye(n, dtype=self.entries.dtype)):
+            if not np.all(self.entries == np.eye(n, dtype=self.entries.dtype)):
                 raise ValueError("identity measurement entries must be the identity")
 
     @property
     def num_measurements(self) -> int:
-        return self.entries.shape[0]
+        return self.entries.shape[-2]
 
     @property
     def signal_len(self) -> int:
-        return self.entries.shape[1]
+        return self.entries.shape[-1]
 
 
 @dataclass(eq=False)
 class SensingSystem:
-    """The pair (Phi, A) together with Psi = Phi A and cached column norms."""
+    """The pair (Phi, A) together with Psi = Phi A and cached column norms.
+
+    For a stacked Phi of T trials, ``psi`` is (T, m, N_s) and ``column_norms``
+    (T, N_s); the checks below then run once for the whole stack.
+    """
 
     phi: MeasurementMatrix
     manifold: np.ndarray
@@ -63,22 +74,31 @@ class SensingSystem:
                 f"{self.manifold.shape[0]} rows"
             )
         product = self.phi.entries @ self.manifold
-        scale = np.linalg.norm(product)
-        if np.linalg.norm(self.psi - product) > 1e-10 * max(scale, 1.0):
+        if self.psi.shape != product.shape:
+            raise DimensionMismatchError(
+                f"psi has shape {self.psi.shape}, Phi @ manifold has {product.shape}"
+            )
+        # Each trial of a stack is held to its own scale.
+        flat = product.reshape(*product.shape[:-2], -1)  # a view, one row per trial
+        scale = np.maximum(_row_norms(flat), 1.0)
+        product -= self.psi  # in place: a stack's temporaries stay one array deep
+        if np.any(_row_norms(flat) > 1e-10 * scale):
             raise ValueError("psi does not match Phi @ manifold")
-        norms = np.linalg.norm(self.psi, axis=0)
+        del product, flat
+        norms = _column_norms(self.psi)
         if np.any(norms <= 0.0) or not np.all(np.isfinite(norms)):
             raise ValueError("every psi column must have a positive finite norm")
-        if np.max(np.abs(self.column_norms - norms)) > 1e-10 * max(float(norms.max()), 1.0):
+        error = np.max(np.abs(self.column_norms - norms), axis=-1)
+        if np.any(error > 1e-10 * np.maximum(norms.max(axis=-1), 1.0)):
             raise ValueError("column_norms do not match psi")
 
     @property
     def num_measurements(self) -> int:
-        return self.psi.shape[0]
+        return self.psi.shape[-2]
 
     @property
     def num_atoms(self) -> int:
-        return self.psi.shape[1]
+        return self.psi.shape[-1]
 
 
 def min_measurements(num_sources: int, signal_len: int) -> int:
@@ -113,27 +133,42 @@ def draw_measurement_matrix(m: int, n: int, kind: str, seed: int = 0) -> Measure
     return MeasurementMatrix(entries=entries, kind=kind, seed=int(seed))
 
 
+def stack_measurements(phis: Sequence[MeasurementMatrix]) -> MeasurementMatrix:
+    """One (T, m, N) operator from T trials' matrices of one kind and shape."""
+    return MeasurementMatrix(entries=np.stack([phi.entries for phi in phis]), kind=phis[0].kind)
+
+
 def compress(phi: MeasurementMatrix, x: np.ndarray) -> np.ndarray:
-    """Exact matrix-vector product ``y = Phi x``."""
+    """Exact matrix-vector product ``y = Phi x``.
+
+    For a stacked Phi, ``x`` is a (T, N) stack of snapshots and ``y`` is (T, m).
+    """
     x = np.asarray(x)
-    if x.shape[0] != phi.signal_len:
+    if x.shape[-1] != phi.signal_len:
         raise DimensionMismatchError(
-            f"x has length {x.shape[0]} but Phi has {phi.signal_len} columns"
+            f"x has length {x.shape[-1]} but Phi has {phi.signal_len} columns"
         )
-    return phi.entries @ x
+    return np.matmul(phi.entries, x[..., None])[..., 0]
 
 
 def build_sensing_system(phi: MeasurementMatrix, manifold: np.ndarray) -> SensingSystem:
-    """Form Psi = Phi A and cache its column norms."""
+    """Form Psi = Phi A and cache its column norms (one stack of them for a stacked Phi)."""
     manifold = np.asarray(manifold)
     if phi.signal_len != manifold.shape[0]:
         raise DimensionMismatchError(
             f"Phi has {phi.signal_len} columns but the dictionary has {manifold.shape[0]} rows"
         )
     psi = phi.entries @ manifold
-    return SensingSystem(
-        phi=phi,
-        manifold=manifold,
-        psi=psi,
-        column_norms=np.linalg.norm(psi, axis=0),
-    )
+    return SensingSystem(phi=phi, manifold=manifold, psi=psi, column_norms=_column_norms(psi))
+
+
+def _column_norms(psi: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(psi, axis=-2)`` bit for bit, with one psi-sized temporary, not two."""
+    power = psi.conj()
+    power *= psi
+    return np.sqrt(np.add.reduce(power.real, axis=-2))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, computed as ``np.linalg.norm`` computes one vector's."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))

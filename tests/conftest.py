@@ -7,11 +7,13 @@ products) so agreement is meaningful.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 
 import csdoa
+import csdoa.recovery
 
 
 def normal_equations(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -81,3 +83,150 @@ class ZeroRng:
 
     def standard_normal(self, size=None):
         return np.zeros(size if size is not None else ())
+
+
+# ---------------------------------------------------------------------------
+# Per-trial loop references for the stacked solvers. These are the scalar
+# OMP and CoSaMP loops, one trial at a time with 1-D vectors and Python
+# scalars; the stacked kernels must reproduce them bit for bit.
+
+
+def _reference_least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
+    q, r = np.linalg.qr(basis)
+    diag = np.abs(np.diag(r))
+    if basis.shape[1] > basis.shape[0] or diag.min() <= csdoa.recovery.RANK_TOL * diag.max():
+        raise csdoa.RankDeficientError("reference fit is rank deficient")
+    return np.linalg.solve(r, q.conj().T @ y)
+
+
+def _norm(v: np.ndarray) -> float:
+    return float(np.linalg.norm(v))
+
+
+def _empty(num_atoms: int) -> csdoa.SparseEstimate:
+    return csdoa.SparseEstimate(np.zeros(num_atoms, dtype=complex), (), 0.0, 0, True)
+
+
+def reference_omp(system, y, config) -> csdoa.SparseEstimate:
+    y = np.asarray(y, dtype=complex)
+    norm_y = _norm(y)
+    if norm_y == 0.0:
+        return _empty(system.num_atoms)
+    support: list[int] = []
+    coef = np.zeros(0, dtype=complex)
+    residual_norm = norm_y
+    residual = y
+    for _ in range(config.sparsity):
+        proxy = np.abs(system.psi.conj().T @ residual) / system.column_norms
+        if support:
+            proxy[support] = -1.0
+        support.append(int(np.argmax(proxy)))
+        basis = system.psi[:, support]
+        coef = _reference_least_squares(basis, y)
+        residual = y - basis @ coef
+        residual_norm = _norm(residual)
+        if residual_norm <= config.residual_tol * norm_y:
+            break
+    coefficients = np.zeros(system.num_atoms, dtype=complex)
+    coefficients[support] = coef
+    return csdoa.SparseEstimate(
+        coefficients, tuple(support), residual_norm, len(support),
+        residual_norm <= config.residual_tol * norm_y,
+    )
+
+
+def reference_cosamp(system, y, config) -> csdoa.SparseEstimate:
+    y = np.asarray(y, dtype=complex)
+    m, sparsity = system.num_measurements, config.sparsity
+    norm_y = _norm(y)
+    if norm_y == 0.0:
+        return _empty(system.num_atoms)
+    support = np.zeros(0, dtype=int)
+    residual = y
+    prev_norm = norm_y
+    best = (float("inf"), support, np.zeros(0, dtype=complex))
+    iterations = 0
+    for _ in range(config.max_iterations):
+        proxy = np.abs(system.psi.conj().T @ residual) / system.column_norms
+        omega = np.argsort(-proxy, kind="stable")[: min(2 * sparsity, system.num_atoms)]
+        merged = np.union1d(omega, support)
+        if merged.size > m:
+            raise csdoa.RankDeficientError("merged support exceeds the measurements")
+        fit = _reference_least_squares(system.psi[:, merged], y)
+        keep = np.sort(np.argsort(-np.abs(fit), kind="stable")[:sparsity])
+        support, coef = merged[keep], fit[keep]
+        residual = y - system.psi[:, support] @ coef
+        residual_norm = _norm(residual)
+        iterations += 1
+        if residual_norm < best[0]:
+            best = (residual_norm, support, coef)
+        if residual_norm <= config.residual_tol * norm_y:
+            break
+        if prev_norm - residual_norm < csdoa.recovery.STAGNATION_TOL * prev_norm:
+            break
+        prev_norm = residual_norm
+    best_norm, best_support, best_coef = best
+    coefficients = np.zeros(system.num_atoms, dtype=complex)
+    coefficients[best_support] = best_coef
+    return csdoa.SparseEstimate(
+        coefficients, tuple(int(i) for i in best_support), best_norm, iterations,
+        best_norm <= config.residual_tol * norm_y,
+    )
+
+
+REFERENCE_SOLVERS = {"omp": reference_omp, "cosamp": reference_cosamp}
+
+
+def per_trial_curve(scenario, snr_sweep_db, trials: int) -> dict:
+    """RMSE curve composed trial by trial from the public stage functions.
+
+    Seeds, draws, compression and scoring use the library's stage functions
+    one trial at a time; the solvers are the loop references above. Returns
+    what ``curve_key`` returns for ``run_monte_carlo``'s curve.
+    """
+    manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
+    spec = scenario.measurement
+    per_algorithm = {a: ([], [], []) for a in scenario.algorithms}
+    for i, snr in enumerate(snr_sweep_db):
+        point = scenario if snr == scenario.snr_db else replace(scenario, snr_db=float(snr))
+        errors = {a: [] for a in scenario.algorithms}
+        hits = {a: [] for a in scenario.algorithms}
+        for t in range(trials):
+            data_seed, phi_seed = csdoa.trial_seeds(scenario.seed, i, t)
+            snapshot = csdoa.synthesize(point, np.random.default_rng(data_seed))
+            phi = csdoa.draw_measurement_matrix(
+                spec.num_measurements, scenario.geometry.num_sensors, spec.kind, seed=phi_seed
+            )
+            system = csdoa.build_sensing_system(phi, manifold)
+            y = csdoa.compress(phi, snapshot.data)
+            for a in scenario.algorithms:
+                try:
+                    estimate = REFERENCE_SOLVERS[a](system, y, scenario.solver)
+                except csdoa.RankDeficientError:
+                    errors[a].append(np.full(scenario.sources.num_sources, csdoa.MISS_PENALTY_DEG))
+                    hits[a].append(False)
+                    continue
+                spectrum = csdoa.angle_spectrum(estimate, scenario.grid)
+                estimated = csdoa.pick_peaks(spectrum, scenario.solver.sparsity)
+                err = csdoa.trial_error(estimated, scenario.sources)
+                errors[a].append(err)
+                hits[a].append(bool(err.max() < scenario.grid.step_deg))
+        for a in scenario.algorithms:
+            rmse, rmse_hits, rate = per_algorithm[a]
+            rmse.append(float(np.sqrt(np.mean(np.concatenate(errors[a]) ** 2))))
+            won = [e for e, h in zip(errors[a], hits[a]) if h]
+            won_rmse = float(np.sqrt(np.mean(np.concatenate(won) ** 2))) if won else float("nan")
+            rmse_hits.append(won_rmse)
+            rate.append(sum(hits[a]) / trials)
+    return {a: tuple(tuple(map(repr, v)) for v in vals) for a, vals in per_algorithm.items()}
+
+
+def curve_key(curve) -> dict:
+    """An RmseCurve as exactly comparable values (NaN compares equal to NaN)."""
+    return {
+        a: tuple(
+            tuple(map(repr, v))
+            for v in (agg.rmse_deg, agg.rmse_success_only_deg, agg.success_rate)
+        )
+        for a, agg in curve.per_algorithm.items()
+    }

@@ -166,10 +166,17 @@ def test_build_manifold_matches_per_angle_steering_vectors():
     grid = csdoa.make_grid(-90.0, 90.0, 1.0)
     manifold = csdoa.build_manifold(grid, geometry)
     assert manifold.shape == (15, 181)
-    for j, theta in enumerate(grid.angles_deg):
-        assert np.array_equal(manifold[:, j], csdoa.steering_vector(theta, geometry))
     assert np.all(np.abs(np.linalg.norm(manifold, axis=0) - np.sqrt(15)) < 1e-12)
     assert np.array_equal(manifold[:, grid.index_of(0.0)], np.ones(15, dtype=complex))
+    for step in (1.0, 0.5, 0.25, 0.7, 3.0):
+        grid = csdoa.make_grid(-90.0, 90.0, step)
+        for spacing in (0.5, 0.37, 1.0):
+            for num_sensors in (2, 15, 64):
+                geometry = csdoa.ArrayGeometry(num_sensors, spacing)
+                manifold = csdoa.build_manifold(grid, geometry)
+                assert manifold.shape == (num_sensors, len(grid))
+                for j, theta in enumerate(grid.angles_deg):
+                    assert np.array_equal(manifold[:, j], csdoa.steering_vector(theta, geometry))
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,21 @@ def test_bad_coherent_group_is_a_usage_error(tmp_path, capsys):
         assert "--coherent" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--trials", "0"), ("--trials", "-2"), ("--workers", "0"), ("--workers", "-3")]
+)
+def test_nonpositive_run_size_is_a_usage_error(tmp_path, capsys, flag, value):
+    code, out, err = run_cli(
+        ["montecarlo", "--sources", "-60,60", "--snr-sweep", "0:0:1", "--trials", "2",
+         flag, value, "--out", tmp_path],
+        capsys,
+    )
+    assert code == 2
+    assert flag in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unwritable_output_is_a_runtime_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("x")

@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import csdoa
+from conftest import curve_key, per_trial_curve
+from csdoa import experiments
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +275,68 @@ def test_monte_carlo_validates_arguments():
         csdoa.run_monte_carlo(scenario, [], 10)
     with pytest.raises(ValueError):
         csdoa.run_monte_carlo(scenario, [0.0], 0)
+    for workers in (0, -3):
+        with pytest.raises(ValueError):
+            csdoa.run_monte_carlo(scenario, [0.0], 1, workers=workers)
+
+
+# ---------------------------------------------------------------------------
+# batched trial engine
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    sources=st.lists(st.integers(-90, 90), min_size=1, max_size=3, unique=True),
+    coherent=st.sampled_from(["none", "pair", "all"]),
+    extra_sparsity=st.integers(0, 1),
+    sweep=st.lists(st.sampled_from([-10.0, 0.0, 20.0, math.inf]), min_size=1, max_size=3),
+    trials=st.integers(1, 9),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(sources=[-90, 90], coherent="all", extra_sparsity=0, sweep=[math.inf], trials=4, seed=3)
+@example(sources=[-90, 30], coherent="none", extra_sparsity=1, sweep=[-10.0, 20.0], trials=5,
+         seed=8)
+@example(sources=[-60, 0, 40], coherent="pair", extra_sparsity=1, sweep=[0.0], trials=9, seed=17)
+def test_monte_carlo_is_independent_of_chunking_and_workers(
+    sources, coherent, extra_sparsity, sweep, trials, seed
+):
+    groups = {"none": [], "pair": [[0, len(sources) - 1]], "all": [list(range(len(sources)))]}
+    scenario = csdoa.build_scenario(
+        [float(s) for s in sources],
+        coherent_groups=groups[coherent] if len(sources) > 1 else [],
+        sparsity=len(sources) + extra_sparsity,
+        seed=seed,
+    )
+    expected = per_trial_curve(scenario, sweep, trials)
+    for chunk in (1, 7, experiments.CHUNK_TRIALS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "CHUNK_TRIALS", chunk)
+            assert curve_key(csdoa.run_monte_carlo(scenario, sweep, trials)) == expected
+    assert curve_key(csdoa.run_monte_carlo(scenario, sweep, trials, workers=2)) == expected
+
+
+def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
+    # Trial (596, 0, 0) of the criterion-3 scenario at -10 dB: CoSaMP's
+    # least-squares fit on the merged support is rank deficient.
+    scenario = csdoa.build_scenario([-60.0, 60.0], snr_db=-10.0, seed=596)
+    manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
+    data_seed, phi_seed = csdoa.trial_seeds(596, 0, 0)
+    snapshot = csdoa.synthesize(scenario, np.random.default_rng(data_seed))
+    phi = csdoa.draw_measurement_matrix(7, 15, csdoa.GAUSSIAN, seed=phi_seed)
+    system = csdoa.build_sensing_system(phi, manifold)
+    with pytest.raises(csdoa.RankDeficientError):
+        csdoa.cosamp(system, csdoa.compress(phi, snapshot.data), scenario.solver)
+
+    alone = csdoa.run_single(scenario).runs["cosamp"]
+    in_chunk = experiments._run_trials({0: scenario}, manifold, [(0, t) for t in range(6)])
+    stacked = in_chunk[0].runs["cosamp"]
+    for run in (alone, stacked):
+        assert run.estimated.doas_deg == ()
+        assert np.array_equal(run.spectrum.power, np.zeros(len(scenario.grid)))
+        assert np.array_equal(run.record.errors_deg, np.full(2, csdoa.MISS_PENALTY_DEG))
+        assert run.record.iterations == 0
+        assert not run.record.success
+    assert stacked.record.residual_norm == alone.record.residual_norm
+    curve = csdoa.run_monte_carlo(scenario, [-10.0], 1)
+    assert curve.per_algorithm["cosamp"].rmse_deg == (csdoa.MISS_PENALTY_DEG,)
+    assert curve.per_algorithm["cosamp"].success_rate == (0.0,)

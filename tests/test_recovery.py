@@ -2,9 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csdoa
-from conftest import gaussian_system, normal_equations, oracle_match_counts, planted_instance
+from conftest import (
+    gaussian_system,
+    normal_equations,
+    oracle_match_counts,
+    planted_instance,
+    reference_cosamp,
+    reference_omp,
+)
+from csdoa.recovery import cosamp_stack, omp_stack
+from csdoa.sensing import stack_measurements
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +85,20 @@ def test_least_squares_rejects_rank_deficiency():
         csdoa.least_squares(rng.standard_normal((3, 5)) + 0j, np.ones(3, dtype=complex))
 
 
+def test_least_squares_stack_solves_each_trial_and_marks_deficient_ones():
+    rng = np.random.default_rng(5)
+    basis = rng.standard_normal((5, 8, 3)) + 1j * rng.standard_normal((5, 8, 3))
+    basis[2, :, 2] = 2.0 * basis[2, :, 0]
+    y = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    coef = csdoa.least_squares(basis, y)
+    assert coef.shape == (5, 3)
+    assert np.all(np.isnan(coef[2]))
+    for t in (0, 1, 3, 4):
+        assert np.array_equal(coef[t], csdoa.least_squares(basis[t], y[t]))
+    with pytest.raises(csdoa.RankDeficientError):
+        csdoa.least_squares(basis[2], y[2])
+
+
 # ---------------------------------------------------------------------------
 # correlate
 
@@ -91,6 +116,19 @@ def test_correlate_matches_scalar_loop():
     for j in range(12):
         expected = abs(np.vdot(system.psi[:, j], residual)) / system.column_norms[j]
         assert abs(proxy[j] - expected) < 1e-12
+
+
+def test_correlate_stack_matches_each_trial():
+    phis = [csdoa.draw_measurement_matrix(8, 12, csdoa.GAUSSIAN, seed=s) for s in range(4)]
+    stacked = csdoa.build_sensing_system(stack_measurements(phis), np.eye(12, dtype=complex))
+    rng = np.random.default_rng(6)
+    residual = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
+    proxy = csdoa.correlate(stacked, residual)
+    shared = csdoa.correlate(gaussian_system(8, 12, seed=0), residual)
+    for t, phi in enumerate(phis):
+        single = csdoa.build_sensing_system(phi, np.eye(12, dtype=complex))
+        assert np.array_equal(proxy[t], csdoa.correlate(single, residual[t]))
+        assert np.array_equal(shared[t], csdoa.correlate(gaussian_system(8, 12, 0), residual[t]))
 
 
 def _orthonormal_system(m=8, seed=0):
@@ -347,3 +385,100 @@ def test_both_solvers_track_the_oracle_on_generic_instances():
     assert report["matches"]["cosamp"] >= 99
     assert report["worst_coef_rel"]["omp"] <= 1e-8
     assert report["worst_coef_rel"]["cosamp"] <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# stacked solvers against the per-trial loop references
+
+
+def _dictionary(kind: str) -> np.ndarray:
+    if kind == "steering":
+        return csdoa.build_manifold(csdoa.make_grid(-90.0, 90.0, 1.0), csdoa.ArrayGeometry(15))
+    rng = np.random.default_rng(20)
+    manifold = rng.standard_normal((15, 20)) + 1j * rng.standard_normal((15, 20))
+    if kind == "duplicate":
+        manifold[:, 7] = manifold[:, 3]  # both copies can enter one support
+    return manifold
+
+
+def _same(estimate, reference) -> bool:
+    return (
+        np.array_equal(estimate.coefficients, reference.coefficients)
+        and estimate.support == reference.support
+        and estimate.residual_norm == reference.residual_norm
+        and estimate.iterations == reference.iterations
+        and estimate.converged == reference.converged
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "steering", "duplicate"]),
+    trials=st.integers(1, 9),
+    sparsity=st.integers(1, 3),
+    extra_rows=st.integers(0, 4),
+    planted=st.integers(1, 3),
+    noise=st.sampled_from([0.0, 0.1, 1.0]),
+    zero_trial=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_solvers_match_the_per_trial_loops(
+    kind, trials, sparsity, extra_rows, planted, noise, zero_trial, seed
+):
+    m = 2 * sparsity + extra_rows
+    manifold = _dictionary(kind)
+    n, num_atoms = manifold.shape
+    rng = np.random.default_rng(seed)
+    phis = [
+        csdoa.draw_measurement_matrix(m, n, csdoa.GAUSSIAN, seed=int(s))
+        for s in rng.integers(0, 2**32, trials)
+    ]
+    x = np.zeros((trials, num_atoms), dtype=complex)
+    for t in range(trials):
+        atoms = rng.choice(num_atoms, size=planted, replace=False)
+        x[t, atoms] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, planted))
+    phi = stack_measurements(phis)
+    system = csdoa.build_sensing_system(phi, manifold)
+    y = np.matmul(system.psi, x[..., None])[..., 0]
+    y += noise * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+    if zero_trial:
+        y[0] = 0.0
+    config = csdoa.SolverConfig(sparsity=sparsity)
+    for stack, scalar, reference in (
+        (omp_stack, csdoa.omp, reference_omp),
+        (cosamp_stack, csdoa.cosamp, reference_cosamp),
+    ):
+        estimates = stack(system, y, config)
+        assert len(estimates) == trials
+        for t, estimate in enumerate(estimates):
+            single = csdoa.build_sensing_system(phis[t], manifold)
+            try:
+                expected = reference(single, y[t], config)
+            except csdoa.RankDeficientError:
+                assert estimate is None
+                with pytest.raises(csdoa.RankDeficientError):
+                    scalar(single, y[t], config)
+                continue
+            assert estimate is not None and _same(estimate, expected)
+            assert _same(scalar(single, y[t], config), expected)
+
+
+def test_omp_stack_drops_a_rank_deficient_trial_and_finishes_the_others():
+    # Trial 0's two columns coincide, so its second fit is rank deficient.
+    entries = np.array([[[1, 1], [0, 0]], [[1, 0], [0, 1]]], dtype=complex)
+    phi = csdoa.MeasurementMatrix(entries, csdoa.GAUSSIAN)
+    system = csdoa.build_sensing_system(phi, np.eye(2, dtype=complex))
+    y = np.array([[1.0, 0.5], [1.0, 0.5]], dtype=complex)
+    config = csdoa.SolverConfig(sparsity=2)
+    deficient, healthy = omp_stack(system, y, config)
+    assert deficient is None
+    single = csdoa.build_sensing_system(
+        csdoa.MeasurementMatrix(entries[1], csdoa.GAUSSIAN), np.eye(2, dtype=complex)
+    )
+    assert healthy.support == (0, 1)
+    assert _same(healthy, reference_omp(single, y[1], config))
+    first = csdoa.build_sensing_system(
+        csdoa.MeasurementMatrix(entries[0], csdoa.GAUSSIAN), np.eye(2, dtype=complex)
+    )
+    with pytest.raises(csdoa.RankDeficientError):
+        csdoa.omp(first, y[0], config)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import csdoa
+from csdoa.sensing import stack_measurements
 
 
 # ---------------------------------------------------------------------------
@@ -159,3 +160,75 @@ def test_system_rejects_tampered_fields():
             psi=system.psi,
             column_norms=system.column_norms * 2.0,
         )
+
+
+# ---------------------------------------------------------------------------
+# stacked measurement matrices
+
+
+def test_stacked_system_equals_each_trials_system():
+    manifold = _standard_manifold()
+    phis = [csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=s) for s in range(5)]
+    phi = stack_measurements(phis)
+    assert phi.entries.shape == (5, 10, 15)
+    assert phi.seed == 0
+    assert phi.num_measurements == 10 and phi.signal_len == 15
+    system = csdoa.build_sensing_system(phi, manifold)
+    assert system.num_measurements == 10 and system.num_atoms == 181
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((5, 15)) + 1j * rng.standard_normal((5, 15))
+    y = csdoa.compress(phi, x)
+    for t, single_phi in enumerate(phis):
+        single = csdoa.build_sensing_system(single_phi, manifold)
+        assert np.array_equal(system.psi[t], single.psi)
+        assert np.array_equal(system.column_norms[t], single.column_norms)
+        assert np.array_equal(y[t], csdoa.compress(single_phi, x[t]))
+
+
+def test_column_norms_are_numpys_norms_bit_for_bit():
+    phi = csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=7)
+    system = csdoa.build_sensing_system(phi, _standard_manifold())
+    assert np.array_equal(system.column_norms, np.linalg.norm(system.psi, axis=0))
+
+
+def test_stacked_system_checks_every_trial():
+    manifold = _standard_manifold()
+    phis = [csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=s) for s in range(3)]
+    system = csdoa.build_sensing_system(stack_measurements(phis), manifold)
+    tampered = system.psi.copy()
+    tampered[2, 4, 7] += 0.1
+    with pytest.raises(ValueError):
+        csdoa.SensingSystem(system.phi, manifold, tampered, system.column_norms)
+    norms = system.column_norms.copy()
+    norms[1, 0] *= 2.0
+    with pytest.raises(ValueError):
+        csdoa.SensingSystem(system.phi, manifold, system.psi, norms)
+    with pytest.raises(csdoa.DimensionMismatchError):
+        csdoa.SensingSystem(system.phi, manifold, system.psi[:2], system.column_norms[:2])
+
+
+def test_stack_measurements_requires_one_shape():
+    identity = csdoa.draw_measurement_matrix(15, 15, csdoa.IDENTITY)
+    assert stack_measurements([identity, identity]).entries.shape == (2, 15, 15)
+    with pytest.raises(ValueError):
+        gaussian = csdoa.draw_measurement_matrix(15, 15, csdoa.GAUSSIAN, seed=1)
+        stack_measurements([gaussian, csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN)])
+    with pytest.raises(ValueError):
+        csdoa.MeasurementMatrix(np.stack([np.eye(3), 2.0 * np.eye(3)]) + 0j, csdoa.IDENTITY)
+
+
+def test_stacked_system_holds_each_trial_to_its_own_scale():
+    # Trial 0 is a million times larger than trial 1. An error in trial 1
+    # far below trial 0's tolerance must still fail trial 1's own check.
+    manifold = _standard_manifold()
+    phis = [csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=s) for s in range(2)]
+    phis[0] = csdoa.MeasurementMatrix(1e6 * phis[0].entries, csdoa.GAUSSIAN)
+    system = csdoa.build_sensing_system(stack_measurements(phis), manifold)
+    tampered = system.psi.copy()
+    tampered[1, 4, 7] += 1e-6
+    with pytest.raises(ValueError, match="psi does not match"):
+        csdoa.SensingSystem(system.phi, manifold, tampered, system.column_norms)
+    norms = system.column_norms.copy()
+    norms[1, 0] += 1e-6
+    with pytest.raises(ValueError, match="column_norms do not match"):
+        csdoa.SensingSystem(system.phi, manifold, system.psi, norms)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -157,28 +157,15 @@ def steering_vector(theta_deg: float, geometry: ArrayGeometry) -> np.ndarray:
 
 def build_manifold(grid: AngleGrid, geometry: ArrayGeometry) -> np.ndarray:
     """Dictionary A(theta): one steering-vector column per grid angle (N x N_s)."""
-    # One broadcast in steering_vector's operation order, so every column
-    # matches steering_vector bit for bit.
+    return _steering_matrix(grid.angles_deg, geometry)
+
+
+def _steering_matrix(angles_deg: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
+    """One steering-vector column per angle, each equal to ``steering_vector``'s bit for bit."""
+    # One broadcast in steering_vector's operation order.
     n = np.arange(geometry.num_sensors)
     scale = -2.0 * np.pi * geometry.spacing_over_wavelength * n
-    return np.exp(1j * (scale[:, None] * np.sin(np.deg2rad(grid.angles_deg))[None, :]))
-
-
-def _draw_amplitudes(sources: SourceSet, rng: np.random.Generator) -> np.ndarray:
-    """One complex amplitude per coherent group, replicated to every member."""
-    n_groups = len(sources.coherent_groups)
-    if sources.amplitude_model == UNIT_MODULUS:
-        phases = rng.uniform(0.0, 2.0 * np.pi, n_groups)
-        group_amps = np.exp(1j * np.asarray(phases))
-    else:
-        group_amps = (
-            rng.standard_normal(n_groups) + 1j * rng.standard_normal(n_groups)
-        ) / np.sqrt(2.0)
-    amps = np.zeros(sources.num_sources, dtype=complex)
-    for group, amp in zip(sources.coherent_groups, group_amps):
-        for i in group:
-            amps[i] = amp
-    return amps
+    return np.exp(1j * (scale[:, None] * np.sin(np.deg2rad(angles_deg))[None, :]))
 
 
 def synthesize(scenario: "Scenario", rng: np.random.Generator) -> Snapshot:
@@ -189,7 +176,8 @@ def synthesize(scenario: "Scenario", rng: np.random.Generator) -> Snapshot:
     per-element noise variance is set from the realized clean power,
     ``sigma^2 = ||clean||^2 / (N * 10^(snr_db/10))``, so the configured SNR is
     total clean power over expected total noise power. ``snr_db = inf``
-    disables noise entirely (no draws consumed for it).
+    disables noise entirely (no draws consumed for it). A stack of one over
+    :func:`draw_snapshot` and :func:`snapshot_stack`.
 
     Parameters
     ----------
@@ -200,32 +188,74 @@ def synthesize(scenario: "Scenario", rng: np.random.Generator) -> Snapshot:
         Caller-owned random stream; equal seeds give bit-identical snapshots.
     """
     sources = scenario.sources
-    geometry = scenario.geometry
-    grid = scenario.grid
-    # OffGridSourceError for any direction not on the grid; snapping to the
-    # grid point keeps clean identical to the matching dictionary columns.
-    snapped = [grid.angles_deg[grid.index_of(d)] for d in sources.doas_deg]
-    amps = _draw_amplitudes(sources, rng)
-    clean = np.zeros(geometry.num_sensors, dtype=complex)
-    for theta, amp in zip(snapped, amps):
-        clean = clean + steering_vector(theta, geometry) * amp
-    if math.isinf(scenario.snr_db):
-        noise = np.zeros_like(clean)
-    else:
-        p_clean = float(np.sum(np.abs(clean) ** 2))
-        sigma2 = p_clean / (geometry.num_sensors * 10.0 ** (scenario.snr_db / 10.0))
-        scale = math.sqrt(sigma2 / 2.0)
-        noise = scale * (
-            rng.standard_normal(geometry.num_sensors)
-            + 1j * rng.standard_normal(geometry.num_sensors)
-        )
+    columns = _steering_matrix(
+        scenario.grid.angles_deg[list(scenario.source_indices)], scenario.geometry
+    )
+    amplitudes = np.empty((1, 2, len(sources.coherent_groups)))
+    noise = np.zeros((1, 2, scenario.geometry.num_sensors))
+    draw_snapshot(sources, rng, amplitudes[0], None if math.isinf(scenario.snr_db) else noise[0])
+    data, clean, noise = snapshot_stack(sources, columns, [scenario.snr_db], amplitudes, noise)
     return Snapshot(
-        data=clean + noise,
-        clean=clean,
-        noise=noise,
+        data=data[0],
+        clean=clean[0],
+        noise=noise[0],
         true_sources=sources,
         snr_db=scenario.snr_db,
     )
+
+
+def draw_snapshot(
+    sources: SourceSet,
+    rng: np.random.Generator,
+    amplitudes: np.ndarray,
+    noise: np.ndarray | None,
+) -> None:
+    """One trial's raw draws, in :func:`synthesize`'s order, written into buffers.
+
+    ``amplitudes`` (2, groups) takes the unit-modulus phases in its first
+    row, or the real then imaginary parts of complex Gaussian amplitudes.
+    ``noise`` (2, N) takes the real then imaginary noise parts; pass None
+    for a noiseless trial, which draws none.
+    """
+    n_groups = len(sources.coherent_groups)
+    if sources.amplitude_model == UNIT_MODULUS:
+        amplitudes[0] = rng.uniform(0.0, 2.0 * np.pi, n_groups)
+    else:
+        amplitudes[:] = rng.standard_normal((2, n_groups))
+    if noise is not None:
+        noise[:] = rng.standard_normal(noise.shape)
+
+
+def snapshot_stack(
+    sources: SourceSet,
+    columns: np.ndarray,
+    snr_db: Sequence[float],
+    amplitudes: np.ndarray,
+    noise: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, clean, noise)``, each (T, N), of T trials from their raw draws.
+
+    ``columns`` (N, sources) are the sources' steering vectors, ``snr_db``
+    the trials' SNRs, and ``amplitudes`` (T, 2, groups) and ``noise``
+    (T, 2, N) the trials' :func:`draw_snapshot` buffers; a noiseless trial's
+    noise rows must be zero. Every step is elementwise per trial and in
+    :func:`synthesize`'s order, so each row is what that trial alone gives.
+    """
+    if sources.amplitude_model == UNIT_MODULUS:
+        group_amps = np.exp(1j * amplitudes[:, 0])
+    else:
+        group_amps = (amplitudes[:, 0] + 1j * amplitudes[:, 1]) / np.sqrt(2.0)
+    group_of = {i: g for g, group in enumerate(sources.coherent_groups) for i in group}
+    clean = np.zeros((len(amplitudes), columns.shape[0]), dtype=complex)
+    for i in range(sources.num_sources):
+        clean = clean + columns[:, i] * group_amps[:, group_of[i], None]
+    # The per-trial noise power is Python arithmetic, as for one trial: numpy's
+    # power may round differently from the C library's pow.
+    levels = np.array([columns.shape[0] * 10.0 ** (snr / 10.0) for snr in snr_db])
+    p_clean = np.sum(np.abs(clean) ** 2, axis=-1)
+    scale = np.sqrt(p_clean / levels / 2.0)
+    noise = scale[:, None] * (noise[:, 0] + 1j * noise[:, 1])
+    return clean + noise, clean, noise
 
 
 def synthesize_multi(scenario: "Scenario", num_snapshots: int, rng: np.random.Generator) -> list[Snapshot]:

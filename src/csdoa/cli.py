@@ -100,8 +100,9 @@ def _expand_sweep(triple: tuple[float, float, float]) -> list[float]:
     return [lo + step * k for k in range(count)]
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser._negative_number_matcher = _NEGATIVE_VALUE_RE
+def _scenario_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, on a parent parser without ``--help``."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--sensors", type=int, default=15, help="number of ULA sensors")
     parser.add_argument(
         "--spacing", type=float, default=0.5, help="element spacing in wavelengths"
@@ -150,6 +151,7 @@ def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
         metavar="FILE",
         help="load the full configuration from a previous run's meta.json",
     )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -159,26 +161,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
+    scenario = _scenario_flags()
 
     p_spectrum = subparsers.add_parser(
-        "spectrum", help="run one seeded trial and write the angle spectrum"
+        "spectrum", parents=[scenario], help="run one seeded trial and write the angle spectrum"
     )
-    _add_scenario_flags(p_spectrum)
     p_spectrum.set_defaults(func=cmd_spectrum)
 
     p_mc = subparsers.add_parser(
-        "montecarlo", help="sweep SNR and write RMSE / success-rate curves"
+        "montecarlo", parents=[scenario], help="sweep SNR and write RMSE / success-rate curves"
     )
-    _add_scenario_flags(p_mc)
     p_mc.add_argument("--trials", type=int, default=100, help="Monte Carlo trials per SNR point")
     p_mc.add_argument("--snr-sweep", default="-10:20:5", help="SNR sweep lo:hi:step in dB")
     p_mc.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     p_mc.set_defaults(func=cmd_montecarlo)
 
-    p_synth = subparsers.add_parser("synth", help="write one synthesized snapshot as CSV")
-    _add_scenario_flags(p_synth)
+    p_synth = subparsers.add_parser(
+        "synth", parents=[scenario], help="write one synthesized snapshot as CSV"
+    )
     p_synth.set_defaults(func=cmd_synth)
 
+    for subparser in (p_spectrum, p_mc, p_synth):
+        subparser._negative_number_matcher = _NEGATIVE_VALUE_RE
     return parser
 
 

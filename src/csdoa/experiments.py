@@ -5,15 +5,16 @@ sources, SNR, measurement scheme, solver settings, seed). ``run_single``
 produces spectra and peak estimates for each requested algorithm;
 ``run_monte_carlo`` sweeps SNR and aggregates RMSE and success rates over
 independently seeded trials, optionally across worker processes. Both run
-their trials through one engine, ``_run_trials``, that solves a chunk of
-trials as one stacked problem; a single run is a chunk of one.
+their trials through one engine, ``_run_trials``, that draws, solves and
+scores a chunk of trials as one stacked problem; a single run is a chunk of
+one.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Sequence
 
@@ -26,29 +27,23 @@ from .array_model import (
     Snapshot,
     SourceSet,
     build_manifold,
+    draw_snapshot,
     make_grid,
-    synthesize,
+    snapshot_stack,
 )
 from .errors import DimensionMismatchError
-from .recovery import SolverConfig, SparseEstimate, cosamp_stack, omp_stack
+from .recovery import SolverConfig, StackedEstimate, cosamp_stack, omp_stack
 from .sensing import (
     GAUSSIAN,
     IDENTITY,
     MEASUREMENT_KINDS,
+    MeasurementMatrix,
     build_sensing_system,
     compress,
-    draw_measurement_matrix,
+    gaussian_entries,
     min_measurements,
-    stack_measurements,
 )
-from .spectrum import (
-    MISS_PENALTY_DEG,
-    AngleSpectrum,
-    DoaEstimate,
-    angle_spectrum,
-    pick_peaks,
-    trial_error,
-)
+from .spectrum import AngleSpectrum, DoaEstimate, StackedScores, score_stack
 
 OMP = "omp"
 COSAMP = "cosamp"
@@ -57,8 +52,9 @@ ALGORITHMS = (OMP, COSAMP)
 _STACK_SOLVERS = {OMP: omp_stack, COSAMP: cosamp_stack}
 
 # Most trials one stacked solve holds: a bound on the stacks' memory. At 15
-# sensors, m <= 10 and 181 atoms a sweep's traced peak grows by about 90 KiB a
-# trial of chunk (4-6 MiB at 64); the time per trial stops falling near 32-64.
+# sensors, m <= 10 and 181 atoms a sweep's traced peak grows by about 45-65 KiB
+# a trial of chunk (3.0-4.1 MiB at 64); the time per trial stops falling near
+# 32-64, and 128 is no faster than 64.
 CHUNK_TRIALS = 64
 
 
@@ -92,6 +88,8 @@ class Scenario:
     solver: SolverConfig
     algorithms: tuple[str, ...] = ALGORITHMS
     seed: int = 0
+    # Grid index of each source, in source order: its dictionary column.
+    source_indices: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.algorithms:
@@ -105,8 +103,9 @@ class Scenario:
             raise ValueError("seed must be >= 0")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError("snr_db must be finite or +inf (noise disabled)")
-        for doa in self.sources.doas_deg:
-            self.grid.index_of(doa)  # raises OffGridSourceError otherwise
+        # OffGridSourceError for a source that is not a grid point.
+        indices = tuple(self.grid.index_of(doa) for doa in self.sources.doas_deg)
+        object.__setattr__(self, "source_indices", indices)
         m = self.measurement.num_measurements
         if self.measurement.kind == IDENTITY and m != self.geometry.num_sensors:
             raise DimensionMismatchError(
@@ -251,79 +250,66 @@ def build_scenario(
     )
 
 
-def _score(
-    scenario: Scenario,
-    trial_index: int,
-    algorithm: str,
-    estimate: SparseEstimate | None,
-    y: np.ndarray,
-) -> AlgorithmRun:
-    """Spectrum, peaks and scored record of one solve; None marks a rank-deficient one.
+def _draw_trials(
+    points: dict[int, Scenario], manifold: np.ndarray, tasks: Sequence[tuple[int, int]]
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], MeasurementMatrix]:
+    """Snapshots ``(data, clean, noise)``, each (T, N), and the Phi stack of trials ``tasks``.
 
-    A rank-deficient solve has an empty spectrum and misses every source.
+    Only the seeded draws run trial by trial, from each trial's own
+    ``trial_seeds`` streams in ``synthesize``'s and ``draw_measurement_matrix``'s
+    order; the rest runs once for the stack and gives each trial's arrays
+    bit for bit.
     """
-    grid = scenario.grid
-    if estimate is None:
-        spectrum = AngleSpectrum(grid=grid, power=np.zeros(len(grid)))
-        estimated = DoaEstimate(doas_deg=(), powers=())
-        errors = np.full(scenario.sources.num_sources, MISS_PENALTY_DEG)
-        residual_norm, iterations = float(np.linalg.norm(y)), 0
+    base = points[tasks[0][0]]
+    sources, spec = base.sources, base.measurement
+    n = base.geometry.num_sensors
+    snr_db = [points[snr_index].snr_db for snr_index, _ in tasks]
+    amplitudes = np.empty((len(tasks), 2, len(sources.coherent_groups)))
+    noise = np.zeros((len(tasks), 2, n))
+    normals = None
+    if spec.kind == GAUSSIAN:
+        normals = np.empty((len(tasks), 2, spec.num_measurements, n))
+    for k, (snr_index, trial_index) in enumerate(tasks):
+        data_seed, phi_seed = trial_seeds(base.seed, snr_index, trial_index)
+        noise_row = None if math.isinf(snr_db[k]) else noise[k]
+        draw_snapshot(sources, np.random.default_rng(data_seed), amplitudes[k], noise_row)
+        if normals is not None:
+            normals[k] = np.random.default_rng(phi_seed).standard_normal(normals.shape[1:])
+    columns = manifold[:, list(base.source_indices)]
+    snapshots = snapshot_stack(sources, columns, snr_db, amplitudes, noise)
+    if normals is None:
+        entries = np.repeat(np.eye(n, dtype=complex)[None], len(tasks), axis=0)
     else:
-        spectrum = angle_spectrum(estimate, grid)
-        estimated = pick_peaks(spectrum, scenario.solver.sparsity)
-        errors = trial_error(estimated, scenario.sources)
-        residual_norm, iterations = estimate.residual_norm, estimate.iterations
-    record = TrialRecord(
-        trial_index=trial_index,
-        algorithm=algorithm,
-        estimated=estimated,
-        errors_deg=errors,
-        residual_norm=residual_norm,
-        iterations=iterations,
-        success=bool(errors.max() < grid.step_deg),
-    )
-    return AlgorithmRun(algorithm, spectrum, estimated, record)
+        entries = gaussian_entries(normals)
+    return snapshots, MeasurementMatrix(entries, spec.kind)
 
 
 def _run_trials(
     points: dict[int, Scenario],
     manifold: np.ndarray,
     tasks: Sequence[tuple[int, int]],
-) -> list[SingleRunResult]:
-    """Fully seeded trials ``(snr_index, trial_index)``, solved as one stacked problem.
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[str, StackedEstimate], StackedScores]:
+    """Fully seeded trials ``(snr_index, trial_index)``, drawn, solved and scored as one stack.
 
     ``points[i]`` is the scenario at sweep point ``i``; the points differ only
     in SNR. Every trial draws its snapshot and measurement matrix from its own
     ``trial_seeds`` streams, so its outcome does not depend on which trials
-    share the stack.
+    share the stack. Returns the snapshots ``(data, clean, noise)``, each
+    algorithm's stacked estimate (row ``k`` is ``tasks[k]``), and the scores
+    of all of them in one stack: row ``a * len(tasks) + k`` belongs to the
+    ``a``-th algorithm's estimate of ``tasks[k]``.
     """
     base = points[tasks[0][0]]
-    spec = base.measurement
-    snapshots, phis = [], []
-    for snr_index, trial_index in tasks:
-        data_seed, phi_seed = trial_seeds(base.seed, snr_index, trial_index)
-        snapshots.append(synthesize(points[snr_index], np.random.default_rng(data_seed)))
-        phis.append(
-            draw_measurement_matrix(
-                spec.num_measurements, base.geometry.num_sensors, spec.kind, seed=phi_seed
-            )
-        )
-    phi = stack_measurements(phis)
+    snapshots, phi = _draw_trials(points, manifold, tasks)
     system = build_sensing_system(phi, manifold)
-    y = compress(phi, np.stack([snapshot.data for snapshot in snapshots]))
+    y = compress(phi, snapshots[0])
     estimates = {
         algorithm: _STACK_SOLVERS[algorithm](system, y, base.solver)
         for algorithm in base.algorithms
     }
-    results = []
-    for k, (snr_index, trial_index) in enumerate(tasks):
-        scenario = points[snr_index]
-        runs = {
-            algorithm: _score(scenario, trial_index, algorithm, estimates[algorithm][k], y[k])
-            for algorithm in base.algorithms
-        }
-        results.append(SingleRunResult(scenario=scenario, snapshot=snapshots[k], runs=runs))
-    return results
+    coefficients = np.concatenate([estimate.coefficients for estimate in estimates.values()])
+    scores = score_stack(coefficients, base.grid, base.sources, base.solver.sparsity)
+    return snapshots, estimates, scores
 
 
 def run_single(scenario: Scenario) -> SingleRunResult:
@@ -332,7 +318,23 @@ def run_single(scenario: Scenario) -> SingleRunResult:
     Equivalent to trial 0 of the first sweep point of ``run_monte_carlo``.
     """
     manifold = build_manifold(scenario.grid, scenario.geometry)
-    return _run_trials({0: scenario}, manifold, [(0, 0)])[0]
+    (data, clean, noise), estimates, scores = _run_trials({0: scenario}, manifold, [(0, 0)])
+    runs = {}
+    for row, (algorithm, estimate) in enumerate(estimates.items()):
+        estimated = scores.estimate(scenario.grid, row)
+        record = TrialRecord(
+            trial_index=0,
+            algorithm=algorithm,
+            estimated=estimated,
+            errors_deg=scores.errors_deg[row],
+            residual_norm=float(estimate.residual_norm[0]),
+            iterations=int(estimate.iterations[0]),
+            success=bool(scores.success[row]),
+        )
+        spectrum = AngleSpectrum(grid=scenario.grid, power=scores.power[row])
+        runs[algorithm] = AlgorithmRun(algorithm, spectrum, estimated, record)
+    snapshot = Snapshot(data[0], clean[0], noise[0], scenario.sources, scenario.snr_db)
+    return SingleRunResult(scenario=scenario, snapshot=snapshot, runs=runs)
 
 
 def _sweep_chunk(
@@ -343,11 +345,10 @@ def _sweep_chunk(
     Returns per-source errors (trials, algorithms, sources) and success flags
     (trials, algorithms), algorithms in scenario order.
     """
-    results = _run_trials(points, manifold, [divmod(k, trials) for k in flat])
-    algorithms = points[0].algorithms
-    errors = np.array([[r.runs[a].record.errors_deg for a in algorithms] for r in results])
-    success = np.array([[r.runs[a].record.success for a in algorithms] for r in results])
-    return errors, success
+    _, estimates, scores = _run_trials(points, manifold, [divmod(k, trials) for k in flat])
+    shape = (len(estimates), len(flat))
+    errors = scores.errors_deg.reshape(shape + (-1,)).swapaxes(0, 1)
+    return errors, scores.success.reshape(shape).T
 
 
 def run_monte_carlo(

@@ -7,8 +7,9 @@ to column scaling; the least-squares refits use the raw columns.
 
 OMP and CoSaMP have one implementation each, over a stack of T trials
 (:func:`omp_stack`, :func:`cosamp_stack`): every greedy step runs once for
-the whole stack, and ``omp``/``cosamp`` are a stack of one. Per trial, the
-stacked steps round exactly as the single-trial ones do.
+the whole stack, the result is one :class:`StackedEstimate`, and
+``omp``/``cosamp`` are a stack of one. Per trial, the stacked steps round
+exactly as the single-trial ones do.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -62,6 +62,25 @@ class SparseEstimate:
     residual_norm: float
     iterations: int
     converged: bool
+
+
+@dataclass(eq=False)
+class StackedEstimate:
+    """The estimates of a stacked solve of T trials; row ``t`` belongs to trial ``t``.
+
+    ``support`` rows hold the chosen atoms (in selection order for OMP,
+    ascending for CoSaMP), padded with -1. A trial whose fit was rank
+    deficient (``deficient``) has no estimate: its row has zero
+    coefficients, an empty support, the norm of its ``y`` as residual and
+    0 iterations, which scores as a miss of every source.
+    """
+
+    coefficients: np.ndarray  # (T, N_s) complex
+    support: np.ndarray  # (T, k) int
+    residual_norm: np.ndarray  # (T,)
+    iterations: np.ndarray  # (T,) int
+    converged: np.ndarray  # (T,) bool
+    deficient: np.ndarray  # (T,) bool
 
 
 def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -116,8 +135,9 @@ def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
     rows = np.arange(values.shape[0])
     top = np.empty((values.shape[0], count), dtype=int)
     for j in range(count):
-        top[:, j] = np.argmax(values, axis=1)
-        values[rows, top[:, j]] = -np.inf
+        chosen = values.argmax(axis=1)
+        top[:, j] = chosen
+        values[rows, chosen] = -np.inf
     return top
 
 
@@ -142,50 +162,37 @@ def _stack_inputs(system: SensingSystem, y: np.ndarray) -> tuple[np.ndarray, np.
     return y, psi
 
 
-def _estimates(
+def _stacked(
     coefficients: np.ndarray,
-    supports: Sequence[np.ndarray],
-    residual_norms: np.ndarray,
+    support: np.ndarray,
+    residual_norm: np.ndarray,
     iterations: np.ndarray,
     norm_y: np.ndarray,
     deficient: np.ndarray,
     config: SolverConfig,
-) -> list[SparseEstimate | None]:
-    """Per-trial estimates of a stacked solve; None for a rank-deficient trial."""
-    estimates: list[SparseEstimate | None] = []
-    for t, support in enumerate(supports):
-        if deficient[t]:
-            estimates.append(None)
-            continue
-        if norm_y[t] == 0.0:
-            estimates.append(_empty_estimate(coefficients.shape[1]))
-            continue
-        estimates.append(
-            SparseEstimate(
-                coefficients=coefficients[t],
-                support=tuple(support.tolist()),
-                residual_norm=float(residual_norms[t]),
-                iterations=int(iterations[t]),
-                converged=bool(residual_norms[t] <= config.residual_tol * norm_y[t]),
-            )
-        )
-    return estimates
+) -> StackedEstimate:
+    """A stacked solve's result; trials with zero ``y`` or a rank-deficient fit get empty rows."""
+    empty = deficient | (norm_y == 0.0)
+    if empty.any():
+        coefficients[empty] = 0.0
+        support[empty] = -1
+        iterations[empty] = 0
+        residual_norm = np.where(empty, norm_y, residual_norm)
+    converged = ~deficient & (residual_norm <= config.residual_tol * norm_y)
+    return StackedEstimate(coefficients, support, residual_norm, iterations, converged, deficient)
 
 
-def _one(estimates: list[SparseEstimate | None], solver: str) -> SparseEstimate:
-    (estimate,) = estimates
-    if estimate is None:
+def _one(stack: StackedEstimate, solver: str) -> SparseEstimate:
+    """The single estimate of a stack of one; raises if its fit was rank deficient."""
+    if stack.deficient[0]:
         raise RankDeficientError(f"{solver} hit a rank-deficient least-squares fit")
-    return estimate
-
-
-def _empty_estimate(num_atoms: int) -> SparseEstimate:
+    support = stack.support[0]
     return SparseEstimate(
-        coefficients=np.zeros(num_atoms, dtype=complex),
-        support=(),
-        residual_norm=0.0,
-        iterations=0,
-        converged=True,
+        coefficients=stack.coefficients[0],
+        support=tuple(support[support >= 0].tolist()),
+        residual_norm=float(stack.residual_norm[0]),
+        iterations=int(stack.iterations[0]),
+        converged=bool(stack.converged[0]),
     )
 
 
@@ -203,14 +210,11 @@ def omp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> SparseEst
     return _one(omp_stack(system, np.asarray(y)[None], config), "omp")
 
 
-def omp_stack(
-    system: SensingSystem, y: np.ndarray, config: SolverConfig
-) -> list[SparseEstimate | None]:
+def omp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> StackedEstimate:
     """:func:`omp` on T trials at once: ``y`` is (T, m), ``system`` stacked or shared.
 
     Each greedy step runs once for the whole stack; trials that converge or
-    hit a rank-deficient fit stop while the others go on. Returns one
-    estimate per trial, None where the fit was rank deficient.
+    hit a rank-deficient fit stop while the others go on.
     """
     y, psi = _stack_inputs(system, y)
     m = system.num_measurements
@@ -247,11 +251,12 @@ def omp_stack(
         iterations[active] = step + 1
         active &= fitted_norm > tolerance
 
+    chosen = np.arange(config.sparsity) < iterations[:, None]
+    support[~chosen] = -1
     coefficients = np.zeros((trials, system.num_atoms), dtype=complex)
-    supports = [support[t, : iterations[t]] for t in range(trials)]
-    for t, chosen in enumerate(supports):
-        coefficients[t, chosen] = coef[t, : iterations[t]]
-    return _estimates(coefficients, supports, residual_norm, iterations, norm_y, deficient, config)
+    t, j = np.nonzero(chosen)
+    coefficients[t, support[t, j]] = coef[t, j]
+    return _stacked(coefficients, support, residual_norm, iterations, norm_y, deficient, config)
 
 
 def cosamp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> SparseEstimate:
@@ -268,15 +273,13 @@ def cosamp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> Sparse
     return _one(cosamp_stack(system, np.asarray(y)[None], config), "cosamp")
 
 
-def cosamp_stack(
-    system: SensingSystem, y: np.ndarray, config: SolverConfig
-) -> list[SparseEstimate | None]:
+def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> StackedEstimate:
     """:func:`cosamp` on T trials at once: ``y`` is (T, m), ``system`` stacked or shared.
 
     Each iteration runs once for the stack. The least-squares fit runs once
     per merged-support size among the active trials, so nothing is padded.
     A trial whose merged support outgrows the m measurements, or whose fit is
-    rank deficient, stops and is returned as None.
+    rank deficient, stops and is marked deficient.
     """
     y, psi = _stack_inputs(system, y)
     m = system.num_measurements
@@ -332,7 +335,7 @@ def cosamp_stack(
 
     coefficients = np.zeros((trials, num_atoms), dtype=complex)
     np.put_along_axis(coefficients, best_support, best_coef, axis=1)
-    return _estimates(coefficients, best_support, best_norm, iterations, norm_y, deficient, config)
+    return _stacked(coefficients, best_support, best_norm, iterations, norm_y, deficient, config)
 
 
 def l0_oracle(system: SensingSystem, y: np.ndarray, sparsity: int) -> SparseEstimate:

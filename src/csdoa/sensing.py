@@ -73,7 +73,7 @@ class SensingSystem:
                 f"Phi has {self.phi.signal_len} columns but the dictionary has "
                 f"{self.manifold.shape[0]} rows"
             )
-        product = self.phi.entries @ self.manifold
+        product = _dictionary(self.phi.entries, self.manifold)
         if self.psi.shape != product.shape:
             raise DimensionMismatchError(
                 f"psi has shape {self.psi.shape}, Phi @ manifold has {product.shape}"
@@ -125,12 +125,21 @@ def draw_measurement_matrix(m: int, n: int, kind: str, seed: int = 0) -> Measure
             raise DimensionMismatchError(f"identity measurement requires m == n, got {m} x {n}")
         entries = np.eye(n, dtype=complex)
     elif kind == GAUSSIAN:
-        rng = np.random.default_rng(seed)
-        scale = math.sqrt(1.0 / (2.0 * m))
-        entries = scale * (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+        entries = gaussian_entries(np.random.default_rng(seed).standard_normal((2, m, n)))
     else:
         raise ValueError(f"unknown measurement kind {kind!r}")
     return MeasurementMatrix(entries=entries, kind=kind, seed=int(seed))
+
+
+def gaussian_entries(normals: np.ndarray) -> np.ndarray:
+    """Gaussian Phi entries from standard normal draws ``(..., 2, m, n)``: real, then imaginary.
+
+    One ``standard_normal((2, m, n))`` call draws what two ``(m, n)`` calls
+    would, in the same order, so a stack of trials' draws gives each trial's
+    matrix bit for bit.
+    """
+    scale = math.sqrt(1.0 / (2.0 * normals.shape[-2]))
+    return scale * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
 
 
 def stack_measurements(phis: Sequence[MeasurementMatrix]) -> MeasurementMatrix:
@@ -158,8 +167,19 @@ def build_sensing_system(phi: MeasurementMatrix, manifold: np.ndarray) -> Sensin
         raise DimensionMismatchError(
             f"Phi has {phi.signal_len} columns but the dictionary has {manifold.shape[0]} rows"
         )
-    psi = phi.entries @ manifold
+    psi = _dictionary(phi.entries, manifold)
     return SensingSystem(phi=phi, manifold=manifold, psi=psi, column_norms=_column_norms(psi))
+
+
+def _dictionary(entries: np.ndarray, manifold: np.ndarray) -> np.ndarray:
+    """Phi A for one Phi or a (T, m, N) stack, as one 2-D product over all T*m rows.
+
+    One product is cheaper than T stacked ones. Each row of it is the dot
+    products of one row of Phi, and each trial's rows round as that trial's
+    own ``phi @ manifold`` does (the tests check this bit for bit).
+    """
+    product = entries.reshape(-1, entries.shape[-1]) @ manifold
+    return product.reshape(entries.shape[:-1] + manifold.shape[-1:])
 
 
 def _column_norms(psi: np.ndarray) -> np.ndarray:

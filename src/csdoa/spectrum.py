@@ -3,6 +3,8 @@
 The sparse coefficient vector lives on the scan grid, so its squared moduli
 already form the angle power spectrum. Peaks degenerate to the support of
 the estimate, and scoring reduces to aligning two sorted angle lists.
+:func:`score_stack` scores a stack of T estimates at once; ``pick_peaks``
+and ``trial_error`` share its peak picking and alignment.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .array_model import AngleGrid, SourceSet
 from .errors import DimensionMismatchError
-from .recovery import SparseEstimate
+from .recovery import SparseEstimate, _top_indices
 
 # Charged once per true source that the estimate failed to recover.
 MISS_PENALTY_DEG = 180.0
@@ -45,6 +47,24 @@ class DoaEstimate:
         return len(self.doas_deg)
 
 
+@dataclass(eq=False)
+class StackedScores:
+    """Spectra, peaks and scores of T estimates on one grid; row ``t`` is trial ``t``.
+
+    Row ``t``'s peaks are the grid indices ``peaks[t, :counts[t]]``, ascending.
+    """
+
+    power: np.ndarray  # (T, N_s)
+    peaks: np.ndarray  # (T, k) int
+    counts: np.ndarray  # (T,) int
+    errors_deg: np.ndarray  # (T, sources)
+    success: np.ndarray  # (T,) bool
+
+    def estimate(self, grid: AngleGrid, t: int) -> DoaEstimate:
+        """Row ``t``'s peaks as a :class:`DoaEstimate`."""
+        return _doa_estimate(grid, self.power[t], self.peaks[t, : self.counts[t]])
+
+
 def angle_spectrum(estimate: SparseEstimate, grid: AngleGrid) -> AngleSpectrum:
     """Squared-modulus spectrum of a sparse estimate over its scan grid."""
     coef = np.asarray(estimate.coefficients)
@@ -65,13 +85,8 @@ def pick_peaks(spectrum: AngleSpectrum, num_peaks: int) -> DoaEstimate:
     if num_peaks < 1:
         raise ValueError("num_peaks must be >= 1")
     power = np.asarray(spectrum.power)
-    order = np.argsort(-power, kind="stable")[:num_peaks]
-    order = order[power[order] > 0.0]
-    order = np.sort(order)
-    return DoaEstimate(
-        doas_deg=tuple(float(spectrum.grid.angles_deg[j]) for j in order),
-        powers=tuple(float(power[j]) for j in order),
-    )
+    peaks, counts = _peak_indices(power[None], num_peaks)
+    return _doa_estimate(spectrum.grid, power, peaks[0, : counts[0]])
 
 
 def trial_error(estimated: DoaEstimate, truth: SourceSet) -> np.ndarray:
@@ -84,42 +99,84 @@ def trial_error(estimated: DoaEstimate, truth: SourceSet) -> np.ndarray:
     true sources is credited to that source rather than paired positionally.
     Returns one error per true source, in sorted-truth order.
     """
-    est = sorted(estimated.doas_deg)
+    return np.array(_align(sorted(estimated.doas_deg), sorted(truth.doas_deg)))
+
+
+def score_stack(
+    coefficients: np.ndarray, grid: AngleGrid, truth: SourceSet, num_peaks: int
+) -> StackedScores:
+    """Spectrum, peaks and per-source errors of each row of a (T, N_s) coefficient stack.
+
+    Row by row this is ``angle_spectrum`` -> ``pick_peaks`` -> ``trial_error``;
+    a trial succeeds when its largest error is below the grid step. A zero row
+    (as a rank-deficient solve leaves) has no peaks and misses every source.
+    """
+    power = np.abs(coefficients) ** 2
+    peaks, counts = _peak_indices(power, num_peaks)
+    # Unfilled peak slots hold len(grid), clipped to the last angle; each row is cut to its count.
+    angles = grid.angles_deg.take(peaks, mode="clip").tolist()
     true = sorted(truth.doas_deg)
-    n_true = len(true)
+    errors = np.array([_align(row[:count], true) for row, count in zip(angles, counts.tolist())])
+    return StackedScores(power, peaks, counts, errors, errors.max(axis=1) < grid.step_deg)
+
+
+def _peak_indices(power: np.ndarray, num_peaks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of a (T, N_s) power stack, the ``num_peaks`` largest positive entries.
+
+    Returns ascending grid indices (T, k), with unfilled slots set to N_s and
+    sorted last, and the number of peaks of each row. The set is the one a
+    stable argsort of ``-power`` gives, filtered to positive power.
+    """
+    positive = power > 0.0
+    count = min(num_peaks, power.shape[-1])
+    top = _top_indices(np.where(positive, power, -np.inf), count)
+    counts = np.minimum(positive.sum(axis=-1), count)
+    top[np.arange(count) >= counts[:, None]] = power.shape[-1]
+    top.sort(axis=-1)
+    return top, counts
+
+
+def _doa_estimate(grid: AngleGrid, power: np.ndarray, peaks: np.ndarray) -> DoaEstimate:
+    return DoaEstimate(
+        doas_deg=tuple(grid.angles_deg[peaks].tolist()),
+        powers=tuple(power[peaks].tolist()),
+    )
+
+
+def _align(est: list[float], true: list[float]) -> list[float]:
+    """Minimal-total-error order-preserving alignment of two ascending angle lists.
+
+    Returns one error per entry of ``true``: its distance to the paired
+    estimate, or ``MISS_PENALTY_DEG``.
+    """
     n_est = len(est)
-    if n_true == 0:
-        return np.zeros(0)
+    # cost[i][j]: minimal total error assigning true[i:] given est[j:] remain;
+    # a spurious estimate costs nothing.
+    below = [0.0] * (n_est + 1)
+    cost = [below]
+    for t in reversed(true):
+        row = [0.0] * n_est + [MISS_PENALTY_DEG + below[n_est]]
+        for j in range(n_est - 1, -1, -1):
+            row[j] = min(abs(est[j] - t) + below[j + 1], row[j + 1], MISS_PENALTY_DEG + below[j])
+        cost.append(row)
+        below = row
+    cost.reverse()
 
-    # cost[i][j]: minimal total error assigning true[i:] given est[j:] remain,
-    # preferring a match over a miss on exact ties.
-    inf = float("inf")
-    cost = [[inf] * (n_est + 1) for _ in range(n_true + 1)]
-    cost[n_true] = [0.0] * (n_est + 1)
-    for i in range(n_true - 1, -1, -1):
-        for j in range(n_est, -1, -1):
-            miss = MISS_PENALTY_DEG + cost[i + 1][j]
-            best = miss
-            if j < n_est:
-                match = abs(est[j] - true[i]) + cost[i + 1][j + 1]
-                skip = cost[i][j + 1]  # spurious estimate, costs nothing
-                best = min(match, skip, miss)
-            cost[i][j] = best
-
-    errors = np.empty(n_true)
-    i = j = 0
-    while i < n_true:
-        miss = MISS_PENALTY_DEG + cost[i + 1][j]
-        if j < n_est:
-            match = abs(est[j] - true[i]) + cost[i + 1][j + 1]
-            if match <= min(cost[i][j + 1], miss):
-                errors[i] = abs(est[j] - true[i])
-                i += 1
+    # Walk the table, preferring a match over a skip or a miss on exact ties.
+    errors = []
+    j = 0
+    for i, t in enumerate(true):
+        here, below = cost[i], cost[i + 1]
+        error = MISS_PENALTY_DEG
+        while j < n_est:
+            miss = MISS_PENALTY_DEG + below[j]
+            gap = abs(est[j] - t)
+            if gap + below[j + 1] <= min(here[j + 1], miss):
+                error = gap
                 j += 1
-                continue
-            if cost[i][j + 1] < miss:
-                j += 1
-                continue
-        errors[i] = MISS_PENALTY_DEG
-        i += 1
+                break
+            if here[j + 1] >= miss:
+                break
+            j += 1  # spurious estimate
+        errors.append(error)
     return errors

@@ -7,6 +7,7 @@ products) so agreement is meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -175,6 +176,107 @@ def reference_cosamp(system, y, config) -> csdoa.SparseEstimate:
 
 
 REFERENCE_SOLVERS = {"omp": reference_omp, "cosamp": reference_cosamp}
+
+
+# ---------------------------------------------------------------------------
+# Per-trial references for the chunk's draws and scoring: one trial's draws
+# with a steering vector per source, and the per-trial angle_spectrum ->
+# pick_peaks -> trial_error chain. The stacked versions must reproduce them
+# bit for bit.
+
+
+def reference_synthesize(scenario, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(data, clean, noise) of one trial: group amplitudes, then the noise."""
+    sources, geometry, grid = scenario.sources, scenario.geometry, scenario.grid
+    n_groups = len(sources.coherent_groups)
+    if sources.amplitude_model == csdoa.UNIT_MODULUS:
+        group_amps = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n_groups))
+    else:
+        group_amps = (
+            rng.standard_normal(n_groups) + 1j * rng.standard_normal(n_groups)
+        ) / np.sqrt(2.0)
+    amps = np.zeros(sources.num_sources, dtype=complex)
+    for group, amp in zip(sources.coherent_groups, group_amps):
+        for i in group:
+            amps[i] = amp
+    clean = np.zeros(geometry.num_sensors, dtype=complex)
+    for doa, amp in zip(sources.doas_deg, amps):
+        theta = grid.angles_deg[grid.index_of(doa)]
+        clean = clean + csdoa.steering_vector(theta, geometry) * amp
+    if math.isinf(scenario.snr_db):
+        noise = np.zeros_like(clean)
+    else:
+        p_clean = float(np.sum(np.abs(clean) ** 2))
+        sigma2 = p_clean / (geometry.num_sensors * 10.0 ** (scenario.snr_db / 10.0))
+        noise = math.sqrt(sigma2 / 2.0) * (
+            rng.standard_normal(geometry.num_sensors)
+            + 1j * rng.standard_normal(geometry.num_sensors)
+        )
+    return clean + noise, clean, noise
+
+
+def reference_phi(m: int, n: int, kind: str, seed: int) -> np.ndarray:
+    """One trial's measurement matrix entries."""
+    if kind == csdoa.IDENTITY:
+        return np.eye(n, dtype=complex)
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    return math.sqrt(1.0 / (2.0 * m)) * parts
+
+
+def reference_pick_peaks(power: np.ndarray, grid, num_peaks: int) -> tuple[tuple, tuple]:
+    """(doas_deg, powers) of the num_peaks largest positive entries, by a stable argsort."""
+    order = np.argsort(-power, kind="stable")[:num_peaks]
+    order = np.sort(order[power[order] > 0.0])
+    return (
+        tuple(float(grid.angles_deg[j]) for j in order),
+        tuple(float(power[j]) for j in order),
+    )
+
+
+def reference_trial_error(doas_deg, truth) -> np.ndarray:
+    """Per-source errors of the minimal-total-error order-preserving alignment."""
+    est = sorted(doas_deg)
+    true = sorted(truth.doas_deg)
+    n_true, n_est = len(true), len(est)
+    miss_penalty = csdoa.MISS_PENALTY_DEG
+    inf = float("inf")
+    cost = [[inf] * (n_est + 1) for _ in range(n_true + 1)]
+    cost[n_true] = [0.0] * (n_est + 1)
+    for i in range(n_true - 1, -1, -1):
+        for j in range(n_est, -1, -1):
+            miss = miss_penalty + cost[i + 1][j]
+            best = miss
+            if j < n_est:
+                match = abs(est[j] - true[i]) + cost[i + 1][j + 1]
+                skip = cost[i][j + 1]
+                best = min(match, skip, miss)
+            cost[i][j] = best
+    errors = np.empty(n_true)
+    i = j = 0
+    while i < n_true:
+        miss = miss_penalty + cost[i + 1][j]
+        if j < n_est:
+            match = abs(est[j] - true[i]) + cost[i + 1][j + 1]
+            if match <= min(cost[i][j + 1], miss):
+                errors[i] = abs(est[j] - true[i])
+                i += 1
+                j += 1
+                continue
+            if cost[i][j + 1] < miss:
+                j += 1
+                continue
+        errors[i] = miss_penalty
+        i += 1
+    return errors
+
+
+def reference_score(coefficients: np.ndarray, grid, truth, num_peaks: int):
+    """(power, doas_deg, powers, errors, success) of one coefficient vector."""
+    power = np.abs(coefficients) ** 2
+    doas, powers = reference_pick_peaks(power, grid, num_peaks)
+    errors = reference_trial_error(doas, truth)
+    return power, doas, powers, errors, bool(errors.max() < grid.step_deg)
 
 
 def per_trial_curve(scenario, snr_sweep_db, trials: int) -> dict:

@@ -1,6 +1,7 @@
 """Tests for scenario assembly, seeded trials, and Monte Carlo aggregation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csdoa
-from conftest import curve_key, per_trial_curve
+from conftest import curve_key, per_trial_curve, reference_phi, reference_synthesize
 from csdoa import experiments
 
 
@@ -328,15 +329,78 @@ def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
         csdoa.cosamp(system, csdoa.compress(phi, snapshot.data), scenario.solver)
 
     alone = csdoa.run_single(scenario).runs["cosamp"]
-    in_chunk = experiments._run_trials({0: scenario}, manifold, [(0, t) for t in range(6)])
-    stacked = in_chunk[0].runs["cosamp"]
-    for run in (alone, stacked):
-        assert run.estimated.doas_deg == ()
-        assert np.array_equal(run.spectrum.power, np.zeros(len(scenario.grid)))
-        assert np.array_equal(run.record.errors_deg, np.full(2, csdoa.MISS_PENALTY_DEG))
-        assert run.record.iterations == 0
-        assert not run.record.success
-    assert stacked.record.residual_norm == alone.record.residual_norm
+    assert alone.estimated.doas_deg == ()
+    assert np.array_equal(alone.spectrum.power, np.zeros(len(scenario.grid)))
+    assert np.array_equal(alone.record.errors_deg, np.full(2, csdoa.MISS_PENALTY_DEG))
+    assert alone.record.iterations == 0
+    assert not alone.record.success
+    assert alone.record.residual_norm == float(np.linalg.norm(csdoa.compress(phi, snapshot.data)))
+    tasks = [(0, t) for t in range(6)]
+    _, estimates, scores = experiments._run_trials({0: scenario}, manifold, tasks)
+    estimate, row = estimates["cosamp"], 6  # CoSaMP's rows follow OMP's 6
+    assert estimate.deficient[0] and scores.counts[row] == 0
+    assert np.array_equal(scores.power[row], np.zeros(len(scenario.grid)))
+    assert np.array_equal(scores.errors_deg[row], np.full(2, csdoa.MISS_PENALTY_DEG))
+    assert estimate.iterations[0] == 0
+    assert not scores.success[row]
+    assert estimate.residual_norm[0] == alone.record.residual_norm
     curve = csdoa.run_monte_carlo(scenario, [-10.0], 1)
     assert curve.per_algorithm["cosamp"].rmse_deg == (csdoa.MISS_PENALTY_DEG,)
     assert curve.per_algorithm["cosamp"].success_rate == (0.0,)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sources=st.lists(st.integers(-90, 90), min_size=1, max_size=3, unique=True),
+    half_degree_grid=st.booleans(),
+    amplitude_model=st.sampled_from(csdoa.AMPLITUDE_MODELS),
+    coherent=st.sampled_from(["none", "pair", "all"]),
+    identity=st.booleans(),
+    # -12.5 and 6.3 dB: numpy's power and Python's ** round 10^(snr/10) differently
+    sweep=st.lists(st.sampled_from([-12.5, 0.0, 6.3, 20.0, math.inf]), min_size=1, max_size=3),
+    trials=st.sampled_from([1, 7, 64]),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(sources=[-90, 90], half_degree_grid=False, amplitude_model="unit_modulus",
+         coherent="all", identity=False, sweep=[math.inf, 0.0], trials=7, seed=3)
+@example(sources=[-60, 0, 40], half_degree_grid=True, amplitude_model="complex_gaussian",
+         coherent="pair", identity=True, sweep=[6.3, -12.5], trials=64, seed=17)
+def test_chunk_draws_equal_per_trial_draws(
+    sources, half_degree_grid, amplitude_model, coherent, identity, sweep, trials, seed
+):
+    if half_degree_grid:  # off the whole degrees, except +90 endfire
+        doas = [s + 0.5 if s < 90 else 90.0 for s in sources]
+    else:
+        doas = [float(s) for s in sources]
+    groups = {"none": [], "pair": [[0, len(doas) - 1]], "all": [list(range(len(doas)))]}
+    scenario = csdoa.build_scenario(
+        doas,
+        grid_spec=(-90.0, 90.0, 0.5 if half_degree_grid else 1.0),
+        coherent_groups=groups[coherent] if len(doas) > 1 else [],
+        amplitude_model=amplitude_model,
+        measurement_kind=csdoa.IDENTITY if identity else csdoa.GAUSSIAN,
+        seed=seed,
+    )
+    points = {i: replace(scenario, snr_db=snr) for i, snr in enumerate(sweep)}
+    manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
+    tasks = [(k % len(sweep), k // len(sweep)) for k in range(trials)]
+    (data, clean, noise), phi = experiments._draw_trials(points, manifold, tasks)
+    spec = scenario.measurement
+    assert phi.entries.shape == (trials, spec.num_measurements, scenario.geometry.num_sensors)
+    for k, (snr_index, trial_index) in enumerate(tasks):
+        data_seed, phi_seed = csdoa.trial_seeds(seed, snr_index, trial_index)
+        alone = csdoa.synthesize(points[snr_index], np.random.default_rng(data_seed))
+        reference = reference_synthesize(points[snr_index], np.random.default_rng(data_seed))
+        for stacked, single, loop in zip(
+            (data, clean, noise), (alone.data, alone.clean, alone.noise), reference
+        ):
+            assert _same_bits(stacked[k], single) and _same_bits(single, loop)
+        args = (spec.num_measurements, scenario.geometry.num_sensors, spec.kind)
+        single_phi = csdoa.draw_measurement_matrix(*args, seed=phi_seed).entries
+        assert _same_bits(phi.entries[k], single_phi)
+        assert _same_bits(single_phi, reference_phi(*args, phi_seed))

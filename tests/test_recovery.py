@@ -401,6 +401,31 @@ def _dictionary(kind: str) -> np.ndarray:
     return manifold
 
 
+def _row(stack, t: int):
+    """Trial ``t`` of a stacked result as a SparseEstimate; None if its fit was rank deficient."""
+    if stack.deficient[t]:
+        return None
+    support = stack.support[t]
+    return csdoa.SparseEstimate(
+        stack.coefficients[t],
+        tuple(support[support >= 0].tolist()),
+        float(stack.residual_norm[t]),
+        int(stack.iterations[t]),
+        bool(stack.converged[t]),
+    )
+
+
+def _is_empty_row(stack, t: int, y: np.ndarray) -> bool:
+    """A rank-deficient trial's row: no coefficients or support, residual ||y||, 0 iterations."""
+    return (
+        not np.any(stack.coefficients[t])
+        and np.all(stack.support[t] == -1)
+        and stack.residual_norm[t] == np.linalg.norm(y)
+        and stack.iterations[t] == 0
+        and not stack.converged[t]
+    )
+
+
 def _same(estimate, reference) -> bool:
     return (
         np.array_equal(estimate.coefficients, reference.coefficients)
@@ -448,14 +473,15 @@ def test_stacked_solvers_match_the_per_trial_loops(
         (omp_stack, csdoa.omp, reference_omp),
         (cosamp_stack, csdoa.cosamp, reference_cosamp),
     ):
-        estimates = stack(system, y, config)
-        assert len(estimates) == trials
-        for t, estimate in enumerate(estimates):
+        stacked = stack(system, y, config)
+        assert stacked.coefficients.shape == (trials, num_atoms)
+        for t in range(trials):
+            estimate = _row(stacked, t)
             single = csdoa.build_sensing_system(phis[t], manifold)
             try:
                 expected = reference(single, y[t], config)
             except csdoa.RankDeficientError:
-                assert estimate is None
+                assert estimate is None and _is_empty_row(stacked, t, y[t])
                 with pytest.raises(csdoa.RankDeficientError):
                     scalar(single, y[t], config)
                 continue
@@ -470,8 +496,9 @@ def test_omp_stack_drops_a_rank_deficient_trial_and_finishes_the_others():
     system = csdoa.build_sensing_system(phi, np.eye(2, dtype=complex))
     y = np.array([[1.0, 0.5], [1.0, 0.5]], dtype=complex)
     config = csdoa.SolverConfig(sparsity=2)
-    deficient, healthy = omp_stack(system, y, config)
-    assert deficient is None
+    stacked = omp_stack(system, y, config)
+    deficient, healthy = _row(stacked, 0), _row(stacked, 1)
+    assert deficient is None and _is_empty_row(stacked, 0, y[0])
     single = csdoa.build_sensing_system(
         csdoa.MeasurementMatrix(entries[1], csdoa.GAUSSIAN), np.eye(2, dtype=complex)
     )

@@ -185,6 +185,23 @@ def test_stacked_system_equals_each_trials_system():
         assert np.array_equal(y[t], csdoa.compress(single_phi, x[t]))
 
 
+@pytest.mark.parametrize("trials", [1, 7, 21, 64])
+@pytest.mark.parametrize("m", [7, 10, 15, "identity"])
+def test_stacked_psi_rounds_as_each_trials_own_product(m, trials):
+    # Psi of a stack is one 2-D product over all trials' rows; each trial's
+    # block must equal that trial's own phi @ manifold bit for bit.
+    manifold = _standard_manifold()
+    if m == "identity":
+        phis = [csdoa.draw_measurement_matrix(15, 15, csdoa.IDENTITY)] * trials
+    else:
+        phis = [
+            csdoa.draw_measurement_matrix(m, 15, csdoa.GAUSSIAN, seed=s) for s in range(trials)
+        ]
+    system = csdoa.build_sensing_system(stack_measurements(phis), manifold)
+    for t, phi in enumerate(phis):
+        assert system.psi[t].tobytes() == (phi.entries @ manifold).tobytes()
+
+
 def test_column_norms_are_numpys_norms_bit_for_bit():
     phi = csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=7)
     system = csdoa.build_sensing_system(phi, _standard_manifold())

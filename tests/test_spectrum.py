@@ -1,10 +1,15 @@
 """Tests for the angle spectrum, peak picking, and per-source error scoring."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import csdoa
-from conftest import gaussian_system
+from conftest import gaussian_system, reference_score
+from csdoa.spectrum import score_stack
 
 
 def _grid():
@@ -190,3 +195,82 @@ def test_trial_error_reports_in_truth_order():
     estimated = csdoa.DoaEstimate((-60.0, 40.0), (1.0, 1.0))
     errors = csdoa.trial_error(estimated, _truth(-60.0, 0.0, 40.0))
     assert np.array_equal(errors, np.array([0.0, 180.0, 0.0]))
+
+
+# ---------------------------------------------------------------------------
+# stacked scoring against the per-trial chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    step=st.sampled_from([1.0, 0.5, 7.5]),
+    rows=st.lists(
+        st.sampled_from(["zero", "deficient", "sparse", "dense", "ties"]), min_size=1, max_size=9
+    ),
+    num_sources=st.integers(1, 3),
+    num_peaks=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(step=7.5, rows=["ties", "zero", "deficient", "sparse"], num_sources=2, num_peaks=3,
+         seed=0)
+def test_stacked_scoring_equals_per_trial_scoring(step, rows, num_sources, num_peaks, seed):
+    grid = csdoa.make_grid(-90.0, 90.0, step)
+    n = len(grid)
+    rng = np.random.default_rng(seed)
+    picked = np.sort(rng.choice(n, num_sources, replace=False))
+    truth = csdoa.SourceSet(tuple(grid.angles_deg[picked].tolist()))
+    coefficients = np.zeros((len(rows), n), dtype=complex)
+    for t, kind in enumerate(rows):
+        if kind == "sparse":  # at most num_peaks positive entries
+            where = rng.choice(n, rng.integers(1, num_peaks + 1), replace=False)
+            coefficients[t, where] = rng.standard_normal(where.size) + 1j
+        elif kind == "dense":  # more positive entries than peaks
+            coefficients[t] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        elif kind == "ties":  # exact power ties at 1 and 4
+            where = rng.choice(n, min(n, num_peaks + 2), replace=False)
+            coefficients[t, where] = rng.choice([1, -1, 1j, -1j, 2, -2j], where.size)
+        # "zero" rows, and "deficient" ones, which a rank-deficient solve leaves zero
+    scores = score_stack(coefficients, grid, truth, num_peaks)
+    for t, kind in enumerate(rows):
+        power, doas, powers, errors, success = reference_score(
+            coefficients[t], grid, truth, num_peaks
+        )
+        assert scores.power[t].tobytes() == power.tobytes()
+        estimate = scores.estimate(grid, t)
+        assert (estimate.doas_deg, estimate.powers) == (doas, powers)
+        assert scores.errors_deg[t].tobytes() == errors.tobytes()
+        assert scores.success[t] == success
+        if kind in ("zero", "deficient"):  # a full miss, as the per-trial fallback scored it
+            assert doas == () and np.all(errors == csdoa.MISS_PENALTY_DEG)
+        # the public stage functions are the same path, as stacks of one
+        single = csdoa.SparseEstimate(coefficients[t], (), 0.0, 0, True)
+        spectrum = csdoa.angle_spectrum(single, grid)
+        assert spectrum.power.tobytes() == power.tobytes()
+        peaks = csdoa.pick_peaks(spectrum, num_peaks)
+        assert (peaks.doas_deg, peaks.powers) == (doas, powers)
+        assert csdoa.trial_error(peaks, truth).tobytes() == errors.tobytes()
+
+
+_ANGLES = [-90.0, -60.0, -59.5, -30.0, -1.0, 0.0, 0.5, 1.0, 30.0, 60.0, 89.0, 90.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    est=st.lists(st.sampled_from(_ANGLES), max_size=5, unique=True),
+    true=st.lists(st.sampled_from(_ANGLES), min_size=1, max_size=4, unique=True),
+)
+def test_trial_error_is_a_minimal_order_preserving_alignment(est, true):
+    est, true = sorted(est), sorted(true)
+    errors = csdoa.trial_error(csdoa.DoaEstimate(tuple(est), (1.0,) * len(est)),
+                               csdoa.SourceSet(tuple(true)))
+    alignments = []
+    for r in range(min(len(est), len(true)) + 1):
+        for matched in itertools.combinations(range(len(true)), r):
+            for used in itertools.combinations(range(len(est)), r):
+                vector = [csdoa.MISS_PENALTY_DEG] * len(true)
+                for i, j in zip(matched, used):
+                    vector[i] = abs(est[j] - true[i])
+                alignments.append(vector)
+    best = min(sum(vector) for vector in alignments)
+    assert abs(sum(errors) - best) <= 1e-9
+    assert errors.tolist() in [v for v in alignments if sum(v) <= best + 1e-9]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -156,8 +157,21 @@ def steering_vector(theta_deg: float, geometry: ArrayGeometry) -> np.ndarray:
 
 
 def build_manifold(grid: AngleGrid, geometry: ArrayGeometry) -> np.ndarray:
-    """Dictionary A(theta): one steering-vector column per grid angle (N x N_s)."""
-    return _steering_matrix(grid.angles_deg, geometry)
+    """Dictionary A(theta): one steering-vector column per grid angle (N x N_s).
+
+    Built once per geometry and grid angles and then shared, so the array is
+    read-only.
+    """
+    return _cached_manifold(geometry, np.asarray(grid.angles_deg, dtype=float).tobytes())
+
+
+# A few recent dictionaries: enough for a caller that runs one scenario at
+# many seeds, while a very fine grid's manifold is not held many times over.
+@lru_cache(maxsize=4)
+def _cached_manifold(geometry: ArrayGeometry, angles_deg: bytes) -> np.ndarray:
+    manifold = _steering_matrix(np.frombuffer(angles_deg), geometry)
+    manifold.flags.writeable = False
+    return manifold
 
 
 def _steering_matrix(angles_deg: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:

@@ -33,6 +33,7 @@ from .array_model import (
 )
 from .errors import DimensionMismatchError
 from .recovery import SolverConfig, StackedEstimate, cosamp_stack, omp_stack
+from .seeding import pcg64_states, stream_seeds
 from .sensing import (
     GAUSSIAN,
     IDENTITY,
@@ -56,6 +57,9 @@ _STACK_SOLVERS = {OMP: omp_stack, COSAMP: cosamp_stack}
 # a trial of chunk (3.0-4.1 MiB at 64); the time per trial stops falling near
 # 32-64, and 128 is no faster than 64.
 CHUNK_TRIALS = 64
+
+# Largest sweep or trial position: each is one 32-bit word of a trial's seed entropy.
+_MAX_INDEX = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -181,10 +185,15 @@ def trial_seeds(seed: int, snr_index: int, trial_index: int) -> tuple[int, int]:
 
     Uses a splittable seed sequence over (scenario seed, sweep position,
     trial position) so trials are reproducible regardless of execution order
-    or worker count.
+    or worker count: ``np.random.SeedSequence([seed, snr_index,
+    trial_index]).generate_state(2, np.uint64)``, computed as a chunk of
+    one by :func:`~csdoa.seeding.stream_seeds`. The positions lie in
+    ``[0, 2**32)``.
     """
-    state = np.random.SeedSequence([seed, snr_index, trial_index]).generate_state(2, np.uint64)
-    return int(state[0]), int(state[1])
+    if not (0 <= snr_index <= _MAX_INDEX and 0 <= trial_index <= _MAX_INDEX):
+        raise ValueError(f"snr_index and trial_index must lie in [0, {_MAX_INDEX}]")
+    data_seed, phi_seed = stream_seeds(seed, [(snr_index, trial_index)])[0].tolist()
+    return data_seed, phi_seed
 
 
 def build_scenario(
@@ -255,9 +264,10 @@ def _draw_trials(
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], MeasurementMatrix]:
     """Snapshots ``(data, clean, noise)``, each (T, N), and the Phi stack of trials ``tasks``.
 
-    Only the seeded draws run trial by trial, from each trial's own
-    ``trial_seeds`` streams in ``synthesize``'s and ``draw_measurement_matrix``'s
-    order; the rest runs once for the stack and gives each trial's arrays
+    Every trial's two ``trial_seeds`` streams are derived for the whole chunk
+    at once; per trial, one generator is reset to each stream's state and
+    makes the raw draws, in ``synthesize``'s and ``draw_measurement_matrix``'s
+    order. The rest runs once for the stack and gives each trial's arrays
     bit for bit.
     """
     base = points[tasks[0][0]]
@@ -269,12 +279,15 @@ def _draw_trials(
     normals = None
     if spec.kind == GAUSSIAN:
         normals = np.empty((len(tasks), 2, spec.num_measurements, n))
-    for k, (snr_index, trial_index) in enumerate(tasks):
-        data_seed, phi_seed = trial_seeds(base.seed, snr_index, trial_index)
+    states = pcg64_states(stream_seeds(base.seed, tasks))
+    rng = np.random.Generator(np.random.PCG64())
+    for k, (data_state, phi_state) in enumerate(zip(states[0::2], states[1::2])):
+        rng.bit_generator.state = data_state
         noise_row = None if math.isinf(snr_db[k]) else noise[k]
-        draw_snapshot(sources, np.random.default_rng(data_seed), amplitudes[k], noise_row)
+        draw_snapshot(sources, rng, amplitudes[k], noise_row)
         if normals is not None:
-            normals[k] = np.random.default_rng(phi_seed).standard_normal(normals.shape[1:])
+            rng.bit_generator.state = phi_state
+            rng.standard_normal(out=normals[k])
     columns = manifold[:, list(base.source_indices)]
     snapshots = snapshot_stack(sources, columns, snr_db, amplitudes, noise)
     if normals is None:

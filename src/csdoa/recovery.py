@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstanceTooLargeError, RankDeficientError
-from .sensing import SensingSystem, _row_norms
+from .sensing import SensingSystem
 
 # Relative threshold on the QR diagonal below which a column set is treated
 # as rank deficient.
@@ -29,8 +29,6 @@ RANK_TOL = 1e-10
 
 # Relative residual improvement below which CoSaMP is considered stalled.
 STAGNATION_TOL = 1e-6
-
-LOWEST_INDEX = "lowest_index"
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,6 @@ class SolverConfig:
     sparsity: int
     max_iterations: int = 50
     residual_tol: float = 1e-6
-    tie_break: str = LOWEST_INDEX
 
     def __post_init__(self) -> None:
         if self.sparsity < 1:
@@ -49,8 +46,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.residual_tol < 0:
             raise ValueError("residual_tol must be >= 0")
-        if self.tie_break != LOWEST_INDEX:
-            raise ValueError(f"unsupported tie_break {self.tie_break!r}")
 
 
 @dataclass(eq=False)
@@ -139,6 +134,11 @@ def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
         top[:, j] = chosen
         values[rows, chosen] = -np.inf
     return top
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, computed as ``np.linalg.norm`` computes one vector's."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 def _columns(psi: np.ndarray, indices: np.ndarray, trials: np.ndarray | None = None) -> np.ndarray:

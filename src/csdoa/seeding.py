@@ -1,0 +1,164 @@
+"""Per-trial stream seeding, derived for a whole chunk of trials at once.
+
+Trial ``(snr_index, trial_index)`` of a run seeded ``seed`` draws from two
+streams, ``np.random.default_rng(d)`` and ``np.random.default_rng(p)``, where
+``d, p = np.random.SeedSequence([seed, snr_index, trial_index])
+.generate_state(2, np.uint64)``. Both steps are fixed integer recipes:
+``SeedSequence``'s ``hashmix``/``mix`` entropy pool, and PCG64's
+``pcg_setseq_128_srandom_r`` (O'Neill, "PCG", HMC-CS-2014-0905). Here they
+run on ``uint32`` arrays shaped (words, T), one ufunc call per step for all
+T trials, and give numpy's words bit for bit; the tests check them against
+numpy itself. A chunk then sets the PCG64 state of one ``Generator`` per
+stream, instead of building a ``SeedSequence`` and two ``default_rng`` per
+trial.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4  # SeedSequence's default pool, in 32-bit words
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
+
+
+def _sequence(init: int, mult: int, count: int) -> list[int]:
+    """The first ``count`` hash constants ``init * mult**k mod 2**32``."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _column(values: Sequence[int]) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+# hashmix call k xors with hash constant k and multiplies by constant k + 1.
+# Calls 0-3 fill the pool; calls 4-15 mix it, pool word by pool word (the
+# source), each into the other three words in ascending order.
+_A = _sequence(_INIT_A, _MULT_A, 17)
+_FILL = (_column(_A[0:4]), _column(_A[1:5]))
+
+
+def _mixing_steps() -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Each pool word's mixing step: the word, and its xor and multiply constant per row."""
+    steps = []
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        xor, mul = [0] * _POOL_SIZE, [0] * _POOL_SIZE  # the source's own row is kept as it was
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                xor[dst], mul[dst] = _A[k], _A[k + 1]
+                k += 1
+        steps.append((src, _column(xor), _column(mul)))
+    return steps
+
+
+_MIXING = _mixing_steps()
+# generate_state's word i hashes pool word i % 4 with constants i and i + 1:
+# (cycles, 4, 1) tables for up to two passes over the pool.
+_B = _sequence(_INIT_B, _MULT_B, 9)
+_OUTPUT = (_column(_B[:8]).reshape(2, 4, 1), _column(_B[1:9]).reshape(2, 4, 1))
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix``, with the hash constants broadcast against ``value``."""
+    value = value ^ xor
+    value *= mul
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix``: ``L x - R y`` mod 2**32, then an xor-shift."""
+    result = x * _MIX_MULT_L
+    result -= y * _MIX_MULT_R
+    result ^= result >> _XSHIFT
+    return result
+
+
+def _pool(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's mixed pool (4, T) of the entropy words (W, T), one column per trial.
+
+    Fewer than 4 words count as zero-padded, since numpy hashes a missing
+    word as it hashes a zero; each word past the pool is mixed into all four
+    pool words.
+    """
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, *_FILL)
+    for src, xor, mul in _MIXING:
+        mixed = _mix(pool, _hashmix(pool[src], xor, mul))
+        mixed[src] = pool[src]
+        pool = mixed
+    tail = _sequence(_A[-1], _MULT_A, 4 * max(len(entropy) - _POOL_SIZE, 0) + 1)
+    for w, word in enumerate(entropy[_POOL_SIZE:]):
+        consts = tail[4 * w : 4 * w + 5]
+        pool = _mix(pool, _hashmix(word, _column(consts[:-1]), _column(consts[1:])))
+    return pool
+
+
+def _generate_state(pool: np.ndarray, cycles: int) -> np.ndarray:
+    """``generate_state``'s first ``4 * cycles`` 32-bit words of each column, as (T, 2 * cycles) uint64."""
+    words = _hashmix(pool, _OUTPUT[0][:cycles], _OUTPUT[1][:cycles])
+    # Word pairs are little-endian uint64s, as numpy reads them.
+    return np.ascontiguousarray(words.reshape(-1, pool.shape[1]).T, dtype="<u4").view("<u8")
+
+
+def _int_words(value: int) -> list[int]:
+    """A non-negative int's 32-bit words, least significant first (``[0]`` for 0), as numpy splits it."""
+    if value < 0:
+        raise ValueError(f"seed must be >= 0, got {value}")
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def stream_seeds(seed: int, tasks: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Each trial's ``(data_seed, phi_seed)``: a (T, 2) uint64 array.
+
+    Row ``k`` equals ``np.random.SeedSequence([seed, *tasks[k]])
+    .generate_state(2, np.uint64)`` for the ``(snr_index, trial_index)``
+    pair ``tasks[k]``. ``seed`` is any non-negative int; the indices lie in
+    ``[0, 2**32)``, one entropy word each.
+    """
+    snr_index, trial_index = zip(*tasks)
+    seed_rows = ([word] * len(tasks) for word in _int_words(seed))
+    entropy = np.array([*seed_rows, snr_index, trial_index], dtype=np.uint32)
+    return _generate_state(_pool(entropy), 1)
+
+
+def pcg64_states(seeds: np.ndarray) -> list[dict]:
+    """``np.random.default_rng(s).bit_generator.state`` for each uint64 seed ``s``, in C order.
+
+    Each seed is its own entropy, two 32-bit words. The pool's first four
+    uint64 outputs are PCG64's initial state (high word first) and stream
+    selector, which ``pcg_setseq_128_srandom_r`` turns into the state.
+    """
+    words = np.asarray(seeds, dtype="<u8").reshape(-1).view("<u4")  # lo, hi of each seed
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in _generate_state(_pool(words.reshape(-1, 2).T), 2).tolist():
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states

@@ -3,14 +3,13 @@
 Compression is ``y = Phi x``; the sparse-recovery dictionary is
 ``Psi = Phi A(theta)``, cached together with its column norms. Each of these
 also takes a stack of T trials' matrices, which the Monte Carlo engine builds
-with :func:`stack_measurements`.
+from the trials' raw draws with :func:`gaussian_entries`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,8 +24,8 @@ MEASUREMENT_KINDS = (GAUSSIAN, IDENTITY)
 class MeasurementMatrix:
     """Compression operator Phi (m x N) with its provenance.
 
-    ``entries`` may also be a stack (T, m, N) of T trials' operators, built by
-    :func:`stack_measurements`; a stack keeps no seed (``seed`` is 0).
+    ``entries`` may also be a stack (T, m, N) of T trials' operators; a stack
+    keeps no seed (``seed`` is 0).
     """
 
     entries: np.ndarray
@@ -56,41 +55,30 @@ class MeasurementMatrix:
 
 @dataclass(eq=False)
 class SensingSystem:
-    """The pair (Phi, A) together with Psi = Phi A and cached column norms.
+    """The pair (Phi, A) together with Psi = Phi A and its column norms.
 
-    For a stacked Phi of T trials, ``psi`` is (T, m, N_s) and ``column_norms``
-    (T, N_s); the checks below then run once for the whole stack.
+    ``psi`` and ``column_norms`` are computed here from ``phi`` and
+    ``manifold`` and cannot be passed in, so Psi = Phi A holds by
+    construction. For a stacked Phi of T trials, ``psi`` is (T, m, N_s) and
+    ``column_norms`` (T, N_s).
     """
 
     phi: MeasurementMatrix
     manifold: np.ndarray
-    psi: np.ndarray
-    column_norms: np.ndarray
+    psi: np.ndarray = field(init=False)
+    column_norms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        self.manifold = np.asarray(self.manifold)
         if self.phi.signal_len != self.manifold.shape[0]:
             raise DimensionMismatchError(
                 f"Phi has {self.phi.signal_len} columns but the dictionary has "
                 f"{self.manifold.shape[0]} rows"
             )
-        product = _dictionary(self.phi.entries, self.manifold)
-        if self.psi.shape != product.shape:
-            raise DimensionMismatchError(
-                f"psi has shape {self.psi.shape}, Phi @ manifold has {product.shape}"
-            )
-        # Each trial of a stack is held to its own scale.
-        flat = product.reshape(*product.shape[:-2], -1)  # a view, one row per trial
-        scale = np.maximum(_row_norms(flat), 1.0)
-        product -= self.psi  # in place: a stack's temporaries stay one array deep
-        if np.any(_row_norms(flat) > 1e-10 * scale):
-            raise ValueError("psi does not match Phi @ manifold")
-        del product, flat
-        norms = _column_norms(self.psi)
-        if np.any(norms <= 0.0) or not np.all(np.isfinite(norms)):
+        self.psi = _dictionary(self.phi.entries, self.manifold)
+        self.column_norms = _column_norms(self.psi)
+        if np.any(self.column_norms <= 0.0) or not np.all(np.isfinite(self.column_norms)):
             raise ValueError("every psi column must have a positive finite norm")
-        error = np.max(np.abs(self.column_norms - norms), axis=-1)
-        if np.any(error > 1e-10 * np.maximum(norms.max(axis=-1), 1.0)):
-            raise ValueError("column_norms do not match psi")
 
     @property
     def num_measurements(self) -> int:
@@ -142,11 +130,6 @@ def gaussian_entries(normals: np.ndarray) -> np.ndarray:
     return scale * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
 
 
-def stack_measurements(phis: Sequence[MeasurementMatrix]) -> MeasurementMatrix:
-    """One (T, m, N) operator from T trials' matrices of one kind and shape."""
-    return MeasurementMatrix(entries=np.stack([phi.entries for phi in phis]), kind=phis[0].kind)
-
-
 def compress(phi: MeasurementMatrix, x: np.ndarray) -> np.ndarray:
     """Exact matrix-vector product ``y = Phi x``.
 
@@ -161,14 +144,8 @@ def compress(phi: MeasurementMatrix, x: np.ndarray) -> np.ndarray:
 
 
 def build_sensing_system(phi: MeasurementMatrix, manifold: np.ndarray) -> SensingSystem:
-    """Form Psi = Phi A and cache its column norms (one stack of them for a stacked Phi)."""
-    manifold = np.asarray(manifold)
-    if phi.signal_len != manifold.shape[0]:
-        raise DimensionMismatchError(
-            f"Phi has {phi.signal_len} columns but the dictionary has {manifold.shape[0]} rows"
-        )
-    psi = _dictionary(phi.entries, manifold)
-    return SensingSystem(phi=phi, manifold=manifold, psi=psi, column_norms=_column_norms(psi))
+    """Form Psi = Phi A and its column norms (one stack of them for a stacked Phi)."""
+    return SensingSystem(phi, manifold)
 
 
 def _dictionary(entries: np.ndarray, manifold: np.ndarray) -> np.ndarray:
@@ -188,7 +165,3 @@ def _column_norms(psi: np.ndarray) -> np.ndarray:
     power *= psi
     return np.sqrt(np.add.reduce(power.real, axis=-2))
 
-
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, computed as ``np.linalg.norm`` computes one vector's."""
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))

@@ -23,6 +23,17 @@ def normal_equations(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, basis.conj().T @ y)
 
 
+def stack_measurements(phis) -> csdoa.MeasurementMatrix:
+    """One (T, m, N) operator from T trials' matrices of one kind and shape."""
+    return csdoa.MeasurementMatrix(entries=np.stack([phi.entries for phi in phis]), kind=phis[0].kind)
+
+
+def reference_trial_seeds(seed: int, snr_index: int, trial_index: int) -> tuple[int, int]:
+    """A trial's (data_seed, phi_seed) from numpy's own SeedSequence."""
+    state = np.random.SeedSequence([seed, snr_index, trial_index]).generate_state(2, np.uint64)
+    return int(state[0]), int(state[1])
+
+
 def gaussian_system(m: int, n: int, seed: int) -> csdoa.SensingSystem:
     """Sensing system whose effective dictionary is an m-by-n Gaussian matrix.
 
@@ -282,8 +293,9 @@ def reference_score(coefficients: np.ndarray, grid, truth, num_peaks: int):
 def per_trial_curve(scenario, snr_sweep_db, trials: int) -> dict:
     """RMSE curve composed trial by trial from the public stage functions.
 
-    Seeds, draws, compression and scoring use the library's stage functions
-    one trial at a time; the solvers are the loop references above. Returns
+    Draws, compression and scoring use the library's stage functions one
+    trial at a time, on streams seeded by numpy's own SeedSequence and
+    default_rng; the solvers are the loop references above. Returns
     what ``curve_key`` returns for ``run_monte_carlo``'s curve.
     """
     manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
@@ -294,7 +306,7 @@ def per_trial_curve(scenario, snr_sweep_db, trials: int) -> dict:
         errors = {a: [] for a in scenario.algorithms}
         hits = {a: [] for a in scenario.algorithms}
         for t in range(trials):
-            data_seed, phi_seed = csdoa.trial_seeds(scenario.seed, i, t)
+            data_seed, phi_seed = reference_trial_seeds(scenario.seed, i, t)
             snapshot = csdoa.synthesize(point, np.random.default_rng(data_seed))
             phi = csdoa.draw_measurement_matrix(
                 spec.num_measurements, scenario.geometry.num_sensors, spec.kind, seed=phi_seed

@@ -179,6 +179,23 @@ def test_build_manifold_matches_per_angle_steering_vectors():
                     assert np.array_equal(manifold[:, j], csdoa.steering_vector(theta, geometry))
 
 
+def test_cached_manifold_is_shared_and_read_only():
+    geometry = csdoa.ArrayGeometry(15, 0.5)
+    manifold = csdoa.build_manifold(csdoa.make_grid(-90.0, 90.0, 1.0), geometry)
+    # An equal grid built anew, and the same angles as integers, share the entry.
+    assert csdoa.build_manifold(csdoa.make_grid(-90.0, 90.0, 1.0), geometry) is manifold
+    integer_grid = csdoa.AngleGrid(-90.0, 90.0, 1.0, np.arange(-90, 91))
+    assert csdoa.build_manifold(integer_grid, geometry) is manifold
+    assert csdoa.build_manifold(csdoa.make_grid(-90.0, 90.0, 0.5), geometry) is not manifold
+    assert csdoa.build_manifold(csdoa.make_grid(-90.0, 90.0, 1.0), csdoa.ArrayGeometry(15, 0.4)) is not manifold
+    assert not manifold.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        manifold[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        manifold.real[:] = 0.0
+    assert np.array_equal(manifold[:, 90], np.ones(15, dtype=complex))
+
+
 # ---------------------------------------------------------------------------
 # synthesize / synthesize_multi
 

@@ -9,7 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csdoa
-from conftest import curve_key, per_trial_curve, reference_phi, reference_synthesize
+from conftest import (
+    curve_key,
+    per_trial_curve,
+    reference_phi,
+    reference_synthesize,
+    reference_trial_seeds,
+)
 from csdoa import experiments
 
 
@@ -321,7 +327,7 @@ def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
     # least-squares fit on the merged support is rank deficient.
     scenario = csdoa.build_scenario([-60.0, 60.0], snr_db=-10.0, seed=596)
     manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
-    data_seed, phi_seed = csdoa.trial_seeds(596, 0, 0)
+    data_seed, phi_seed = reference_trial_seeds(596, 0, 0)
     snapshot = csdoa.synthesize(scenario, np.random.default_rng(data_seed))
     phi = csdoa.draw_measurement_matrix(7, 15, csdoa.GAUSSIAN, seed=phi_seed)
     system = csdoa.build_sensing_system(phi, manifold)
@@ -393,7 +399,7 @@ def test_chunk_draws_equal_per_trial_draws(
     spec = scenario.measurement
     assert phi.entries.shape == (trials, spec.num_measurements, scenario.geometry.num_sensors)
     for k, (snr_index, trial_index) in enumerate(tasks):
-        data_seed, phi_seed = csdoa.trial_seeds(seed, snr_index, trial_index)
+        data_seed, phi_seed = reference_trial_seeds(seed, snr_index, trial_index)
         alone = csdoa.synthesize(points[snr_index], np.random.default_rng(data_seed))
         reference = reference_synthesize(points[snr_index], np.random.default_rng(data_seed))
         for stacked, single, loop in zip(

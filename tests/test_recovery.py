@@ -13,9 +13,9 @@ from conftest import (
     planted_instance,
     reference_cosamp,
     reference_omp,
+    stack_measurements,
 )
 from csdoa.recovery import cosamp_stack, omp_stack
-from csdoa.sensing import stack_measurements
 
 
 # ---------------------------------------------------------------------------
@@ -26,15 +26,12 @@ def test_solver_config_defaults_and_validation():
     config = csdoa.SolverConfig(sparsity=3)
     assert config.max_iterations == 50
     assert config.residual_tol == 1e-6
-    assert config.tie_break == "lowest_index"
     with pytest.raises(ValueError):
         csdoa.SolverConfig(sparsity=0)
     with pytest.raises(ValueError):
         csdoa.SolverConfig(sparsity=1, max_iterations=0)
     with pytest.raises(ValueError):
         csdoa.SolverConfig(sparsity=1, residual_tol=-1.0)
-    with pytest.raises(ValueError):
-        csdoa.SolverConfig(sparsity=1, tie_break="random")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ the same CSV bytes. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -184,6 +185,16 @@ def build_parser() -> argparse.ArgumentParser:
     for subparser in (p_spectrum, p_mc, p_synth):
         subparser._negative_number_matcher = _NEGATIVE_VALUE_RE
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on first use, once per process.
+
+    argparse keeps no state between ``parse_args`` calls, and the
+    ``--coherent`` append action copies its default list before appending.
+    """
+    return build_parser()
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
@@ -413,8 +424,7 @@ def cmd_synth(args: argparse.Namespace, config: dict, scenario: Scenario) -> int
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _resolve_config(args)
         scenario = _scenario_from_config(config)

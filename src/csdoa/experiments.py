@@ -13,8 +13,9 @@ one.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
 
@@ -61,6 +62,16 @@ CHUNK_TRIALS = 64
 # Largest sweep or trial position: each is one 32-bit word of a trial's seed entropy.
 _MAX_INDEX = 2**32 - 1
 
+# Each thread's one generator for the raw draws. Every stream sets its full
+# state before drawing, so reusing it is safe; building one per chunk would
+# seed a PCG64 from OS entropy only to overwrite it at once.
+_THREAD = threading.local()
+
+
+def _check_snr(snr_db: float) -> None:
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError("snr_db must be finite or +inf (noise disabled)")
+
 
 @dataclass(frozen=True)
 class MeasurementSpec:
@@ -105,8 +116,7 @@ class Scenario:
             raise ValueError("algorithms must not repeat")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError("snr_db must be finite or +inf (noise disabled)")
+        _check_snr(self.snr_db)
         # OffGridSourceError for a source that is not a grid point.
         indices = tuple(self.grid.index_of(doa) for doa in self.sources.doas_deg)
         object.__setattr__(self, "source_indices", indices)
@@ -259,37 +269,48 @@ def build_scenario(
     )
 
 
+def _generator() -> np.random.Generator:
+    """This thread's generator for the raw draws; its state is reset per stream."""
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.PCG64())
+    return rng
+
+
 def _draw_trials(
-    points: dict[int, Scenario], manifold: np.ndarray, tasks: Sequence[tuple[int, int]]
+    scenario: Scenario,
+    snr_db: tuple[float, ...],
+    manifold: np.ndarray,
+    tasks: Sequence[tuple[int, int]],
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], MeasurementMatrix]:
     """Snapshots ``(data, clean, noise)``, each (T, N), and the Phi stack of trials ``tasks``.
 
-    Every trial's two ``trial_seeds`` streams are derived for the whole chunk
-    at once; per trial, one generator is reset to each stream's state and
-    makes the raw draws, in ``synthesize``'s and ``draw_measurement_matrix``'s
+    Trial ``(i, t)`` runs at SNR ``snr_db[i]``. Every trial's two
+    ``trial_seeds`` streams are derived for the whole chunk at once; per
+    trial, the thread's generator is reset to each stream's state and makes
+    the raw draws, in ``synthesize``'s and ``draw_measurement_matrix``'s
     order. The rest runs once for the stack and gives each trial's arrays
     bit for bit.
     """
-    base = points[tasks[0][0]]
-    sources, spec = base.sources, base.measurement
-    n = base.geometry.num_sensors
-    snr_db = [points[snr_index].snr_db for snr_index, _ in tasks]
+    sources, spec = scenario.sources, scenario.measurement
+    n = scenario.geometry.num_sensors
+    snrs = [snr_db[snr_index] for snr_index, _ in tasks]
     amplitudes = np.empty((len(tasks), 2, len(sources.coherent_groups)))
     noise = np.zeros((len(tasks), 2, n))
     normals = None
     if spec.kind == GAUSSIAN:
         normals = np.empty((len(tasks), 2, spec.num_measurements, n))
-    states = pcg64_states(stream_seeds(base.seed, tasks))
-    rng = np.random.Generator(np.random.PCG64())
+    states = pcg64_states(stream_seeds(scenario.seed, tasks))
+    rng = _generator()
     for k, (data_state, phi_state) in enumerate(zip(states[0::2], states[1::2])):
         rng.bit_generator.state = data_state
-        noise_row = None if math.isinf(snr_db[k]) else noise[k]
+        noise_row = None if math.isinf(snrs[k]) else noise[k]
         draw_snapshot(sources, rng, amplitudes[k], noise_row)
         if normals is not None:
             rng.bit_generator.state = phi_state
             rng.standard_normal(out=normals[k])
-    columns = manifold[:, list(base.source_indices)]
-    snapshots = snapshot_stack(sources, columns, snr_db, amplitudes, noise)
+    columns = manifold[:, list(scenario.source_indices)]
+    snapshots = snapshot_stack(sources, columns, snrs, amplitudes, noise)
     if normals is None:
         entries = np.repeat(np.eye(n, dtype=complex)[None], len(tasks), axis=0)
     else:
@@ -298,30 +319,30 @@ def _draw_trials(
 
 
 def _run_trials(
-    points: dict[int, Scenario],
+    scenario: Scenario,
+    snr_db: tuple[float, ...],
     manifold: np.ndarray,
     tasks: Sequence[tuple[int, int]],
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[str, StackedEstimate], StackedScores]:
     """Fully seeded trials ``(snr_index, trial_index)``, drawn, solved and scored as one stack.
 
-    ``points[i]`` is the scenario at sweep point ``i``; the points differ only
-    in SNR. Every trial draws its snapshot and measurement matrix from its own
-    ``trial_seeds`` streams, so its outcome does not depend on which trials
-    share the stack. Returns the snapshots ``(data, clean, noise)``, each
-    algorithm's stacked estimate (row ``k`` is ``tasks[k]``), and the scores
-    of all of them in one stack: row ``a * len(tasks) + k`` belongs to the
-    ``a``-th algorithm's estimate of ``tasks[k]``.
+    Trial ``(i, t)`` runs ``scenario`` at SNR ``snr_db[i]``; the sweep points
+    differ only in SNR. Every trial draws its snapshot and measurement matrix
+    from its own ``trial_seeds`` streams, so its outcome does not depend on
+    which trials share the stack. Returns the snapshots ``(data, clean,
+    noise)``, each algorithm's stacked estimate (row ``k`` is ``tasks[k]``),
+    and the scores of all of them in one stack: row ``a * len(tasks) + k``
+    belongs to the ``a``-th algorithm's estimate of ``tasks[k]``.
     """
-    base = points[tasks[0][0]]
-    snapshots, phi = _draw_trials(points, manifold, tasks)
+    snapshots, phi = _draw_trials(scenario, snr_db, manifold, tasks)
     system = build_sensing_system(phi, manifold)
     y = compress(phi, snapshots[0])
     estimates = {
-        algorithm: _STACK_SOLVERS[algorithm](system, y, base.solver)
-        for algorithm in base.algorithms
+        algorithm: _STACK_SOLVERS[algorithm](system, y, scenario.solver)
+        for algorithm in scenario.algorithms
     }
     coefficients = np.concatenate([estimate.coefficients for estimate in estimates.values()])
-    scores = score_stack(coefficients, base.grid, base.sources, base.solver.sparsity)
+    scores = score_stack(coefficients, scenario.grid, scenario.sources, scenario.solver.sparsity)
     return snapshots, estimates, scores
 
 
@@ -331,7 +352,9 @@ def run_single(scenario: Scenario) -> SingleRunResult:
     Equivalent to trial 0 of the first sweep point of ``run_monte_carlo``.
     """
     manifold = build_manifold(scenario.grid, scenario.geometry)
-    (data, clean, noise), estimates, scores = _run_trials({0: scenario}, manifold, [(0, 0)])
+    (data, clean, noise), estimates, scores = _run_trials(
+        scenario, (scenario.snr_db,), manifold, [(0, 0)]
+    )
     runs = {}
     for row, (algorithm, estimate) in enumerate(estimates.items()):
         estimated = scores.estimate(scenario.grid, row)
@@ -351,17 +374,21 @@ def run_single(scenario: Scenario) -> SingleRunResult:
 
 
 def _sweep_chunk(
-    points: dict[int, Scenario], manifold: np.ndarray, trials: int, flat: range
+    scenario: Scenario,
+    snr_db: tuple[float, ...],
+    manifold: np.ndarray,
+    trials: int,
+    flat: range,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Trials ``flat`` of the sweep's flat ``(snr_index, trial)`` order, slimmed for aggregation.
 
-    Returns per-source errors (trials, algorithms, sources) and success flags
-    (trials, algorithms), algorithms in scenario order.
+    Returns per-source errors (algorithms, trials, sources) and success flags
+    (algorithms, trials), algorithms in scenario order.
     """
-    _, estimates, scores = _run_trials(points, manifold, [divmod(k, trials) for k in flat])
+    tasks = [divmod(k, trials) for k in flat]
+    _, estimates, scores = _run_trials(scenario, snr_db, manifold, tasks)
     shape = (len(estimates), len(flat))
-    errors = scores.errors_deg.reshape(shape + (-1,)).swapaxes(0, 1)
-    return errors, scores.success.reshape(shape).T
+    return scores.errors_deg.reshape(shape + (-1,)), scores.success.reshape(shape)
 
 
 def run_monte_carlo(
@@ -381,53 +408,62 @@ def run_monte_carlo(
 
     The flat list of (point, trial) pairs runs in chunks of at most
     ``CHUNK_TRIALS`` trials, each solved as one stacked problem; a pool of
-    ``workers`` processes takes whole chunks. Each point is aggregated as
-    soon as its last chunk is in, so memory holds one chunk's stacks and one
-    point's per-source errors. Neither the chunking nor ``workers`` changes
-    the result.
+    ``workers`` processes takes whole chunks. Each chunk's rows are copied
+    into a ring of point buffers, and the points it completes are aggregated
+    together, so memory holds one chunk's stacks and the per-source errors
+    of the points one chunk touches. Neither the chunking nor ``workers``
+    changes the result.
     """
     sweep = tuple(float(s) for s in snr_sweep_db)
     if not sweep:
         raise ValueError("snr_sweep_db must be nonempty")
+    for snr in sweep:
+        _check_snr(snr)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    points = {
-        i: scenario if snr == scenario.snr_db else replace(scenario, snr_db=snr)
-        for i, snr in enumerate(sweep)
-    }
     manifold = build_manifold(scenario.grid, scenario.geometry)
     total = len(sweep) * trials
     size = CHUNK_TRIALS
     if workers > 1:  # several chunks per worker keep the pool evenly loaded
         size = max(1, min(size, -(-total // (4 * workers))))
     chunks = [range(start, min(start + size, total)) for start in range(0, total, size)]
-    solve = partial(_sweep_chunk, points, manifold, trials)
+    solve = partial(_sweep_chunk, scenario, sweep, manifold, trials)
 
     algorithms = scenario.algorithms
-    errors = np.empty((trials, len(algorithms), scenario.sources.num_sources))
-    success = np.empty((trials, len(algorithms)), dtype=bool)
-    rmse: list[list[float]] = [[] for _ in algorithms]
-    rmse_success: list[list[float]] = [[] for _ in algorithms]
-    rate: list[list[float]] = [[] for _ in algorithms]
+    # Point i fills slot i % ring; a chunk touches at most `ring` points, and
+    # every point before its first one is already aggregated.
+    ring = min(len(sweep), (size - 1) // trials + 2)
+    errors = np.empty((ring, len(algorithms), trials, scenario.sources.num_sources))
+    success = np.empty((ring, len(algorithms), trials), dtype=bool)
+    # One (points, 3, algorithms) block per chunk that completes points: the
+    # RMSE, the success-only RMSE and the success rate.
+    aggregates: list[np.ndarray] = []
 
     def collect(flat: range, chunk_errors: np.ndarray, chunk_success: np.ndarray) -> None:
-        for row, k in enumerate(flat):
-            t = k % trials
-            errors[t] = chunk_errors[row]
-            success[t] = chunk_success[row]
-            if t < trials - 1:
-                continue
-            for a in range(len(algorithms)):  # the point is complete
-                point_errors = errors[:, a].ravel()
-                rmse[a].append(float(np.sqrt(np.mean(point_errors**2))))
-                hits = errors[success[:, a], a].ravel()
-                rmse_success[a].append(
-                    float(np.sqrt(np.mean(hits**2))) if hits.size else float("nan")
-                )
-                rate[a].append(int(success[:, a].sum()) / trials)
+        for i in range(flat.start // trials, (flat.stop - 1) // trials + 1):
+            lo, hi = max(flat.start, i * trials), min(flat.stop, (i + 1) * trials)
+            rows = slice(lo - flat.start, hi - flat.start)
+            cols = slice(lo - i * trials, hi - i * trials)
+            errors[i % ring, :, cols] = chunk_errors[:, rows]
+            success[i % ring, :, cols] = chunk_success[:, rows]
+        done = range(flat.start // trials, flat.stop // trials)
+        if not done:
+            return
+        slots = [i % ring for i in done]
+        # (points, algorithms, trials * sources): each row's mean is the same
+        # pairwise sum as the 1-D mean of that point's errors.
+        squares = np.square(errors[slots]).reshape(len(done), len(algorithms), -1)
+        point_rmse = np.sqrt(squares.mean(axis=-1))
+        wins = success[slots]
+        counts = wins.sum(axis=-1)
+        hit_rmse = np.where(counts == trials, point_rmse, math.nan)
+        for p, a in zip(*np.nonzero((counts > 0) & (counts < trials))):
+            hits = squares[p, a].reshape(trials, -1)[wins[p, a]].ravel()
+            hit_rmse[p, a] = np.sqrt(hits.mean())
+        aggregates.append(np.stack([point_rmse, hit_rmse, counts / trials], axis=1))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -437,13 +473,9 @@ def run_monte_carlo(
         for flat in chunks:
             collect(flat, *solve(flat))
 
+    table = np.concatenate(aggregates)
     per_algorithm = {
-        algorithm: AlgorithmRmse(
-            algorithm=algorithm,
-            rmse_deg=tuple(rmse[a]),
-            rmse_success_only_deg=tuple(rmse_success[a]),
-            success_rate=tuple(rate[a]),
-        )
+        algorithm: AlgorithmRmse(algorithm, *(tuple(table[:, k, a].tolist()) for k in range(3)))
         for a, algorithm in enumerate(algorithms)
     }
     return RmseCurve(snr_points_db=sweep, per_algorithm=per_algorithm, trials=trials)

@@ -273,3 +273,83 @@ def test_montecarlo_from_meta_reproduces_run(tmp_path, capsys):
     again_meta = json.loads((again / "meta.json").read_text())
     assert first_meta["scenario"] == again_meta["scenario"]
     assert first_meta["sweep"] == again_meta["sweep"]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+@pytest.fixture
+def parser_builds(monkeypatch):
+    """Calls of ``build_parser``, counted from an empty parser cache."""
+    calls = []
+    real = cli.build_parser
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    yield calls
+    cli._parser.cache_clear()
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, capsys, parser_builds):
+    assert cli.build_parser() is not cli.build_parser()  # still a fresh parser per call
+    parser_builds.clear()
+    for k, command in enumerate(["spectrum", "synth", "montecarlo", "spectrum"]):
+        extra = ["--trials", "1", "--snr-sweep", "0:0:1"] if command == "montecarlo" else []
+        code, _, _ = run_cli(
+            [command, "--sources", "-60,60", *extra, "--out", tmp_path / str(k)], capsys
+        )
+        assert code == 0
+    assert len(parser_builds) == 1
+
+
+def test_reused_parser_forgets_coherent_groups(tmp_path, capsys, parser_builds):
+    args = ["synth", "--sources", "-60,0,40"]
+    assert run_cli(args + ["--coherent", "2,3", "--out", tmp_path / "a"], capsys)[0] == 0
+    assert run_cli(args + ["--out", tmp_path / "b"], capsys)[0] == 0
+    coherent = [
+        json.loads((tmp_path / run / "meta.json").read_text())["scenario"]["coherent"]
+        for run in ("a", "b")
+    ]
+    assert coherent == [[[2, 3]], []]
+    assert len(parser_builds) == 1
+
+
+def test_run_after_a_usage_error_matches_a_first_run(tmp_path, capsys, parser_builds):
+    args = ["montecarlo", "--sources", "-60,60", "--trials", "3", "--snr-sweep", "0:10:5",
+            "--seed", "4"]
+    assert run_cli(args + ["--out", tmp_path / "first"], capsys)[0] == 0
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the value itself
+        run_cli(args + ["--trials", "x", "--out", tmp_path / "bad"], capsys)
+    assert exc.value.code == 2
+    assert run_cli(args + ["--trials", "0", "--out", tmp_path / "bad"], capsys)[0] == 2
+    assert run_cli(args + ["--out", tmp_path / "again"], capsys)[0] == 0
+    assert not (tmp_path / "bad").exists()
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert (first / "rmse.csv").read_bytes() == (again / "rmse.csv").read_bytes()
+    first_meta = json.loads((first / "meta.json").read_text())
+    again_meta = json.loads((again / "meta.json").read_text())
+    del first_meta["duration_seconds"], again_meta["duration_seconds"]
+    assert first_meta == again_meta
+    assert len(parser_builds) == 1
+
+
+def test_negative_values_parse_on_every_call(tmp_path, capsys, parser_builds):
+    # Stock argparse takes "-60,60" for an unknown option; each subparser's
+    # `_negative_number_matcher` lets these values through.
+    for k in range(3):
+        code, _, err = run_cli(
+            ["montecarlo", "--sources", "-60,60", "--snr-sweep", "-10:20:5",
+             "--grid", "-90:90:1", "--trials", "1", "--out", tmp_path / str(k)],
+            capsys,
+        )
+        assert code == 0, err
+        meta = json.loads((tmp_path / str(k) / "meta.json").read_text())
+        assert meta["scenario"]["sources"] == [-60.0, 60.0]
+        assert meta["scenario"]["grid"] == [-90.0, 90.0, 1.0]
+        assert meta["sweep"]["snr_sweep"] == "-10:20:5"
+    assert len(parser_builds) == 1

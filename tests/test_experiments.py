@@ -1,6 +1,8 @@
 """Tests for scenario assembly, seeded trials, and Monte Carlo aggregation."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -322,6 +324,65 @@ def test_monte_carlo_is_independent_of_chunking_and_workers(
     assert curve_key(csdoa.run_monte_carlo(scenario, sweep, trials, workers=2)) == expected
 
 
+@pytest.mark.parametrize(
+    "sources, identity, sweep, trials",
+    [
+        # 2 sources x 70 trials: 140 squares a point, some points partly successful
+        ([-59.9, 29.0], True, [10.0, 30.0], 70),
+        # 1 source x 140 trials: partly successful points, then every trial a success
+        ([-59.9], False, [10.0, 20.0, math.inf], 140),
+    ],
+)
+def test_monte_carlo_aggregates_past_numpys_pairwise_block(sources, identity, sweep, trials):
+    # numpy's pairwise summation changes its order past 128 values; the
+    # chunking examples above stop at 27 values a point. On the 1 degree grid
+    # every error is an integer and any order sums exactly; on a 0.7 degree
+    # grid it is not, so the order of the sum shows.
+    scenario = csdoa.build_scenario(
+        sources,
+        grid_spec=(-90.0, 90.0, 0.7),
+        measurement_kind=csdoa.IDENTITY if identity else csdoa.GAUSSIAN,
+        seed=5,
+    )
+    expected = per_trial_curve(scenario, sweep, trials)
+    for chunk in (7, 64):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "CHUNK_TRIALS", chunk)
+            assert curve_key(csdoa.run_monte_carlo(scenario, sweep, trials)) == expected
+
+
+def test_monte_carlo_rejects_a_nan_or_minus_inf_sweep_point():
+    scenario = csdoa.build_scenario([0.0])
+    for snr in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="snr_db"):
+            csdoa.run_monte_carlo(scenario, [0.0, snr], 1)
+
+
+def test_concurrent_sweeps_in_threads_equal_the_serial_curve():
+    # Each thread draws from its own generator: a shared one would be reset
+    # by one sweep between another's reset and its draws.
+    scenarios = [
+        csdoa.build_scenario([-60.0, 60.0], seed=3),
+        csdoa.build_scenario([-60.0, 0.0, 40.0], coherent_groups=[[1, 2]], seed=17),
+    ]
+    sweep, trials = [0.0, 20.0], 40
+    expected = [curve_key(csdoa.run_monte_carlo(s, sweep, trials)) for s in scenarios]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "CHUNK_TRIALS", 7)
+            futures = [
+                pool.submit(csdoa.run_monte_carlo, s, sweep, trials)
+                for _ in range(3)
+                for s in scenarios
+            ]
+            curves = [curve_key(f.result(timeout=120)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert curves == expected * 3
+
+
 def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
     # Trial (596, 0, 0) of the criterion-3 scenario at -10 dB: CoSaMP's
     # least-squares fit on the merged support is rank deficient.
@@ -342,7 +403,7 @@ def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
     assert not alone.record.success
     assert alone.record.residual_norm == float(np.linalg.norm(csdoa.compress(phi, snapshot.data)))
     tasks = [(0, t) for t in range(6)]
-    _, estimates, scores = experiments._run_trials({0: scenario}, manifold, tasks)
+    _, estimates, scores = experiments._run_trials(scenario, (scenario.snr_db,), manifold, tasks)
     estimate, row = estimates["cosamp"], 6  # CoSaMP's rows follow OMP's 6
     assert estimate.deficient[0] and scores.counts[row] == 0
     assert np.array_equal(scores.power[row], np.zeros(len(scenario.grid)))
@@ -395,7 +456,7 @@ def test_chunk_draws_equal_per_trial_draws(
     points = {i: replace(scenario, snr_db=snr) for i, snr in enumerate(sweep)}
     manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
     tasks = [(k % len(sweep), k // len(sweep)) for k in range(trials)]
-    (data, clean, noise), phi = experiments._draw_trials(points, manifold, tasks)
+    (data, clean, noise), phi = experiments._draw_trials(scenario, tuple(sweep), manifold, tasks)
     spec = scenario.measurement
     assert phi.entries.shape == (trials, spec.num_measurements, scenario.geometry.num_sensors)
     for k, (snr_index, trial_index) in enumerate(tasks):

@@ -63,8 +63,9 @@ class ArrayGeometry:
     def __post_init__(self) -> None:
         if self.num_sensors < 2:
             raise ValueError(f"num_sensors must be >= 2, got {self.num_sensors}")
-        if self.spacing_over_wavelength <= 0:
-            raise ValueError("spacing_over_wavelength must be > 0")
+        spacing = self.spacing_over_wavelength
+        if not (math.isfinite(spacing) and spacing > 0):
+            raise ValueError(f"spacing_over_wavelength must be finite and > 0, got {spacing}")
 
 
 @dataclass(frozen=True)
@@ -104,13 +105,11 @@ class SourceSet:
 
 @dataclass(eq=False)
 class Snapshot:
-    """One sensor sample vector ``data = clean + noise`` plus its generating truth."""
+    """One sensor sample vector ``data = clean + noise``."""
 
     data: np.ndarray
     clean: np.ndarray
     noise: np.ndarray
-    true_sources: SourceSet
-    snr_db: float
 
 
 def make_grid(start_deg: float, stop_deg: float, step_deg: float) -> AngleGrid:
@@ -209,13 +208,7 @@ def synthesize(scenario: "Scenario", rng: np.random.Generator) -> Snapshot:
     noise = np.zeros((1, 2, scenario.geometry.num_sensors))
     draw_snapshot(sources, rng, amplitudes[0], None if math.isinf(scenario.snr_db) else noise[0])
     data, clean, noise = snapshot_stack(sources, columns, [scenario.snr_db], amplitudes, noise)
-    return Snapshot(
-        data=data[0],
-        clean=clean[0],
-        noise=noise[0],
-        true_sources=sources,
-        snr_db=scenario.snr_db,
-    )
+    return Snapshot(data=data[0], clean=clean[0], noise=noise[0])
 
 
 def draw_snapshot(
@@ -270,10 +263,3 @@ def snapshot_stack(
     scale = np.sqrt(p_clean / levels / 2.0)
     noise = scale[:, None] * (noise[:, 0] + 1j * noise[:, 1])
     return clean + noise, clean, noise
-
-
-def synthesize_multi(scenario: "Scenario", num_snapshots: int, rng: np.random.Generator) -> list[Snapshot]:
-    """``num_snapshots`` independent snapshots with fresh amplitudes and noise each."""
-    if num_snapshots < 1:
-        raise ValueError("num_snapshots must be >= 1")
-    return [synthesize(scenario, rng) for _ in range(num_snapshots)]

@@ -2,9 +2,10 @@
 
 Three subcommands: ``spectrum`` (one seeded run, angle spectrum per
 algorithm), ``montecarlo`` (RMSE vs SNR sweep), and ``synth`` (dump one
-synthesized snapshot). Every run writes a ``meta.json`` capturing the fully
-resolved configuration; feeding it back through ``--from-meta`` reproduces
-the same CSV bytes. Exit codes: 0 success, 1 runtime failure, 2 usage error.
+synthesized snapshot). Every run writes a ``meta.json`` whose ``scenario``
+block is the Scenario that ran, every default resolved; feeding it back
+through ``--from-meta`` reproduces the same CSV bytes. Exit codes: 0
+success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -197,121 +198,103 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _resolve_config(args: argparse.Namespace) -> dict:
-    """Turn flags (or a loaded meta.json) into the fully resolved config dict.
-
-    The dict is what meta.json stores: every default made explicit, JSON-safe
-    values only (the noiseless case is the pair noise="off" + finite snr_db).
-    """
-    if args.from_meta:
-        with open(args.from_meta, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        config = dict(meta["scenario"])
-        config.update(meta.get("sweep", {}))
-        if hasattr(args, "trials"):
-            config.setdefault("trials", args.trials)
-            config.setdefault("snr_sweep", args.snr_sweep)
-        return config
-
+def _scenario_from_flags(args: argparse.Namespace) -> Scenario:
     if not args.sources:
         raise ValueError("--sources is required unless --from-meta is given")
-    sources = _parse_float_list(args.sources, "--sources")
-    groups = _parse_groups(args.coherent)
-    algorithms = _parse_algorithms(args.algo)
-    grid = _parse_triple(args.grid, "--grid")
-    sparsity = args.sparsity if args.sparsity is not None else len(sources)
-
-    config = {
-        "sensors": args.sensors,
-        "spacing": args.spacing,
-        "grid": list(grid),
-        "sources": sources,
-        "coherent": [[i + 1 for i in g] for g in groups],
-        "amplitude_model": args.amplitude_model,
-        "snr_db": args.snr_db,
-        "noise": args.noise,
-        "phi": args.phi,
-        "measurements": args.measurements,
-        "algorithms": algorithms,
-        "sparsity": sparsity,
-        "seed": args.seed,
-    }
-    if hasattr(args, "trials"):
-        config["trials"] = args.trials
-        config["snr_sweep"] = args.snr_sweep
-    return config
-
-
-# Keys of the resolved configuration that define the Scenario itself; the
-# montecarlo sweep settings are serialized separately.
-_SCENARIO_KEYS = (
-    "sensors", "spacing", "grid", "sources", "coherent", "amplitude_model",
-    "snr_db", "noise", "phi", "measurements", "algorithms", "sparsity",
-    "max_iterations", "residual_tol", "seed",
-)
-
-
-def _scenario_from_config(config: dict) -> Scenario:
-    snr_db = math.inf if config["noise"] == "off" else float(config["snr_db"])
-    scenario = build_scenario(
-        config["sources"],
-        num_sensors=config["sensors"],
-        spacing_over_wavelength=config["spacing"],
-        grid_spec=tuple(config["grid"]),
-        coherent_groups=[[i - 1 for i in g] for g in config["coherent"]],
-        amplitude_model=config["amplitude_model"],
-        snr_db=snr_db,
-        measurement_kind=config["phi"],
-        num_measurements=config["measurements"],
-        algorithms=config["algorithms"],
-        sparsity=config["sparsity"],
-        max_iterations=config.get("max_iterations"),
-        residual_tol=config.get("residual_tol", 1e-6),
-        seed=config["seed"],
+    return build_scenario(
+        _parse_float_list(args.sources, "--sources"),
+        num_sensors=args.sensors,
+        spacing_over_wavelength=args.spacing,
+        grid_spec=_parse_triple(args.grid, "--grid"),
+        coherent_groups=_parse_groups(args.coherent),
+        amplitude_model=args.amplitude_model,
+        snr_db=math.inf if args.noise == "off" else args.snr_db,
+        measurement_kind=args.phi,
+        num_measurements=args.measurements,
+        algorithms=_parse_algorithms(args.algo),
+        sparsity=args.sparsity,
+        seed=args.seed,
     )
-    # Freeze resolved defaults so meta.json reproduces the run even if the
-    # default rules ever change.
-    config["measurements"] = scenario.measurement.num_measurements
-    config["max_iterations"] = scenario.solver.max_iterations
-    config["residual_tol"] = scenario.solver.residual_tol
-    return scenario
 
 
-def _mc_sweep(config: dict) -> list[float]:
-    if config["noise"] == "off":
-        return [math.inf]
-    return _expand_sweep(_parse_triple(str(config["snr_sweep"]), "--snr-sweep"))
+def _scenario_to_dict(scenario: Scenario) -> dict:
+    """meta.json's ``scenario`` block: the run's every setting, defaults resolved.
+
+    Canonical and strict JSON: coherent groups are the partition's
+    non-singleton groups, 1-based and ascending, and a noiseless run is
+    ``noise: "off"`` with ``snr_db: null``.
+    """
+    geometry, grid, solver = scenario.geometry, scenario.grid, scenario.solver
+    noiseless = math.isinf(scenario.snr_db)
+    return {
+        "sensors": geometry.num_sensors,
+        "spacing": geometry.spacing_over_wavelength,
+        "grid": [grid.start_deg, grid.stop_deg, grid.step_deg],
+        "sources": list(scenario.sources.doas_deg),
+        "coherent": [[i + 1 for i in g] for g in scenario.sources.coherent_groups if len(g) > 1],
+        "amplitude_model": scenario.sources.amplitude_model,
+        "snr_db": None if noiseless else scenario.snr_db,
+        "noise": "off" if noiseless else "on",
+        "phi": scenario.measurement.kind,
+        "measurements": scenario.measurement.num_measurements,
+        "algorithms": list(scenario.algorithms),
+        "sparsity": solver.sparsity,
+        "max_iterations": solver.max_iterations,
+        "residual_tol": solver.residual_tol,
+        "seed": scenario.seed,
+    }
+
+
+def _scenario_from_dict(d: dict) -> Scenario:
+    """The Scenario a meta.json ``scenario`` block describes; inverse of ``_scenario_to_dict``."""
+    return build_scenario(
+        d["sources"],
+        num_sensors=d["sensors"],
+        spacing_over_wavelength=d["spacing"],
+        grid_spec=tuple(d["grid"]),
+        coherent_groups=[[i - 1 for i in g] for g in d["coherent"]],
+        amplitude_model=d["amplitude_model"],
+        snr_db=math.inf if d["noise"] == "off" else float(d["snr_db"]),
+        measurement_kind=d["phi"],
+        num_measurements=d["measurements"],
+        algorithms=d["algorithms"],
+        sparsity=d["sparsity"],
+        max_iterations=d["max_iterations"],
+        residual_tol=d["residual_tol"],
+        seed=d["seed"],
+    )
 
 
 def _json_safe(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-
-
-def _write_meta(
-    path: Path,
-    command: str,
-    config: dict,
+def _write_run(
+    args: argparse.Namespace,
+    csv_name: str,
+    lines: list[str],
+    scenario: Scenario,
     duration: float,
     summary: dict,
     sweep: dict | None = None,
-) -> None:
+) -> int:
+    """Write the run's CSV and meta.json into ``--out``, print both paths, and return 0."""
+    csv_path, meta_path = Path(args.out) / csv_name, Path(args.out) / "meta.json"
+    csv_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     meta = {
         "tool": "csdoa",
         "version": __version__,
-        "command": command,
-        "scenario": {k: config[k] for k in _SCENARIO_KEYS},
+        "command": args.command,
+        "scenario": _scenario_to_dict(scenario),
         "duration_seconds": duration,
         "summary": summary,
     }
     if sweep is not None:
         meta["sweep"] = sweep
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(csv_path)
+    print(meta_path)
+    return 0
 
 
 def _spectrum_lines(result: SingleRunResult) -> list[str]:
@@ -349,9 +332,8 @@ def _snapshot_lines(data: np.ndarray, clean: np.ndarray, noise: np.ndarray) -> l
     return lines
 
 
-def cmd_spectrum(args: argparse.Namespace, config: dict, scenario: Scenario) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_spectrum(args: argparse.Namespace, scenario: Scenario) -> int:
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     result = run_single(scenario)
     duration = time.perf_counter() - started
@@ -366,21 +348,19 @@ def cmd_spectrum(args: argparse.Namespace, config: dict, scenario: Scenario) -> 
         }
         for algorithm, run in result.runs.items()
     }
-    csv_path = out_dir / "spectrum.csv"
-    _write_lines(csv_path, _spectrum_lines(result))
-    _write_meta(out_dir / "meta.json", "spectrum", config, duration, summary)
-    print(csv_path)
-    print(out_dir / "meta.json")
-    return 0
+    return _write_run(args, "spectrum.csv", _spectrum_lines(result), scenario, duration, summary)
 
 
-def cmd_montecarlo(args: argparse.Namespace, config: dict, scenario: Scenario) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sweep = _mc_sweep(config)
-    trials = int(config["trials"])
+def cmd_montecarlo(
+    args: argparse.Namespace,
+    scenario: Scenario,
+    trials: int,
+    snr_sweep: str,
+    snr_points: list[float],
+) -> int:
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    curve = run_monte_carlo(scenario, sweep, trials, workers=args.workers)
+    curve = run_monte_carlo(scenario, snr_points, trials, workers=args.workers)
     duration = time.perf_counter() - started
 
     summary = {
@@ -393,18 +373,12 @@ def cmd_montecarlo(args: argparse.Namespace, config: dict, scenario: Scenario) -
     }
     summary["snr_points_db"] = [_json_safe(v) for v in curve.snr_points_db]
     summary["trials"] = trials
-    csv_path = out_dir / "rmse.csv"
-    _write_lines(csv_path, _rmse_lines(curve))
-    sweep_info = {"trials": trials, "snr_sweep": config["snr_sweep"]}
-    _write_meta(out_dir / "meta.json", "montecarlo", config, duration, summary, sweep=sweep_info)
-    print(csv_path)
-    print(out_dir / "meta.json")
-    return 0
+    sweep = {"trials": trials, "snr_sweep": snr_sweep}
+    return _write_run(args, "rmse.csv", _rmse_lines(curve), scenario, duration, summary, sweep)
 
 
-def cmd_synth(args: argparse.Namespace, config: dict, scenario: Scenario) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def cmd_synth(args: argparse.Namespace, scenario: Scenario) -> int:
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     data_seed, _ = trial_seeds(scenario.seed, 0, 0)
     snapshot = synthesize(scenario, np.random.default_rng(data_seed))
@@ -415,30 +389,44 @@ def cmd_synth(args: argparse.Namespace, config: dict, scenario: Scenario) -> int
         "clean_norm": float(np.linalg.norm(snapshot.clean)),
         "noise_norm": float(np.linalg.norm(snapshot.noise)),
     }
-    csv_path = out_dir / "snapshot.csv"
-    _write_lines(csv_path, _snapshot_lines(snapshot.data, snapshot.clean, snapshot.noise))
-    _write_meta(out_dir / "meta.json", "synth", config, duration, summary)
-    print(csv_path)
-    print(out_dir / "meta.json")
-    return 0
+    lines = _snapshot_lines(snapshot.data, snapshot.clean, snapshot.noise)
+    return _write_run(args, "snapshot.csv", lines, scenario, duration, summary)
+
+
+def _sweep_run(
+    args: argparse.Namespace, meta: dict | None, scenario: Scenario
+) -> tuple[int, str, list[float]]:
+    """``cmd_montecarlo``'s ``(trials, snr_sweep, snr_points)``, from the meta's sweep or flags."""
+    sweep = {"trials": args.trials, "snr_sweep": args.snr_sweep}
+    sweep.update(meta.get("sweep", {}) if meta else {})
+    trials, snr_sweep = int(sweep["trials"]), str(sweep["snr_sweep"])
+    # A noiseless scenario runs at its one SNR point, whatever the sweep says.
+    if math.isinf(scenario.snr_db):
+        points = [math.inf]
+    else:
+        points = _expand_sweep(_parse_triple(snr_sweep, "--snr-sweep"))
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    return trials, snr_sweep, points
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        config = _resolve_config(args)
-        scenario = _scenario_from_config(config)
-        if args.command == "montecarlo":  # validate the run before any work happens
-            _mc_sweep(config)
-            if int(config["trials"]) < 1:
-                raise ValueError(f"--trials must be >= 1, got {config['trials']}")
-            if args.workers < 1:
-                raise ValueError(f"--workers must be >= 1, got {args.workers}")
-    except (CsdoaError, ValueError, KeyError, OSError) as exc:
+    try:  # resolve and check the whole run before any work happens
+        meta = None
+        if args.from_meta:
+            meta = json.loads(Path(args.from_meta).read_text(encoding="utf-8"))
+            scenario = _scenario_from_dict(meta["scenario"])
+        else:
+            scenario = _scenario_from_flags(args)
+        run = _sweep_run(args, meta, scenario) if args.command == "montecarlo" else ()
+    except (CsdoaError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"csdoa: error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, config, scenario)
+        return args.func(args, scenario, *run)
     except (CsdoaError, OSError, ValueError) as exc:
         print(f"csdoa: error: {exc}", file=sys.stderr)
         return 1

@@ -369,7 +369,7 @@ def run_single(scenario: Scenario) -> SingleRunResult:
         )
         spectrum = AngleSpectrum(grid=scenario.grid, power=scores.power[row])
         runs[algorithm] = AlgorithmRun(algorithm, spectrum, estimated, record)
-    snapshot = Snapshot(data[0], clean[0], noise[0], scenario.sources, scenario.snr_db)
+    snapshot = Snapshot(data[0], clean[0], noise[0])
     return SingleRunResult(scenario=scenario, snapshot=snapshot, runs=runs)
 
 

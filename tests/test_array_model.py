@@ -197,7 +197,7 @@ def test_cached_manifold_is_shared_and_read_only():
 
 
 # ---------------------------------------------------------------------------
-# synthesize / synthesize_multi
+# synthesize
 
 
 def test_synthesize_zero_phase_single_source_at_broadside():
@@ -263,33 +263,13 @@ def test_synthesize_complex_gaussian_amplitudes_differ_across_sources():
     assert abs(coef[0] - coef[1]) > 1e-6
 
 
-def test_synthesize_multi_draws_distinct_snapshots():
-    scenario = csdoa.build_scenario([-60.0, 0.0, 40.0], snr_db=0.0)
-    snapshots = csdoa.synthesize_multi(scenario, 3, np.random.default_rng(9))
-    assert len(snapshots) == 3
-    assert not np.array_equal(snapshots[0].data, snapshots[1].data)
-    assert not np.array_equal(snapshots[1].data, snapshots[2].data)
-
-
-def test_synthesize_multi_single_matches_synthesize():
-    scenario = csdoa.build_scenario([-60.0, 0.0, 40.0], snr_db=0.0)
-    multi = csdoa.synthesize_multi(scenario, 1, np.random.default_rng(9))
-    single = csdoa.synthesize(scenario, np.random.default_rng(9))
-    assert np.array_equal(multi[0].data, single.data)
-
-
-def test_synthesize_multi_fully_coherent_snapshots_are_rank_one():
+def test_synthesize_fully_coherent_snapshots_are_rank_one():
     scenario = csdoa.build_scenario(
         [-60.0, 40.0], coherent_groups=[(0, 1)], snr_db=float("inf")
     )
-    snapshots = csdoa.synthesize_multi(scenario, 2, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    snapshots = [csdoa.synthesize(scenario, rng) for _ in range(2)]
     stacked = np.vstack([s.data for s in snapshots])
     gram = stacked @ stacked.conj().T
     rel_det = abs(np.linalg.det(gram)) / (gram[0, 0].real * gram[1, 1].real)
     assert rel_det < 1e-10
-
-
-def test_synthesize_multi_rejects_nonpositive_count():
-    scenario = csdoa.build_scenario([0.0])
-    with pytest.raises(ValueError):
-        csdoa.synthesize_multi(scenario, 0, np.random.default_rng(0))

@@ -1,18 +1,34 @@
 """End-to-end tests for the command-line interface (run in-process)."""
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import csdoa
 from csdoa import cli
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(argv, capsys):
     code = cli.main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"meta.json is not strict JSON: it holds {name}")
+
+
+def read_meta(directory):
+    """A run's meta.json, which must be strict JSON (no NaN or Infinity)."""
+    text = (Path(directory) / "meta.json").read_text(encoding="utf-8")
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +121,18 @@ def test_descending_snr_sweep_is_a_usage_error(tmp_path, capsys):
     assert "--snr-sweep" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_nonfinite_spacing_is_a_usage_error(tmp_path, capsys, value):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        ["spectrum", "--sources", "0", "--spacing", value, "--out", out_dir], capsys
+    )
+    assert code == 2
+    assert "spacing" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # spectrum command
 
@@ -121,7 +149,7 @@ def test_spectrum_writes_csv_and_meta(tmp_path, capsys):
     assert lines[-1].startswith("90,")
     assert str(tmp_path / "spectrum.csv") in out
     assert str(tmp_path / "meta.json") in out
-    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta = read_meta(tmp_path)
     assert meta["tool"] == "csdoa"
     assert meta["version"] == csdoa.__version__
     assert meta["command"] == "spectrum"
@@ -172,7 +200,7 @@ def test_synth_writes_snapshot(tmp_path, capsys):
         values = [float(v) for v in line.split(",")[1:]]
         data, clean, noise = values[0] + 1j * values[1], values[2] + 1j * values[3], values[4] + 1j * values[5]
         assert abs(data - (clean + noise)) < 1e-9
-    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta = read_meta(tmp_path)
     assert meta["command"] == "synth"
     assert set(meta["summary"]) == {"data_norm", "clean_norm", "noise_norm"}
 
@@ -190,7 +218,7 @@ def test_synth_records_one_based_coherent_groups(tmp_path, capsys):
         ["synth", "--sources", "-60,0,40", "--coherent", "2,3", "--out", tmp_path], capsys
     )
     assert code == 0
-    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta = read_meta(tmp_path)
     assert meta["scenario"]["coherent"] == [[2, 3]]
 
 
@@ -213,7 +241,7 @@ def test_montecarlo_writes_rmse_curve(tmp_path, capsys):
     )
     assert len(lines) == 8
     assert [line.split(",")[0] for line in lines[1:]] == ["-10", "-5", "0", "5", "10", "15", "20"]
-    meta = json.loads((tmp_path / "meta.json").read_text())
+    meta = read_meta(tmp_path)
     assert meta["command"] == "montecarlo"
     assert meta["sweep"] == {"trials": 5, "snr_sweep": "-10:20:5"}
     assert meta["scenario"]["measurements"] == 7
@@ -269,8 +297,8 @@ def test_montecarlo_from_meta_reproduces_run(tmp_path, capsys):
     )
     assert code == 0
     assert (first / "rmse.csv").read_bytes() == (again / "rmse.csv").read_bytes()
-    first_meta = json.loads((first / "meta.json").read_text())
-    again_meta = json.loads((again / "meta.json").read_text())
+    first_meta = read_meta(first)
+    again_meta = read_meta(again)
     assert first_meta["scenario"] == again_meta["scenario"]
     assert first_meta["sweep"] == again_meta["sweep"]
 
@@ -311,10 +339,7 @@ def test_reused_parser_forgets_coherent_groups(tmp_path, capsys, parser_builds):
     args = ["synth", "--sources", "-60,0,40"]
     assert run_cli(args + ["--coherent", "2,3", "--out", tmp_path / "a"], capsys)[0] == 0
     assert run_cli(args + ["--out", tmp_path / "b"], capsys)[0] == 0
-    coherent = [
-        json.loads((tmp_path / run / "meta.json").read_text())["scenario"]["coherent"]
-        for run in ("a", "b")
-    ]
+    coherent = [read_meta(tmp_path / run)["scenario"]["coherent"] for run in ("a", "b")]
     assert coherent == [[[2, 3]], []]
     assert len(parser_builds) == 1
 
@@ -331,8 +356,8 @@ def test_run_after_a_usage_error_matches_a_first_run(tmp_path, capsys, parser_bu
     assert not (tmp_path / "bad").exists()
     first, again = tmp_path / "first", tmp_path / "again"
     assert (first / "rmse.csv").read_bytes() == (again / "rmse.csv").read_bytes()
-    first_meta = json.loads((first / "meta.json").read_text())
-    again_meta = json.loads((again / "meta.json").read_text())
+    first_meta = read_meta(first)
+    again_meta = read_meta(again)
     del first_meta["duration_seconds"], again_meta["duration_seconds"]
     assert first_meta == again_meta
     assert len(parser_builds) == 1
@@ -348,8 +373,137 @@ def test_negative_values_parse_on_every_call(tmp_path, capsys, parser_builds):
             capsys,
         )
         assert code == 0, err
-        meta = json.loads((tmp_path / str(k) / "meta.json").read_text())
+        meta = read_meta(tmp_path / str(k))
         assert meta["scenario"]["sources"] == [-60.0, 60.0]
         assert meta["scenario"]["grid"] == [-90.0, 90.0, 1.0]
         assert meta["sweep"]["snr_sweep"] == "-10:20:5"
     assert len(parser_builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# the serialized Scenario: meta.json's scenario block
+
+
+@st.composite
+def scenarios(draw):
+    """Valid CLI-reachable Scenarios, every meta.json key varied."""
+    degrees = draw(st.lists(st.integers(-90, 90), min_size=1, max_size=3, unique=True))
+    half_degree_grid = draw(st.booleans())
+    if half_degree_grid:  # off the whole degrees, except +90 endfire
+        sources = [d + 0.5 if d < 90 else 90.0 for d in degrees]
+    else:
+        sources = [float(d) for d in degrees]
+    # Any partition: sources with one label share an amplitude.
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(sources), max_size=len(sources)))
+    groups = [[i for i, label in enumerate(labels) if label == g] for g in set(labels)]
+    identity = draw(st.booleans())
+    sensors = draw(st.integers(8, 16))
+    return csdoa.build_scenario(
+        sources,
+        num_sensors=sensors,
+        spacing_over_wavelength=draw(st.floats(0.05, 1.0)),
+        grid_spec=(-90.0, 90.0, 0.5 if half_degree_grid else 1.0),
+        coherent_groups=groups,
+        amplitude_model=draw(st.sampled_from(csdoa.AMPLITUDE_MODELS)),
+        snr_db=draw(st.one_of(st.floats(-20.0, 40.0), st.just(math.inf))),
+        measurement_kind="identity" if identity else "gaussian",
+        num_measurements=sensors if identity else None,
+        algorithms=draw(st.lists(st.sampled_from(csdoa.ALGORITHMS), min_size=1, max_size=3)),
+        max_iterations=draw(st.sampled_from([None, 60])),
+        residual_tol=draw(st.sampled_from([1e-6, 1e-3])),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(scenario=scenarios())
+@example(scenario=csdoa.build_scenario(
+    [-60.0, 0.0, 40.0], coherent_groups=[[2, 1]], snr_db=math.inf,
+    algorithms=["cosamp", "omp", "omp"], seed=7,
+))
+@example(scenario=csdoa.build_scenario(
+    [0.0], snr_db=-3.7, measurement_kind="identity", algorithms=["omp"],
+))
+def test_scenario_round_trips_through_json(scenario):
+    written = cli._scenario_to_dict(scenario)
+    loaded = cli._scenario_from_dict(json.loads(json.dumps(written, allow_nan=False)))
+    assert cli._scenario_to_dict(loaded) == written
+    first, again = csdoa.run_single(scenario), csdoa.run_single(loaded)
+    assert list(again.runs) == list(first.runs)
+    for algorithm, run in first.runs.items():
+        assert again.runs[algorithm].spectrum.power.tobytes() == run.spectrum.power.tobytes()
+
+
+def test_meta_scenario_block_is_canonical(tmp_path, capsys):
+    code, _, _ = run_cli(
+        ["montecarlo", "--sources", "-60,0,40", "--coherent", "3,2", "--algo", "cosamp,omp,omp",
+         "--noise", "off", "--trials", "3", "--out", tmp_path / "mc"],
+        capsys,
+    )
+    assert code == 0
+    scenario = read_meta(tmp_path / "mc")["scenario"]
+    assert scenario["algorithms"] == ["cosamp", "omp"]
+    assert scenario["coherent"] == [[2, 3]]
+    assert scenario["noise"] == "off" and scenario["snr_db"] is None
+    assert (scenario["measurements"], scenario["max_iterations"], scenario["residual_tol"]) == (
+        10, 50, 1e-6
+    )
+
+    code, _, _ = run_cli(
+        ["spectrum", "--sources", "-60,0,40", "--snr-db", "inf", "--out", tmp_path / "inf"],
+        capsys,
+    )
+    assert code == 0
+    scenario = read_meta(tmp_path / "inf")["scenario"]
+    assert scenario["noise"] == "off" and scenario["snr_db"] is None
+
+
+def test_infinite_snr_sweeps_like_noise_off(tmp_path, capsys):
+    args = ["montecarlo", "--sources", "-60,60", "--trials", "4", "--snr-sweep", "0:10:5"]
+    assert run_cli(args + ["--snr-db", "inf", "--out", tmp_path / "inf"], capsys)[0] == 0
+    assert run_cli(args + ["--noise", "off", "--out", tmp_path / "off"], capsys)[0] == 0
+    first, again = tmp_path / "inf", tmp_path / "off"
+    assert (first / "rmse.csv").read_text().splitlines()[1].startswith("inf,")
+    assert (first / "rmse.csv").read_bytes() == (again / "rmse.csv").read_bytes()
+    assert read_meta(first)["scenario"] == read_meta(again)["scenario"]
+
+
+def test_earlier_meta_reproduces_its_csv(tmp_path, capsys):
+    # Written by the CLI before meta.json came from the Scenario: it holds the
+    # flags as typed (--coherent 3,2 --algo cosamp,omp,omp) and a noiseless
+    # run's unused snr_db.
+    fixture = DATA / "noiseless_coherent"
+    code, _, _ = run_cli(
+        ["montecarlo", "--from-meta", fixture / "meta.json", "--out", tmp_path], capsys
+    )
+    assert code == 0
+    assert (tmp_path / "rmse.csv").read_bytes() == (fixture / "rmse.csv").read_bytes()
+    written = read_meta(tmp_path)
+    assert written["scenario"]["algorithms"] == ["cosamp", "omp"]
+    assert written["scenario"]["coherent"] == [[2, 3]]
+    assert written["sweep"] == read_meta(fixture)["sweep"]
+
+
+def _without_seed(meta):
+    del meta["scenario"]["seed"]
+    return json.dumps(meta)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(lambda meta: "{not json", id="not-json"),
+        pytest.param(lambda meta: "[]", id="not-an-object"),
+        pytest.param(lambda meta: json.dumps({"sweep": meta["sweep"]}), id="no-scenario"),
+        pytest.param(_without_seed, id="no-seed"),
+    ],
+)
+def test_bad_from_meta_is_a_usage_error(tmp_path, capsys, text):
+    meta = tmp_path / "meta.json"
+    meta.write_text(text(read_meta(DATA / "noiseless_coherent")))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["montecarlo", "--from-meta", meta, "--out", out_dir], capsys)
+    assert code == 2
+    assert err.startswith("csdoa: error:")
+    assert out == ""
+    assert not out_dir.exists()

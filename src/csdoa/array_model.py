@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     AngleOutOfRangeError,
     EmptyGridError,
+    InstanceTooLargeError,
     NonPositiveStepError,
     OffGridSourceError,
 )
@@ -118,13 +119,17 @@ def make_grid(start_deg: float, stop_deg: float, step_deg: float) -> AngleGrid:
     The grid holds ``floor((stop - start) / step) + 1`` points and must lie
     inside [-90, 90] degrees.
     """
-    if step_deg <= 0:
-        raise NonPositiveStepError(f"step_deg must be > 0, got {step_deg}")
+    if not 0 < step_deg < math.inf:
+        raise NonPositiveStepError(f"step_deg must be finite and > 0, got {step_deg}")
+    if not (math.isfinite(start_deg) and math.isfinite(stop_deg)):
+        raise AngleOutOfRangeError(f"grid bounds must be finite, got {start_deg}, {stop_deg}")
     if start_deg > stop_deg:
         raise EmptyGridError(f"start_deg {start_deg} exceeds stop_deg {stop_deg}")
     # Small forward nudge so ratios that round just below an integer still count.
-    count = int(math.floor((stop_deg - start_deg) / step_deg + 1e-9)) + 1
-    angles = start_deg + step_deg * np.arange(count)
+    span = (stop_deg - start_deg) / step_deg + 1e-9
+    if math.isinf(span):
+        raise InstanceTooLargeError(f"grid {start_deg}:{stop_deg}:{step_deg} has too many points")
+    angles = start_deg + step_deg * np.arange(int(math.floor(span)) + 1)
     if angles[0] < -90.0 or angles[-1] > 90.0 + 1e-12:
         raise AngleOutOfRangeError("grid angles must lie in [-90, 90] degrees")
     return AngleGrid(float(start_deg), float(stop_deg), float(step_deg), angles)

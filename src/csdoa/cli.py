@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -56,6 +57,8 @@ def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"{flag} expects numeric lo:hi:step, got {text!r}") from None
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ValueError(f"{flag} expects finite lo:hi:step, got {text!r}")
     return lo, hi, step
 
 
@@ -98,8 +101,10 @@ def _expand_sweep(triple: tuple[float, float, float]) -> list[float]:
         raise ValueError("--snr-sweep step must be > 0")
     if lo > hi:
         raise ValueError("--snr-sweep low end exceeds high end")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + step * k for k in range(count)]
+    span = (hi - lo) / step + 1e-9
+    if math.isinf(span):
+        raise ValueError("--snr-sweep has too many points to count")
+    return [lo + step * k for k in range(int(math.floor(span)) + 1)]
 
 
 def _scenario_flags() -> argparse.ArgumentParser:
@@ -269,6 +274,26 @@ def _json_safe(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
+def _overwrite(path: Path, text: str) -> None:
+    """Write ``text`` as UTF-8 into ``path`` in place, creating it if needed.
+
+    No ``O_TRUNC`` and no temporary file: on ext4, closing a file that was
+    truncated to zero or renamed over another forces its writeback. Like
+    ``O_TRUNC``, this keeps the inode, its mode and owner, follows a symlink
+    and leaves a hard link shared; a longer old file is cut to the new length.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _write_run(
     args: argparse.Namespace,
     csv_name: str,
@@ -280,7 +305,7 @@ def _write_run(
 ) -> int:
     """Write the run's CSV and meta.json into ``--out``, print both paths, and return 0."""
     csv_path, meta_path = Path(args.out) / csv_name, Path(args.out) / "meta.json"
-    csv_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    _overwrite(csv_path, "".join(line + "\n" for line in lines))
     meta = {
         "tool": "csdoa",
         "version": __version__,
@@ -291,7 +316,7 @@ def _write_run(
     }
     if sweep is not None:
         meta["sweep"] = sweep
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _overwrite(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(csv_path)
     print(meta_path)
     return 0
@@ -333,7 +358,6 @@ def _snapshot_lines(data: np.ndarray, clean: np.ndarray, noise: np.ndarray) -> l
 
 
 def cmd_spectrum(args: argparse.Namespace, scenario: Scenario) -> int:
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     result = run_single(scenario)
     duration = time.perf_counter() - started
@@ -358,7 +382,6 @@ def cmd_montecarlo(
     snr_sweep: str,
     snr_points: list[float],
 ) -> int:
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     curve = run_monte_carlo(scenario, snr_points, trials, workers=args.workers)
     duration = time.perf_counter() - started
@@ -378,7 +401,6 @@ def cmd_montecarlo(
 
 
 def cmd_synth(args: argparse.Namespace, scenario: Scenario) -> int:
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     data_seed, _ = trial_seeds(scenario.seed, 0, 0)
     snapshot = synthesize(scenario, np.random.default_rng(data_seed))
@@ -426,6 +448,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"csdoa: error: {exc}", file=sys.stderr)
         return 2
     try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         return args.func(args, scenario, *run)
     except (CsdoaError, OSError, ValueError) as exc:
         print(f"csdoa: error: {exc}", file=sys.stderr)

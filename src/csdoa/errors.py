@@ -6,7 +6,7 @@ class CsdoaError(Exception):
 
 
 class NonPositiveStepError(CsdoaError, ValueError):
-    """Grid step must be strictly positive."""
+    """Grid step must be finite and strictly positive."""
 
 
 class EmptyGridError(CsdoaError, ValueError):
@@ -30,4 +30,4 @@ class RankDeficientError(CsdoaError, ArithmeticError):
 
 
 class InstanceTooLargeError(CsdoaError, ValueError):
-    """Exhaustive search would exceed the enumeration guard."""
+    """Problem too large to set up: an exhaustive search or an uncountable grid."""

@@ -1,5 +1,7 @@
 """Tests for the angle grid, steering vectors, and snapshot synthesis."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,23 @@ def test_make_grid_rejects_bad_steps():
         csdoa.make_grid(-90.0, 90.0, 0.0)
     with pytest.raises(csdoa.NonPositiveStepError):
         csdoa.make_grid(-90.0, 90.0, -1.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("position", range(3))
+def test_make_grid_rejects_a_nonfinite_bound_or_step(position, value):
+    spec = [-90.0, 90.0, 1.0]
+    spec[position] = value
+    error = csdoa.NonPositiveStepError if position == 2 else csdoa.AngleOutOfRangeError
+    with pytest.raises(error, match="finite"):
+        csdoa.make_grid(*spec)
+
+
+def test_make_grid_rejects_an_uncountable_grid():
+    # Finite parts whose point count overflows a float.
+    for spec in [(-90.0, 1e308, 1e-10), (-90.0, 90.0, 5e-324)]:
+        with pytest.raises(csdoa.InstanceTooLargeError):
+            csdoa.make_grid(*spec)
 
 
 def test_make_grid_rejects_empty_range():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +133,38 @@ def test_nonfinite_spacing_is_a_usage_error(tmp_path, capsys, value):
     assert "spacing" in err
     assert out == ""
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize(
+    "command, flag, valid",
+    [("spectrum", "--grid", "-90:90:1"), ("montecarlo", "--snr-sweep", "0:10:5")],
+)
+def test_nonfinite_triple_is_a_usage_error(tmp_path, capsys, command, flag, valid, position, value):
+    parts = valid.split(":")
+    parts[position] = value
+    extra = ["--trials", "1"] if command == "montecarlo" else []
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(
+        [command, "--sources", "0", *extra, f"{flag}={':'.join(parts)}", "--out", out_dir],
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith(f"csdoa: error: {flag} expects finite lo:hi:step")
+    assert "Traceback" not in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_uncountable_snr_sweep_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(
+        ["montecarlo", "--sources", "0", "--snr-sweep=-1e308:1e308:1", "--out", tmp_path / "out"],
+        capsys,
+    )
+    assert code == 2
+    assert "--snr-sweep" in err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -507,3 +541,122 @@ def test_bad_from_meta_is_a_usage_error(tmp_path, capsys, text):
     assert err.startswith("csdoa: error:")
     assert out == ""
     assert not out_dir.exists()
+
+
+# ---------------------------------------------------------------------------
+# rewriting outputs in place
+
+RUNS = {
+    "spectrum": ("spectrum.csv", ["spectrum", "--sources", "-60,0,40", "--seed", "2"]),
+    "montecarlo": (
+        "rmse.csv",
+        ["montecarlo", "--sources", "-60,60", "--trials", "3", "--snr-sweep", "0:10:5",
+         "--seed", "2"],
+    ),
+    "synth": ("snapshot.csv", ["synth", "--sources", "-60,0,40", "--coherent", "2,3", "--seed", "2"]),
+}
+
+
+def without_duration(directory):
+    meta = read_meta(directory)
+    del meta["duration_seconds"]
+    return meta
+
+
+@pytest.mark.parametrize("junk_lines", [1, 20_000])
+@pytest.mark.parametrize("command", sorted(RUNS))
+def test_rerun_into_a_used_out_matches_a_fresh_run(tmp_path, capsys, command, junk_lines):
+    csv_name, argv = RUNS[command]
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    used.mkdir()
+    for name in (csv_name, "meta.json"):
+        (used / name).write_text("jünk,\n" * junk_lines, encoding="utf-8")
+    assert run_cli(argv + ["--out", fresh], capsys)[0] == 0
+    assert run_cli(argv + ["--out", used], capsys)[0] == 0
+    assert (used / csv_name).read_bytes() == (fresh / csv_name).read_bytes()
+    assert without_duration(used) == without_duration(fresh)
+    assert sorted(p.name for p in used.iterdir()) == sorted([csv_name, "meta.json"])
+
+
+def test_rewrite_keeps_the_inode_mode_and_hard_links(tmp_path, capsys):
+    # A temporary file renamed over the output would fail this.
+    csv_name, argv = RUNS["montecarlo"]
+    out_dir = tmp_path / "out"
+    assert run_cli(argv + ["--out", out_dir], capsys)[0] == 0
+    written = (out_dir / csv_name).read_bytes()
+    (out_dir / csv_name).write_text("junk\n" * 1000)
+    links = {}
+    for name in (csv_name, "meta.json"):
+        (out_dir / name).chmod(0o600)
+        links[name] = tmp_path / f"link-{name}"
+        os.link(out_dir / name, links[name])
+    before = {name: (out_dir / name).stat() for name in links}
+    assert run_cli(argv + ["--out", out_dir], capsys)[0] == 0
+    for name, link in links.items():
+        after = (out_dir / name).stat()
+        assert after.st_ino == before[name].st_ino
+        assert stat.S_IMODE(after.st_mode) == 0o600
+        assert link.read_bytes() == (out_dir / name).read_bytes()
+    assert (out_dir / csv_name).read_bytes() == written
+
+
+def test_rewrite_writes_through_a_symlink(tmp_path, capsys):
+    csv_name, argv = RUNS["montecarlo"]
+    assert run_cli(argv + ["--out", tmp_path / "fresh"], capsys)[0] == 0
+    target = tmp_path / "elsewhere.csv"
+    target.write_text("junk\n" * 1000)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / csv_name).symlink_to(target)
+    assert run_cli(argv + ["--out", out_dir], capsys)[0] == 0
+    assert (out_dir / csv_name).is_symlink()
+    assert os.readlink(out_dir / csv_name) == str(target)
+    assert target.read_bytes() == (tmp_path / "fresh" / csv_name).read_bytes()
+
+
+def test_rewrite_opens_each_output_once_without_truncating(tmp_path, capsys, monkeypatch):
+    csv_name, argv = RUNS["spectrum"]
+    assert run_cli(argv + ["--out", tmp_path], capsys)[0] == 0
+    opened = []
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        if Path(path).parent == tmp_path:
+            opened.append((Path(path).name, flags & os.O_TRUNC))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert run_cli(argv + ["--out", tmp_path], capsys)[0] == 0
+    assert opened == [(csv_name, 0), ("meta.json", 0)]
+
+
+def test_csv_path_that_is_a_directory_is_a_runtime_error(tmp_path, capsys):
+    csv_name, argv = RUNS["montecarlo"]
+    (tmp_path / csv_name).mkdir()
+    code, out, err = run_cli(argv + ["--out", tmp_path], capsys)
+    assert code == 1
+    assert err.startswith("csdoa: error:")
+    assert "Traceback" not in err
+    assert out == ""
+
+
+@settings(max_examples=40, deadline=None)
+@given(old=st.text(), new=st.text())
+@example(old="x" * 5000, new="")
+@example(old="", new="\u00e9\u2202\U0001f600\n")
+@example(old="\u00e9" * 3, new="e" * 3)
+def test_overwrite_leaves_exactly_the_new_text(tmp_path_factory, old, new):
+    path = tmp_path_factory.mktemp("overwrite") / "out.txt"
+    cli._overwrite(path, old)
+    cli._overwrite(path, new)
+    assert path.read_bytes() == new.encode("utf-8")
+
+
+def test_overwrite_finishes_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:7])))
+    path = tmp_path / "out.txt"
+    text = "theta_deg,power_omp\n" * 50
+    cli._overwrite(path, "junk" * 1000)
+    cli._overwrite(path, text)
+    assert path.read_text(encoding="utf-8") == text

@@ -32,7 +32,7 @@ from .array_model import (
     make_grid,
     snapshot_stack,
 )
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, InstanceTooLargeError
 from .recovery import SolverConfig, StackedEstimate, cosamp_stack, omp_stack
 from .seeding import pcg64_states, stream_seeds
 from .sensing import (
@@ -40,6 +40,7 @@ from .sensing import (
     IDENTITY,
     MEASUREMENT_KINDS,
     MeasurementMatrix,
+    _system_into,
     build_sensing_system,
     compress,
     gaussian_entries,
@@ -54,17 +55,30 @@ ALGORITHMS = (OMP, COSAMP)
 _STACK_SOLVERS = {OMP: omp_stack, COSAMP: cosamp_stack}
 
 # Most trials one stacked solve holds: a bound on the stacks' memory. At 15
-# sensors, m <= 10 and 181 atoms a sweep's traced peak grows by about 45-65 KiB
-# a trial of chunk (3.0-4.1 MiB at 64); the time per trial stops falling near
-# 32-64, and 128 is no faster than 64.
+# sensors, m <= 10 and 181 atoms a thread's first sweep has a traced peak that
+# grows by about 65-80 KiB a trial of chunk (4.0-5.1 MiB at 64, the kept Psi
+# buffers included); the time per trial stops falling near 32-64, and 128 is
+# no faster than 64.
 CHUNK_TRIALS = 64
+
+# Largest Psi stack, (CHUNK_TRIALS, m, grid points) complex, that a Scenario
+# may need: 1 GiB. A finer grid is refused before any work starts.
+MAX_PSI_STACK_BYTES = 2**30
+
+# Largest Psi stack a thread keeps between chunks, with a scratch buffer of
+# the same size: CHUNK_TRIALS trials of the default 181-atom grid at m <= 15
+# (2.8 MB each). A freed Psi-sized pair is returned to the OS by glibc and
+# faulted back in by the next chunk; a larger stack is allocated per chunk,
+# so a fine grid does not pin its buffers in the thread.
+KEPT_PSI_BYTES = CHUNK_TRIALS * 15 * 181 * 16
 
 # Largest sweep or trial position: each is one 32-bit word of a trial's seed entropy.
 _MAX_INDEX = 2**32 - 1
 
-# Each thread's one generator for the raw draws. Every stream sets its full
-# state before drawing, so reusing it is safe; building one per chunk would
-# seed a PCG64 from OS entropy only to overwrite it at once.
+# Each thread's one generator for the raw draws and its kept Psi buffers.
+# Every stream sets its full state before drawing, so reusing the generator is
+# safe; building one per chunk would seed a PCG64 from OS entropy only to
+# overwrite it at once.
 _THREAD = threading.local()
 
 
@@ -132,6 +146,14 @@ class Scenario:
                 raise ValueError("omp needs max_iterations >= sparsity")
         if COSAMP in self.algorithms and 2 * self.solver.sparsity > m:
             raise ValueError(f"cosamp needs 2 * sparsity <= {m} measurements")
+        points = len(self.grid.angles_deg)
+        stack_bytes = CHUNK_TRIALS * m * points * 16
+        if stack_bytes > MAX_PSI_STACK_BYTES:
+            raise InstanceTooLargeError(
+                f"a {CHUNK_TRIALS}-trial Psi stack at m = {m} on {points} grid points "
+                f"needs {stack_bytes / 2**30:.3g} GiB, over the "
+                f"{MAX_PSI_STACK_BYTES / 2**30:.3g} GiB limit; use a coarser grid"
+            )
 
 
 @dataclass(eq=False)
@@ -277,6 +299,22 @@ def _generator() -> np.random.Generator:
     return rng
 
 
+def _psi_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+    """This thread's kept Psi and scratch buffers as ``shape`` views, or None past the cap.
+
+    The buffers grow to the largest stack asked for, up to ``KEPT_PSI_BYTES``;
+    a smaller stack takes a leading slice. Only ``_run_trials`` may use them,
+    and no view of them may leave it.
+    """
+    size = math.prod(shape)
+    if 16 * size > KEPT_PSI_BYTES:
+        return None
+    kept = getattr(_THREAD, "psi", None)
+    if kept is None or kept[0].size < size:
+        kept = _THREAD.psi = (np.empty(size, complex), np.empty(size, complex))
+    return kept[0][:size].reshape(shape), kept[1][:size].reshape(shape)
+
+
 def _draw_trials(
     scenario: Scenario,
     snr_db: tuple[float, ...],
@@ -335,7 +373,12 @@ def _run_trials(
     belongs to the ``a``-th algorithm's estimate of ``tasks[k]``.
     """
     snapshots, phi = _draw_trials(scenario, snr_db, manifold, tasks)
-    system = build_sensing_system(phi, manifold)
+    # Psi goes into this thread's kept buffers; nothing returned holds a view of them.
+    buffers = _psi_buffers(phi.entries.shape[:-1] + manifold.shape[-1:])
+    if buffers is None:
+        system = build_sensing_system(phi, manifold)
+    else:
+        system = _system_into(phi, manifold, *buffers)
     y = compress(phi, snapshots[0])
     estimates = {
         algorithm: _STACK_SOLVERS[algorithm](system, y, scenario.solver)

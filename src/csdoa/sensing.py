@@ -69,14 +69,20 @@ class SensingSystem:
     column_norms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        self._derive()
+
+    def _derive(
+        self, psi_out: np.ndarray | None = None, scratch: np.ndarray | None = None
+    ) -> None:
+        """Check the shapes, then compute ``psi`` (into ``psi_out`` if given) and its norms."""
         self.manifold = np.asarray(self.manifold)
         if self.phi.signal_len != self.manifold.shape[0]:
             raise DimensionMismatchError(
                 f"Phi has {self.phi.signal_len} columns but the dictionary has "
                 f"{self.manifold.shape[0]} rows"
             )
-        self.psi = _dictionary(self.phi.entries, self.manifold)
-        self.column_norms = _column_norms(self.psi)
+        self.psi = _dictionary(self.phi.entries, self.manifold, psi_out)
+        self.column_norms = _column_norms(self.psi, scratch)
         if np.any(self.column_norms <= 0.0) or not np.all(np.isfinite(self.column_norms)):
             raise ValueError("every psi column must have a positive finite norm")
 
@@ -148,20 +154,47 @@ def build_sensing_system(phi: MeasurementMatrix, manifold: np.ndarray) -> Sensin
     return SensingSystem(phi, manifold)
 
 
-def _dictionary(entries: np.ndarray, manifold: np.ndarray) -> np.ndarray:
+def _system_into(
+    phi: MeasurementMatrix, manifold: np.ndarray, psi_out: np.ndarray, scratch: np.ndarray
+) -> SensingSystem:
+    """``SensingSystem(phi, manifold)`` with Psi written into ``psi_out``, bit for bit.
+
+    ``psi_out`` and ``scratch`` are C-contiguous and shaped as Psi; the norms
+    use ``scratch`` for their Psi-sized temporary. The result's ``psi`` is
+    ``psi_out``, so it is valid only until the caller reuses that buffer.
+    """
+    system = object.__new__(SensingSystem)
+    system.phi, system.manifold = phi, manifold
+    system._derive(psi_out, scratch)
+    return system
+
+
+def _dictionary(
+    entries: np.ndarray, manifold: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Phi A for one Phi or a (T, m, N) stack, as one 2-D product over all T*m rows.
 
     One product is cheaper than T stacked ones. Each row of it is the dot
     products of one row of Phi, and each trial's rows round as that trial's
-    own ``phi @ manifold`` does (the tests check this bit for bit).
+    own ``phi @ manifold`` does (the tests check this bit for bit). With
+    ``out`` (C-contiguous, Psi's shape) the product is written there.
     """
-    product = entries.reshape(-1, entries.shape[-1]) @ manifold
-    return product.reshape(entries.shape[:-1] + manifold.shape[-1:])
+    rows = entries.reshape(-1, entries.shape[-1])
+    if out is None:
+        return (rows @ manifold).reshape(entries.shape[:-1] + manifold.shape[-1:])
+    np.matmul(rows, manifold, out=out.reshape(rows.shape[0], -1))
+    return out
 
 
-def _column_norms(psi: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(psi, axis=-2)`` bit for bit, with one psi-sized temporary, not two."""
-    power = psi.conj()
+def _column_norms(psi: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``np.linalg.norm(psi, axis=-2)`` bit for bit, with one Psi-sized temporary.
+
+    ``linalg.norm`` computes ``(psi.conj() * psi).real`` and makes two: the
+    conjugate and the product. Here the conjugate is multiplied by ``psi`` in
+    place, the same operation in the same order, and its real parts are
+    summed through a view. The temporary is ``scratch`` when given
+    (C-contiguous, Psi's shape), otherwise a new array.
+    """
+    power = np.conjugate(psi, out=scratch)
     power *= psi
     return np.sqrt(np.add.reduce(power.real, axis=-2))
-

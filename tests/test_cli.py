@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csdoa
-from csdoa import cli
+from csdoa import cli, experiments
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,6 +165,24 @@ def test_uncountable_snr_sweep_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert "--snr-sweep" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_psi_stack_over_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # The default grid at a limit below its 64-trial Psi stack stands in for
+    # a fine --grid, which would need gigabytes.
+    first = tmp_path / "first"
+    assert run_cli(["montecarlo", "--sources", "-60,60", "--trials", "1", "--out", first],
+                   capsys)[0] == 0
+    monkeypatch.setattr(experiments, "MAX_PSI_STACK_BYTES", 2**20)
+    for command in (["spectrum"], ["montecarlo", "--trials", "1"], ["synth"]):
+        out_dir = tmp_path / command[0]
+        for source in (["--sources", "-60,60"], ["--from-meta", first / "meta.json"]):
+            code, out, err = run_cli([*command, *source, "--out", out_dir], capsys)
+            assert code == 2
+            assert err.startswith("csdoa: error: a 64-trial Psi stack")
+            assert "GiB limit; use a coarser grid" in err
+            assert out == ""
+            assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for scenario assembly, seeded trials, and Monte Carlo aggregation."""
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -471,3 +472,157 @@ def test_chunk_draws_equal_per_trial_draws(
         single_phi = csdoa.draw_measurement_matrix(*args, seed=phi_seed).entries
         assert _same_bits(phi.entries[k], single_phi)
         assert _same_bits(single_phi, reference_phi(*args, phi_seed))
+
+
+# ---------------------------------------------------------------------------
+# the Psi stack's size bound and each thread's kept Psi buffers
+
+
+def test_scenario_refuses_a_chunk_psi_stack_over_the_limit():
+    # A 1e-4 degree grid: 1.8M points, a 64-trial Psi stack of about 13 GB at
+    # m = 7. Only the grid's angles (14 MB) are allocated before the refusal.
+    with pytest.raises(csdoa.InstanceTooLargeError, match="Psi stack"):
+        csdoa.build_scenario([-60.0, 60.0], grid_spec=(-90.0, 90.0, 1e-4))
+
+
+def test_psi_stack_limit_is_chunk_trials_times_m_times_grid_points():
+    at_limit = experiments.CHUNK_TRIALS * 7 * 181 * 16
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "MAX_PSI_STACK_BYTES", at_limit)
+        csdoa.build_scenario([-60.0, 60.0])
+        mp.setattr(experiments, "MAX_PSI_STACK_BYTES", at_limit - 1)
+        with pytest.raises(csdoa.InstanceTooLargeError, match="Psi stack"):
+            csdoa.build_scenario([-60.0, 60.0])
+
+
+def _psi_spy(monkeypatch) -> list:
+    """Each engine chunk's Psi, as it reaches the OMP solver."""
+    seen = []
+    solve = experiments._STACK_SOLVERS[csdoa.OMP]
+
+    def spy(system, y, config):
+        seen.append(system.psi)
+        return solve(system, y, config)
+
+    monkeypatch.setitem(experiments._STACK_SOLVERS, csdoa.OMP, spy)
+    return seen
+
+
+def _arrays(*objects) -> list:
+    """Every array in ``objects``: arrays, tuples, dicts and dataclasses, searched through."""
+    found = []
+    for obj in objects:
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            found += _arrays(*obj)
+        elif isinstance(obj, dict):
+            found += _arrays(*obj.values())
+        elif dataclasses.is_dataclass(obj):
+            found += _arrays(*(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+    return found
+
+
+def _kept_buffers() -> tuple:
+    return getattr(experiments._THREAD, "psi", ())
+
+
+def test_equal_chunks_build_psi_in_the_threads_kept_storage(monkeypatch):
+    seen = _psi_spy(monkeypatch)
+    scenario = csdoa.build_scenario([-60.0, 60.0], seed=2)
+    csdoa.run_monte_carlo(scenario, [0.0, 10.0], experiments.CHUNK_TRIALS)
+    first, second = seen
+    assert first.shape == second.shape == (experiments.CHUNK_TRIALS, 7, 181)
+    assert first.ctypes.data == second.ctypes.data
+    kept = _kept_buffers()
+    assert np.shares_memory(first, kept[0])
+
+    # Over the cap, a chunk builds Psi in fresh storage and keeps nothing.
+    monkeypatch.setattr(experiments, "KEPT_PSI_BYTES", 10 * 7 * 181 * 16)
+    seen.clear()
+    csdoa.run_monte_carlo(scenario, [0.0], 11)
+    assert seen[0].shape == (11, 7, 181)
+    assert _kept_buffers() is kept
+    assert not any(np.shares_memory(seen[0], buffer) for buffer in kept)
+
+    def kept_after_an_over_cap_sweep() -> tuple:
+        csdoa.run_monte_carlo(scenario, [0.0], 11)
+        return _kept_buffers()
+
+    with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh thread, which keeps nothing
+        assert pool.submit(kept_after_an_over_cap_sweep).result(timeout=60) == ()
+
+
+def test_no_result_shares_memory_with_the_kept_psi_buffers():
+    three = csdoa.build_scenario([-60.0, 0.0, 40.0], coherent_groups=[[1, 2]], seed=4)
+    manifold = csdoa.build_manifold(three.grid, three.geometry)
+    phi = csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=1)
+    held = _arrays(csdoa.build_sensing_system(phi, manifold), csdoa.run_single(three))
+    before = [a.copy() for a in held]
+    scenarios = [
+        (csdoa.build_scenario([-60.0, 60.0], seed=1), [0.0, 20.0], 40),
+        (three, [0.0], 20),
+        (csdoa.build_scenario([-60.0, 60.0], measurement_kind=csdoa.IDENTITY, seed=6),
+         [10.0], 30),
+        (csdoa.build_scenario([-59.5, 30.0], grid_spec=(-90.0, 90.0, 0.5), seed=8), [5.0], 9),
+    ]
+    for scenario, sweep, trials in scenarios:
+        csdoa.run_monte_carlo(scenario, sweep, trials)
+        chunk_manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
+        tasks = [(0, t) for t in range(trials)]
+        returned = _arrays(experiments._run_trials(scenario, tuple(sweep), chunk_manifold, tasks))
+        kept = _kept_buffers()
+        assert kept
+        for array in held + returned:
+            assert not any(np.shares_memory(array, buffer) for buffer in kept)
+    assert all(_same_bits(a, b) for a, b in zip(held, before))
+
+
+def _single_key(result) -> dict:
+    """``per_trial_curve``'s values for a one-trial sweep, from a ``run_single`` result."""
+    key = {}
+    for algorithm, run in result.runs.items():
+        rmse = float(np.sqrt(np.mean(run.record.errors_deg ** 2)))
+        hit = run.record.success
+        key[algorithm] = tuple(
+            (repr(v),) for v in (rmse, rmse if hit else float("nan"), 1.0 if hit else 0.0)
+        )
+    return key
+
+
+def test_kept_psi_buffers_survive_shape_churn_in_one_thread():
+    # One fresh thread runs chunks of many shapes: full and tail chunks, m of
+    # 7, 10 and 15 (the buffers grow), a trial of one, and a stack over the
+    # kept size. Every curve must still be the trial-by-trial one.
+    criterion3 = csdoa.build_scenario([-60.0, 60.0], seed=0)
+    coherent = csdoa.build_scenario([-60.0, 0.0, 40.0], coherent_groups=[[1, 2]], seed=17)
+    identity = csdoa.build_scenario([-60.0, 60.0], measurement_kind=csdoa.IDENTITY, seed=6)
+    single = csdoa.build_scenario([-60.0, 0.0, 40.0], seed=9)
+    runs = {
+        "criterion3": (criterion3, [0.0, 20.0], 70),  # chunks of 64, 64 and 12
+        "coherent": (coherent, [0.0], 20),
+        "identity": (identity, [10.0], 40),
+        "over_cap": (criterion3, [20.0, 0.0], 11),
+    }
+    expected = {name: per_trial_curve(*run) for name, run in runs.items()}
+    expected["single"] = per_trial_curve(single, [single.snr_db], 1)
+    order = ["criterion3", "coherent", "single", "identity", "criterion3", "over_cap",
+             "single", "coherent", "criterion3"]
+
+    def churn() -> dict:
+        got = {}
+        for name in order:
+            if name == "single":
+                got.setdefault(name, []).append(_single_key(csdoa.run_single(single)))
+                continue
+            with pytest.MonkeyPatch.context() as mp:
+                if name == "over_cap":
+                    mp.setattr(experiments, "KEPT_PSI_BYTES", 10 * 7 * 181 * 16)
+                curve = csdoa.run_monte_carlo(*runs[name])
+            got.setdefault(name, []).append(curve_key(curve))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp, ThreadPoolExecutor(max_workers=1) as pool:
+        mp.setattr(experiments, "CHUNK_TRIALS", 64)
+        got = pool.submit(churn).result(timeout=120)
+    assert got == {name: [expected[name]] * order.count(name) for name in expected}

@@ -5,6 +5,7 @@ import pytest
 
 import csdoa
 from conftest import stack_measurements
+from csdoa.sensing import _system_into
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +215,20 @@ def test_stack_measurements_requires_one_shape():
         stack_measurements([gaussian, csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN)])
     with pytest.raises(ValueError):
         csdoa.MeasurementMatrix(np.stack([np.eye(3), 2.0 * np.eye(3)]) + 0j, csdoa.IDENTITY)
+
+
+@pytest.mark.parametrize("m", [7, 15])
+def test_system_built_into_buffers_equals_the_allocating_one(m):
+    # The Monte Carlo engine builds Psi into storage its thread keeps; the
+    # buffers' old contents must not reach Psi or its norms.
+    manifold = _standard_manifold()
+    phis = [csdoa.draw_measurement_matrix(m, 15, csdoa.GAUSSIAN, seed=s) for s in range(4)]
+    phi = stack_measurements(phis)
+    psi_out = np.full((4, m, 181), np.nan + 1j * np.nan)
+    scratch = np.full_like(psi_out, 7.0 - 3.0j)
+    kept = _system_into(phi, manifold, psi_out, scratch)
+    fresh = csdoa.SensingSystem(phi, manifold)
+    assert kept.psi is psi_out
+    assert kept.psi.tobytes() == fresh.psi.tobytes()
+    assert kept.column_norms.tobytes() == fresh.column_norms.tobytes()
+    assert kept.phi is phi and kept.manifold is manifold

@@ -30,4 +30,4 @@ class RankDeficientError(CsdoaError, ArithmeticError):
 
 
 class InstanceTooLargeError(CsdoaError, ValueError):
-    """Problem too large to set up: an exhaustive search or an uncountable grid."""
+    """Problem too large to set up: an exhaustive search, an uncountable grid or a huge Psi."""

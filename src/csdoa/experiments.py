@@ -41,7 +41,6 @@ from .sensing import (
     MEASUREMENT_KINDS,
     MeasurementMatrix,
     _system_into,
-    build_sensing_system,
     compress,
     gaussian_entries,
     min_measurements,
@@ -61,9 +60,11 @@ _STACK_SOLVERS = {OMP: omp_stack, COSAMP: cosamp_stack}
 # no faster than 64.
 CHUNK_TRIALS = 64
 
-# Largest Psi stack, (CHUNK_TRIALS, m, grid points) complex, that a Scenario
-# may need: 1 GiB. A finer grid is refused before any work starts.
-MAX_PSI_STACK_BYTES = 2**30
+# Largest Psi stack, (trials, m, grid points) complex, that one chunk builds:
+# 128 MiB. A chunk takes fewer than CHUNK_TRIALS trials to stay under it
+# (fewer than 64 only past about 8700 grid points at m = 15), and a Scenario
+# whose single trial's Psi would pass it is refused before any work starts.
+MAX_PSI_STACK_BYTES = 2**27
 
 # Largest Psi stack a thread keeps between chunks, with a scratch buffer of
 # the same size: CHUNK_TRIALS trials of the default 181-atom grid at m <= 15
@@ -80,6 +81,11 @@ _MAX_INDEX = 2**32 - 1
 # safe; building one per chunk would seed a PCG64 from OS entropy only to
 # overwrite it at once.
 _THREAD = threading.local()
+
+
+def _psi_trial_bytes(m: int, points: int) -> int:
+    """Bytes of one trial's Psi: m rows of ``points`` complex128 atoms."""
+    return m * points * 16
 
 
 def _check_snr(snr_db: float) -> None:
@@ -147,12 +153,11 @@ class Scenario:
         if COSAMP in self.algorithms and 2 * self.solver.sparsity > m:
             raise ValueError(f"cosamp needs 2 * sparsity <= {m} measurements")
         points = len(self.grid.angles_deg)
-        stack_bytes = CHUNK_TRIALS * m * points * 16
-        if stack_bytes > MAX_PSI_STACK_BYTES:
+        if _psi_trial_bytes(m, points) > MAX_PSI_STACK_BYTES:
             raise InstanceTooLargeError(
-                f"a {CHUNK_TRIALS}-trial Psi stack at m = {m} on {points} grid points "
-                f"needs {stack_bytes / 2**30:.3g} GiB, over the "
-                f"{MAX_PSI_STACK_BYTES / 2**30:.3g} GiB limit; use a coarser grid"
+                f"one trial's Psi at m = {m} on {points} grid points needs "
+                f"{_psi_trial_bytes(m, points) / 2**20:.4g} MiB, over the "
+                f"{MAX_PSI_STACK_BYTES / 2**20:.4g} MiB limit; use a coarser grid"
             )
 
 
@@ -299,16 +304,17 @@ def _generator() -> np.random.Generator:
     return rng
 
 
-def _psi_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray] | None:
-    """This thread's kept Psi and scratch buffers as ``shape`` views, or None past the cap.
+def _psi_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """A Psi buffer and a scratch buffer shaped ``shape``, C-contiguous complex.
 
-    The buffers grow to the largest stack asked for, up to ``KEPT_PSI_BYTES``;
-    a smaller stack takes a leading slice. Only ``_run_trials`` may use them,
-    and no view of them may leave it.
+    Up to ``KEPT_PSI_BYTES`` they are views of this thread's kept pair, which
+    grows to the largest stack asked for; a smaller stack takes a leading
+    slice. Past it they are fresh arrays that the thread does not keep. Only
+    ``_run_trials`` may use the kept pair, and no view of it may leave it.
     """
     size = math.prod(shape)
     if 16 * size > KEPT_PSI_BYTES:
-        return None
+        return np.empty(shape, complex), np.empty(shape, complex)
     kept = getattr(_THREAD, "psi", None)
     if kept is None or kept[0].size < size:
         kept = _THREAD.psi = (np.empty(size, complex), np.empty(size, complex))
@@ -375,10 +381,7 @@ def _run_trials(
     snapshots, phi = _draw_trials(scenario, snr_db, manifold, tasks)
     # Psi goes into this thread's kept buffers; nothing returned holds a view of them.
     buffers = _psi_buffers(phi.entries.shape[:-1] + manifold.shape[-1:])
-    if buffers is None:
-        system = build_sensing_system(phi, manifold)
-    else:
-        system = _system_into(phi, manifold, *buffers)
+    system = _system_into(phi, manifold, *buffers)
     y = compress(phi, snapshots[0])
     estimates = {
         algorithm: _STACK_SOLVERS[algorithm](system, y, scenario.solver)
@@ -450,7 +453,8 @@ def run_monte_carlo(
     successful trials only (NaN when there are none), and the success rate.
 
     The flat list of (point, trial) pairs runs in chunks of at most
-    ``CHUNK_TRIALS`` trials, each solved as one stacked problem; a pool of
+    ``CHUNK_TRIALS`` trials, and fewer when their Psi stack would pass
+    ``MAX_PSI_STACK_BYTES``, each solved as one stacked problem; a pool of
     ``workers`` processes takes whole chunks. Each chunk's rows are copied
     into a ring of point buffers, and the points it completes are aggregated
     together, so memory holds one chunk's stacks and the per-source errors
@@ -469,7 +473,8 @@ def run_monte_carlo(
 
     manifold = build_manifold(scenario.grid, scenario.geometry)
     total = len(sweep) * trials
-    size = CHUNK_TRIALS
+    m, points = scenario.measurement.num_measurements, len(scenario.grid.angles_deg)
+    size = min(CHUNK_TRIALS, MAX_PSI_STACK_BYTES // _psi_trial_bytes(m, points))
     if workers > 1:  # several chunks per worker keep the pool evenly loaded
         size = max(1, min(size, -(-total // (4 * workers))))
     chunks = [range(start, min(start + size, total)) for start in range(0, total, size)]

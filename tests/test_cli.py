@@ -167,22 +167,32 @@ def test_uncountable_snr_sweep_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_psi_stack_over_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    # The default grid at a limit below its 64-trial Psi stack stands in for
-    # a fine --grid, which would need gigabytes.
+def test_trial_psi_over_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # The default grid at a limit below one trial's Psi stands in for a fine
+    # --grid, which would need hundreds of megabytes a trial.
     first = tmp_path / "first"
     assert run_cli(["montecarlo", "--sources", "-60,60", "--trials", "1", "--out", first],
                    capsys)[0] == 0
-    monkeypatch.setattr(experiments, "MAX_PSI_STACK_BYTES", 2**20)
+    monkeypatch.setattr(experiments, "MAX_PSI_STACK_BYTES", 2**14)
     for command in (["spectrum"], ["montecarlo", "--trials", "1"], ["synth"]):
         out_dir = tmp_path / command[0]
         for source in (["--sources", "-60,60"], ["--from-meta", first / "meta.json"]):
             code, out, err = run_cli([*command, *source, "--out", out_dir], capsys)
             assert code == 2
-            assert err.startswith("csdoa: error: a 64-trial Psi stack")
-            assert "GiB limit; use a coarser grid" in err
+            assert err.startswith("csdoa: error: one trial's Psi at m = 7 on 181 grid points")
+            assert "MiB limit; use a coarser grid" in err
             assert out == ""
             assert not out_dir.exists()
+
+
+def test_synth_on_a_fine_grid_within_the_limit_runs(tmp_path, capsys):
+    # A 0.001 degree grid's 64-trial Psi stack would pass the limit, one
+    # trial's does not; synth builds no Psi at all, and its meta replays.
+    first, again = tmp_path / "first", tmp_path / "again"
+    argv = ["synth", "--sources", "-60,60", "--grid=-90:90:0.001"]
+    assert run_cli([*argv, "--out", first], capsys)[0] == 0
+    assert run_cli(["synth", "--from-meta", first / "meta.json", "--out", again], capsys)[0] == 0
+    assert (again / "snapshot.csv").read_bytes() == (first / "snapshot.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

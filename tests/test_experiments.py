@@ -478,21 +478,37 @@ def test_chunk_draws_equal_per_trial_draws(
 # the Psi stack's size bound and each thread's kept Psi buffers
 
 
-def test_scenario_refuses_a_chunk_psi_stack_over_the_limit():
-    # A 1e-4 degree grid: 1.8M points, a 64-trial Psi stack of about 13 GB at
-    # m = 7. Only the grid's angles (14 MB) are allocated before the refusal.
-    with pytest.raises(csdoa.InstanceTooLargeError, match="Psi stack"):
+def test_scenario_refuses_a_trial_psi_over_the_limit():
+    # A 1e-4 degree grid: 1.8M points, one trial's Psi is 192 MiB at m = 7.
+    # Only the grid's angles (14 MB) are allocated before the refusal.
+    with pytest.raises(csdoa.InstanceTooLargeError, match="one trial's Psi"):
         csdoa.build_scenario([-60.0, 60.0], grid_spec=(-90.0, 90.0, 1e-4))
 
 
-def test_psi_stack_limit_is_chunk_trials_times_m_times_grid_points():
-    at_limit = experiments.CHUNK_TRIALS * 7 * 181 * 16
+def test_psi_limit_is_m_times_grid_points():
+    at_limit = 7 * 181 * 16
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "MAX_PSI_STACK_BYTES", at_limit)
         csdoa.build_scenario([-60.0, 60.0])
         mp.setattr(experiments, "MAX_PSI_STACK_BYTES", at_limit - 1)
-        with pytest.raises(csdoa.InstanceTooLargeError, match="Psi stack"):
+        with pytest.raises(csdoa.InstanceTooLargeError, match="one trial's Psi"):
             csdoa.build_scenario([-60.0, 60.0])
+
+
+def test_fine_grid_within_the_limit_builds():
+    # 0.001 degrees: 180,001 points, 20 MB of Psi a trial; a 64-trial stack
+    # would pass the limit, but a chunk takes fewer trials.
+    scenario = csdoa.build_scenario([-60.0, 60.0], grid_spec=(-90.0, 90.0, 1e-3))
+    assert len(scenario.grid.angles_deg) == 180_001
+
+
+def test_chunks_take_fewer_trials_to_keep_psi_under_the_limit(monkeypatch):
+    seen = _psi_spy(monkeypatch)
+    monkeypatch.setattr(experiments, "MAX_PSI_STACK_BYTES", 10 * 7 * 181 * 16 + 1)
+    scenario = csdoa.build_scenario([-60.0, 60.0], seed=3)
+    curve = csdoa.run_monte_carlo(scenario, [0.0, 20.0], 13)
+    assert [psi.shape[0] for psi in seen] == [10, 10, 6]
+    assert curve_key(curve) == per_trial_curve(scenario, [0.0, 20.0], 13)
 
 
 def _psi_spy(monkeypatch) -> list:

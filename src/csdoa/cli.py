@@ -24,17 +24,17 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .array_model import AMPLITUDE_MODELS, UNIT_MODULUS, synthesize
+from .array_model import AMPLITUDE_MODELS, UNIT_MODULUS, build_manifold
 from .errors import CsdoaError
 from .experiments import (
     ALGORITHMS,
     RmseCurve,
     Scenario,
     SingleRunResult,
+    _draw_trials,
     build_scenario,
     run_monte_carlo,
     run_single,
-    trial_seeds,
 )
 from .sensing import GAUSSIAN, IDENTITY
 
@@ -365,10 +365,10 @@ def cmd_spectrum(args: argparse.Namespace, scenario: Scenario) -> int:
     summary = {
         algorithm: {
             "doas_deg": list(run.estimated.doas_deg),
-            "errors_deg": [float(e) for e in run.record.errors_deg],
-            "success": run.record.success,
-            "residual_norm": run.record.residual_norm,
-            "iterations": run.record.iterations,
+            "errors_deg": [float(e) for e in run.errors_deg],
+            "success": run.success,
+            "residual_norm": run.residual_norm,
+            "iterations": run.iterations,
         }
         for algorithm, run in result.runs.items()
     }
@@ -402,16 +402,17 @@ def cmd_montecarlo(
 
 def cmd_synth(args: argparse.Namespace, scenario: Scenario) -> int:
     started = time.perf_counter()
-    data_seed, _ = trial_seeds(scenario.seed, 0, 0)
-    snapshot = synthesize(scenario, np.random.default_rng(data_seed))
+    manifold = build_manifold(scenario.grid, scenario.geometry)
+    snapshots, _ = _draw_trials(scenario, (scenario.snr_db,), manifold, [(0, 0)])
+    data, clean, noise = (stack[0] for stack in snapshots)  # run_single's snapshot
     duration = time.perf_counter() - started
 
     summary = {
-        "data_norm": float(np.linalg.norm(snapshot.data)),
-        "clean_norm": float(np.linalg.norm(snapshot.clean)),
-        "noise_norm": float(np.linalg.norm(snapshot.noise)),
+        "data_norm": float(np.linalg.norm(data)),
+        "clean_norm": float(np.linalg.norm(clean)),
+        "noise_norm": float(np.linalg.norm(noise)),
     }
-    lines = _snapshot_lines(snapshot.data, snapshot.clean, snapshot.noise)
+    lines = _snapshot_lines(data, clean, noise)
     return _write_run(args, "snapshot.csv", lines, scenario, duration, summary)
 
 

@@ -33,7 +33,15 @@ from .array_model import (
     snapshot_stack,
 )
 from .errors import DimensionMismatchError, InstanceTooLargeError
-from .recovery import SolverConfig, StackedEstimate, cosamp_stack, omp_stack
+from .recovery import (
+    COSAMP,
+    OMP,
+    SolverConfig,
+    StackedEstimate,
+    check_config,
+    cosamp_stack,
+    omp_stack,
+)
 from .seeding import pcg64_states, stream_seeds
 from .sensing import (
     GAUSSIAN,
@@ -47,8 +55,6 @@ from .sensing import (
 )
 from .spectrum import AngleSpectrum, DoaEstimate, StackedScores, score_stack
 
-OMP = "omp"
-COSAMP = "cosamp"
 ALGORITHMS = (OMP, COSAMP)
 
 _STACK_SOLVERS = {OMP: omp_stack, COSAMP: cosamp_stack}
@@ -145,13 +151,8 @@ class Scenario:
             raise DimensionMismatchError(
                 f"identity measurement needs m = {self.geometry.num_sensors} sensors, got {m}"
             )
-        if OMP in self.algorithms:
-            if self.solver.sparsity > m:
-                raise ValueError(f"omp needs sparsity <= {m} measurements")
-            if self.solver.max_iterations < self.solver.sparsity:
-                raise ValueError("omp needs max_iterations >= sparsity")
-        if COSAMP in self.algorithms and 2 * self.solver.sparsity > m:
-            raise ValueError(f"cosamp needs 2 * sparsity <= {m} measurements")
+        for name in self.algorithms:
+            check_config(name, self.solver, m)
         points = len(self.grid.angles_deg)
         if _psi_trial_bytes(m, points) > MAX_PSI_STACK_BYTES:
             raise InstanceTooLargeError(
@@ -162,26 +163,19 @@ class Scenario:
 
 
 @dataclass(eq=False)
-class TrialRecord:
-    """Outcome of one algorithm on one trial, scored against the truth."""
+class AlgorithmRun:
+    """One algorithm's spectrum, peak estimate and scores on a single run.
 
-    trial_index: int
-    algorithm: str
+    ``errors_deg`` has one entry per source, by ascending angle, and ``success``
+    is whether every entry is below the grid step.
+    """
+
+    spectrum: AngleSpectrum
     estimated: DoaEstimate
     errors_deg: np.ndarray
     residual_norm: float
     iterations: int
     success: bool
-
-
-@dataclass(eq=False)
-class AlgorithmRun:
-    """Spectrum, peak estimate, and scored record for one algorithm."""
-
-    algorithm: str
-    spectrum: AngleSpectrum
-    estimated: DoaEstimate
-    record: TrialRecord
 
 
 @dataclass(eq=False)
@@ -401,20 +395,17 @@ def run_single(scenario: Scenario) -> SingleRunResult:
     (data, clean, noise), estimates, scores = _run_trials(
         scenario, (scenario.snr_db,), manifold, [(0, 0)]
     )
-    runs = {}
-    for row, (algorithm, estimate) in enumerate(estimates.items()):
-        estimated = scores.estimate(scenario.grid, row)
-        record = TrialRecord(
-            trial_index=0,
-            algorithm=algorithm,
-            estimated=estimated,
+    runs = {
+        algorithm: AlgorithmRun(
+            spectrum=AngleSpectrum(grid=scenario.grid, power=scores.power[row]),
+            estimated=scores.estimate(scenario.grid, row),
             errors_deg=scores.errors_deg[row],
             residual_norm=float(estimate.residual_norm[0]),
             iterations=int(estimate.iterations[0]),
             success=bool(scores.success[row]),
         )
-        spectrum = AngleSpectrum(grid=scenario.grid, power=scores.power[row])
-        runs[algorithm] = AlgorithmRun(algorithm, spectrum, estimated, record)
+        for row, (algorithm, estimate) in enumerate(estimates.items())
+    }
     snapshot = Snapshot(data[0], clean[0], noise[0])
     return SingleRunResult(scenario=scenario, snapshot=snapshot, runs=runs)
 

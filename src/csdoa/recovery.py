@@ -2,8 +2,10 @@
 
 All solvers work on a :class:`~csdoa.sensing.SensingSystem` and return a
 :class:`SparseEstimate` whose coefficient vector is zero off the support.
-Atom selection always uses column-normalized correlations so it is invariant
-to column scaling; the least-squares refits use the raw columns.
+Atom selection uses column-normalized correlations; the least-squares refits
+use the raw columns. Scaling ``y``, or for OMP a column of Psi, by a power of
+two leaves every choice unchanged. CoSaMP's prune keeps the largest raw
+coefficients, so a scaled column can move its support.
 
 OMP and CoSaMP have one implementation each, over a stack of T trials
 (:func:`omp_stack`, :func:`cosamp_stack`): every greedy step runs once for
@@ -30,6 +32,9 @@ RANK_TOL = 1e-10
 # Relative residual improvement below which CoSaMP is considered stalled.
 STAGNATION_TOL = 1e-6
 
+OMP = "omp"
+COSAMP = "cosamp"
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -46,6 +51,16 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.residual_tol < 0:
             raise ValueError("residual_tol must be >= 0")
+
+
+def check_config(algorithm: str, config: SolverConfig, m: int) -> None:
+    """Raise ValueError unless solver ``algorithm`` can run ``config`` on ``m`` measurements."""
+    if algorithm == OMP and config.sparsity > m:
+        raise ValueError(f"omp needs sparsity <= {m} measurements, got {config.sparsity}")
+    if algorithm == OMP and config.max_iterations < config.sparsity:
+        raise ValueError("omp needs max_iterations >= sparsity")
+    if algorithm == COSAMP and 2 * config.sparsity > m:
+        raise ValueError(f"cosamp needs 2 * sparsity <= {m} measurements, got {config.sparsity}")
 
 
 @dataclass(eq=False)
@@ -217,11 +232,7 @@ def omp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> Sta
     hit a rank-deficient fit stop while the others go on.
     """
     y, psi = _stack_inputs(system, y)
-    m = system.num_measurements
-    if config.sparsity > m:
-        raise ValueError(f"sparsity {config.sparsity} exceeds {m} measurements")
-    if config.max_iterations < config.sparsity:
-        raise ValueError("max_iterations must be at least the sparsity budget")
+    check_config(OMP, config, system.num_measurements)
     trials = y.shape[0]
     rows = np.arange(trials)[:, None]
     norm_y = _row_norms(y)
@@ -283,9 +294,8 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
     """
     y, psi = _stack_inputs(system, y)
     m = system.num_measurements
+    check_config(COSAMP, config, m)
     sparsity = config.sparsity
-    if 2 * sparsity > m:
-        raise ValueError(f"cosamp needs 2 * sparsity <= measurements, got {sparsity} vs {m}")
     trials, num_atoms = y.shape[0], system.num_atoms
     keep_count = min(sparsity, num_atoms)
     norm_y = _row_norms(y)

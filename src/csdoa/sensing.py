@@ -22,15 +22,13 @@ MEASUREMENT_KINDS = (GAUSSIAN, IDENTITY)
 
 @dataclass(eq=False)
 class MeasurementMatrix:
-    """Compression operator Phi (m x N) with its provenance.
+    """Compression operator Phi (m x N) and its kind.
 
-    ``entries`` may also be a stack (T, m, N) of T trials' operators; a stack
-    keeps no seed (``seed`` is 0).
+    ``entries`` may also be a stack (T, m, N) of T trials' operators.
     """
 
     entries: np.ndarray
     kind: str
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.entries.ndim not in (2, 3) or self.entries.shape[-2] < 1:
@@ -109,8 +107,8 @@ def draw_measurement_matrix(m: int, n: int, kind: str, seed: int = 0) -> Measure
 
     ``gaussian`` entries are i.i.d. circular complex Gaussian with real and
     imaginary parts N(0, 1/(2m)), giving unit expected column energy.
-    ``identity`` requires m == n and takes no random draws. The seed is kept
-    on the result so a run can be reproduced from its metadata.
+    ``identity`` requires m == n and takes no random draws; ``seed`` seeds
+    the Gaussian draw.
     """
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
@@ -122,7 +120,7 @@ def draw_measurement_matrix(m: int, n: int, kind: str, seed: int = 0) -> Measure
         entries = gaussian_entries(np.random.default_rng(seed).standard_normal((2, m, n)))
     else:
         raise ValueError(f"unknown measurement kind {kind!r}")
-    return MeasurementMatrix(entries=entries, kind=kind, seed=int(seed))
+    return MeasurementMatrix(entries=entries, kind=kind)
 
 
 def gaussian_entries(normals: np.ndarray) -> np.ndarray:

@@ -284,6 +284,38 @@ def test_synth_records_one_based_coherent_groups(tmp_path, capsys):
     assert meta["scenario"]["coherent"] == [[2, 3]]
 
 
+SINGLE_RUNS = {
+    "unit-modulus": ["--sources", "-60,0,40", "--amplitude-model", "unit_modulus"],
+    "complex-gaussian": ["--sources", "-60,0,40", "--amplitude-model", "complex_gaussian"],
+    "coherent": ["--sources", "-60,0,40", "--coherent", "2,3"],
+    "noise-off": ["--sources", "-60,0,40", "--noise", "off"],
+    "identity-phi": ["--sources", "-20,30", "--phi", "identity"],
+    "half-degree-grid": ["--sources", "-20.5,30", "--grid=-90:90:0.5"],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SINGLE_RUNS))
+def test_synth_and_spectrum_write_what_run_single_returns(tmp_path, capsys, variant):
+    flags = SINGLE_RUNS[variant] + ["--seed", "5"]
+    assert run_cli(["synth", *flags, "--out", tmp_path / "synth"], capsys)[0] == 0
+    assert run_cli(["spectrum", *flags, "--out", tmp_path / "spectrum"], capsys)[0] == 0
+    result = csdoa.run_single(cli._scenario_from_dict(read_meta(tmp_path / "synth")["scenario"]))
+    snapshot = result.snapshot
+    lines = cli._snapshot_lines(snapshot.data, snapshot.clean, snapshot.noise)
+    written = (tmp_path / "synth" / "snapshot.csv").read_text(encoding="utf-8")
+    assert written == "".join(line + "\n" for line in lines)
+    assert read_meta(tmp_path / "spectrum")["summary"] == {
+        algorithm: {
+            "doas_deg": list(run.estimated.doas_deg),
+            "errors_deg": run.errors_deg.tolist(),
+            "success": run.success,
+            "residual_norm": run.residual_norm,
+            "iterations": run.iterations,
+        }
+        for algorithm, run in result.runs.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # montecarlo command
 

@@ -130,18 +130,16 @@ def test_run_single_is_deterministic():
     assert np.array_equal(a.snapshot.data, b.snapshot.data)
     for name in scenario.algorithms:
         assert a.runs[name].estimated.doas_deg == b.runs[name].estimated.doas_deg
-        assert a.runs[name].record.residual_norm == b.runs[name].record.residual_norm
-        assert np.array_equal(a.runs[name].record.errors_deg, b.runs[name].record.errors_deg)
+        assert a.runs[name].residual_norm == b.runs[name].residual_norm
+        assert np.array_equal(a.runs[name].errors_deg, b.runs[name].errors_deg)
 
 
 def test_run_single_produces_one_run_per_algorithm():
     scenario = csdoa.build_scenario([-60.0, 0.0, 40.0], snr_db=0.0, seed=1)
     result = csdoa.run_single(scenario)
     assert set(result.runs) == {"omp", "cosamp"}
-    for name, run in result.runs.items():
-        assert run.algorithm == name
-        assert run.record.trial_index == 0
-        assert len(run.record.errors_deg) == 3
+    for run in result.runs.values():
+        assert len(run.errors_deg) == 3
         assert len(run.spectrum.power) == 181
         # spectrum power sits exactly on the estimate's support
         positive = np.nonzero(run.spectrum.power > 0)[0]
@@ -157,9 +155,9 @@ def test_run_single_noiseless_uncompressed_single_source():
         result = csdoa.run_single(scenario)
         for run in result.runs.values():
             assert run.estimated.doas_deg == (0.0,)
-            assert run.record.success
-            assert np.array_equal(run.record.errors_deg, np.zeros(1))
-            assert run.record.residual_norm < 1e-8
+            assert run.success
+            assert np.array_equal(run.errors_deg, np.zeros(1))
+            assert run.residual_norm < 1e-8
 
 
 def test_run_single_survives_solver_failure():
@@ -174,14 +172,14 @@ def test_run_single_survives_solver_failure():
     )
     result = csdoa.run_single(scenario)
     cosamp_run = result.runs["cosamp"]
-    assert not cosamp_run.record.success
+    assert not cosamp_run.success
     assert cosamp_run.estimated.doas_deg == ()
-    assert np.array_equal(cosamp_run.record.errors_deg, np.full(2, 180.0))
-    assert cosamp_run.record.iterations == 0
+    assert np.array_equal(cosamp_run.errors_deg, np.full(2, 180.0))
+    assert cosamp_run.iterations == 0
     assert np.array_equal(cosamp_run.spectrum.power, np.zeros(181))
     omp_run = result.runs["omp"]
-    assert not omp_run.record.success
-    assert sorted(omp_run.record.errors_deg) == [0.0, 180.0]
+    assert not omp_run.success
+    assert sorted(omp_run.errors_deg) == [0.0, 180.0]
 
 
 def test_run_single_success_rates_over_100_seeds():
@@ -192,7 +190,7 @@ def test_run_single_success_rates_over_100_seeds():
             scenario = csdoa.build_scenario([-60.0, 0.0, 40.0], seed=seed, **kwargs)
             result = csdoa.run_single(scenario)
             for name, run in result.runs.items():
-                hits[name] += run.record.success
+                hits[name] += run.success
         return hits
 
     assert count(snr_db=0.0) == {"omp": 0, "cosamp": 0}
@@ -214,10 +212,10 @@ def test_monte_carlo_single_trial_matches_run_single():
     assert curve.trials == 1
     assert curve.snr_points_db == (0.0,)
     for name, agg in curve.per_algorithm.items():
-        errors = np.asarray(single.runs[name].record.errors_deg, dtype=float)
+        errors = np.asarray(single.runs[name].errors_deg, dtype=float)
         expected = float(np.sqrt(np.mean(errors**2)))
         assert abs(agg.rmse_deg[0] - expected) < 1e-12
-        assert agg.success_rate[0] == float(single.runs[name].record.success)
+        assert agg.success_rate[0] == float(single.runs[name].success)
 
 
 def test_monte_carlo_parallel_matches_serial():
@@ -399,10 +397,10 @@ def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
     alone = csdoa.run_single(scenario).runs["cosamp"]
     assert alone.estimated.doas_deg == ()
     assert np.array_equal(alone.spectrum.power, np.zeros(len(scenario.grid)))
-    assert np.array_equal(alone.record.errors_deg, np.full(2, csdoa.MISS_PENALTY_DEG))
-    assert alone.record.iterations == 0
-    assert not alone.record.success
-    assert alone.record.residual_norm == float(np.linalg.norm(csdoa.compress(phi, snapshot.data)))
+    assert np.array_equal(alone.errors_deg, np.full(2, csdoa.MISS_PENALTY_DEG))
+    assert alone.iterations == 0
+    assert not alone.success
+    assert alone.residual_norm == float(np.linalg.norm(csdoa.compress(phi, snapshot.data)))
     tasks = [(0, t) for t in range(6)]
     _, estimates, scores = experiments._run_trials(scenario, (scenario.snr_db,), manifold, tasks)
     estimate, row = estimates["cosamp"], 6  # CoSaMP's rows follow OMP's 6
@@ -411,7 +409,7 @@ def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
     assert np.array_equal(scores.errors_deg[row], np.full(2, csdoa.MISS_PENALTY_DEG))
     assert estimate.iterations[0] == 0
     assert not scores.success[row]
-    assert estimate.residual_norm[0] == alone.record.residual_norm
+    assert estimate.residual_norm[0] == alone.residual_norm
     curve = csdoa.run_monte_carlo(scenario, [-10.0], 1)
     assert curve.per_algorithm["cosamp"].rmse_deg == (csdoa.MISS_PENALTY_DEG,)
     assert curve.per_algorithm["cosamp"].success_rate == (0.0,)
@@ -598,8 +596,8 @@ def _single_key(result) -> dict:
     """``per_trial_curve``'s values for a one-trial sweep, from a ``run_single`` result."""
     key = {}
     for algorithm, run in result.runs.items():
-        rmse = float(np.sqrt(np.mean(run.record.errors_deg ** 2)))
-        hit = run.record.success
+        rmse = float(np.sqrt(np.mean(run.errors_deg ** 2)))
+        hit = run.success
         key[algorithm] = tuple(
             (repr(v),) for v in (rmse, rmse if hit else float("nan"), 1.0 if hit else 0.0)
         )

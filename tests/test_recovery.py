@@ -289,6 +289,52 @@ def test_cosamp_scaling_invariance():
     assert np.linalg.norm(scaled.coefficients - alpha * base.coefficients) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["gaussian", "steering"]),
+    sparsity=st.integers(1, 3),
+    noise=st.sampled_from([0.0, 0.1, 1.0]),
+    y_power=st.integers(-30, 30),
+    column_power=st.integers(-30, 30),
+    column=st.integers(0, 180),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_power_of_two_scaling_keeps_each_selection(
+    kind, sparsity, noise, y_power, column_power, column, seed
+):
+    # Scaling by a power of two rounds exactly, so every comparison the
+    # solvers make comes out the same. Scaling a column is checked for OMP
+    # only: CoSaMP's prune keeps the largest raw coefficients, so a scaled
+    # column does move its support.
+    manifold = np.array(_dictionary(kind))
+    n, num_atoms = manifold.shape
+    rng = np.random.default_rng(seed)
+    phi = csdoa.draw_measurement_matrix(2 * sparsity + 1, n, csdoa.GAUSSIAN, seed=seed)
+    system = csdoa.build_sensing_system(phi, manifold)
+    x = np.zeros(num_atoms, dtype=complex)
+    atoms = rng.choice(num_atoms, size=sparsity, replace=False)
+    x[atoms] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, sparsity))
+    y = system.psi @ x
+    y += noise * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+    config = csdoa.SolverConfig(sparsity=sparsity)
+
+    def outcome(solver, system, y):
+        try:
+            estimate = solver(system, y, config)
+        except csdoa.RankDeficientError:
+            return None
+        return estimate.support, estimate.iterations
+
+    for solver in (csdoa.omp, csdoa.cosamp):
+        assert outcome(solver, system, 2.0**y_power * y) == outcome(solver, system, y)
+    base = outcome(csdoa.omp, system, y)
+    # The column OMP picks first, and one drawn column.
+    scaled = manifold.copy()
+    for j in {column % num_atoms, *(base[0][:1] if base else ())}:
+        scaled[:, j] *= 2.0**column_power
+    assert outcome(csdoa.omp, csdoa.build_sensing_system(phi, scaled), y) == base
+
+
 # ---------------------------------------------------------------------------
 # l0_oracle
 

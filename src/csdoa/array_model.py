@@ -224,18 +224,21 @@ def draw_snapshot(
 ) -> None:
     """One trial's raw draws, in :func:`synthesize`'s order, written into buffers.
 
-    ``amplitudes`` (2, groups) takes the unit-modulus phases in its first
-    row, or the real then imaginary parts of complex Gaussian amplitudes.
-    ``noise`` (2, N) takes the real then imaginary noise parts; pass None
-    for a noiseless trial, which draws none.
+    ``amplitudes`` (2, groups) takes the raw uniforms in [0, 1) of the
+    unit-modulus phases in its first row, which :func:`snapshot_stack`
+    scales by 2 pi: ``rng.uniform(0, 2 pi)`` is ``0.0 + 2 pi * u`` for the
+    same ``u``, so the phases are the same doubles. For complex Gaussian
+    amplitudes it takes the real then imaginary parts. ``noise`` (2, N)
+    takes the real then imaginary noise parts; pass None for a noiseless
+    trial, which draws none. Both must be C-contiguous; the draws are
+    written straight into them.
     """
-    n_groups = len(sources.coherent_groups)
     if sources.amplitude_model == UNIT_MODULUS:
-        amplitudes[0] = rng.uniform(0.0, 2.0 * np.pi, n_groups)
+        rng.random(out=amplitudes[0])
     else:
-        amplitudes[:] = rng.standard_normal((2, n_groups))
+        rng.standard_normal(out=amplitudes)
     if noise is not None:
-        noise[:] = rng.standard_normal(noise.shape)
+        rng.standard_normal(out=noise)
 
 
 def snapshot_stack(
@@ -249,12 +252,14 @@ def snapshot_stack(
 
     ``columns`` (N, sources) are the sources' steering vectors, ``snr_db``
     the trials' SNRs, and ``amplitudes`` (T, 2, groups) and ``noise``
-    (T, 2, N) the trials' :func:`draw_snapshot` buffers; a noiseless trial's
-    noise rows must be zero. Every step is elementwise per trial and in
-    :func:`synthesize`'s order, so each row is what that trial alone gives.
+    (T, 2, N) the trials' :func:`draw_snapshot` buffers; the unit-modulus
+    phases are scaled from their raw uniforms once for the stack, and a
+    noiseless trial's noise rows must be zero. Every step is elementwise per
+    trial and in :func:`synthesize`'s order, so each row is what that trial
+    alone gives.
     """
     if sources.amplitude_model == UNIT_MODULUS:
-        group_amps = np.exp(1j * amplitudes[:, 0])
+        group_amps = np.exp(1j * (amplitudes[:, 0] * (2.0 * np.pi)))
     else:
         group_amps = (amplitudes[:, 0] + 1j * amplitudes[:, 1]) / np.sqrt(2.0)
     group_of = {i: g for g, group in enumerate(sources.coherent_groups) for i in group}

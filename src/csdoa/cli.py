@@ -32,6 +32,7 @@ from .experiments import (
     Scenario,
     SingleRunResult,
     _draw_trials,
+    _sweep_layout,
     build_scenario,
     run_monte_carlo,
     run_single,
@@ -432,6 +433,7 @@ def _sweep_run(
         raise ValueError(f"--trials must be >= 1, got {trials}")
     if args.workers < 1:
         raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    _sweep_layout(scenario, len(points), trials, args.workers)  # refuses oversized point buffers
     return trials, snr_sweep, points
 
 

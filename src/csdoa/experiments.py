@@ -79,6 +79,12 @@ MAX_PSI_STACK_BYTES = 2**27
 # so a fine grid does not pin its buffers in the thread.
 KEPT_PSI_BYTES = CHUNK_TRIALS * 15 * 181 * 16
 
+# Largest ring of per-point buffers a sweep allocates up front: 256 MiB. The
+# ring holds each algorithm's per-source errors and success flags for every
+# trial of the points one chunk touches, so it grows with the trials per
+# point; a sweep over the limit is refused before any work starts.
+MAX_RING_BYTES = 2**28
+
 # Largest sweep or trial position: each is one 32-bit word of a trial's seed entropy.
 _MAX_INDEX = 2**32 - 1
 
@@ -92,6 +98,31 @@ _THREAD = threading.local()
 def _psi_trial_bytes(m: int, points: int) -> int:
     """Bytes of one trial's Psi: m rows of ``points`` complex128 atoms."""
     return m * points * 16
+
+
+def _sweep_layout(scenario: Scenario, points: int, trials: int, workers: int) -> tuple[int, int]:
+    """``(chunk trials, ring slots)`` of a sweep of ``points`` SNR points.
+
+    A chunk holds at most ``CHUNK_TRIALS`` trials, fewer when its Psi stack
+    would pass ``MAX_PSI_STACK_BYTES`` or when that keeps ``workers`` busy.
+    Raises :class:`InstanceTooLargeError` when the ring of point buffers
+    would pass ``MAX_RING_BYTES``.
+    """
+    m, grid_points = scenario.measurement.num_measurements, len(scenario.grid.angles_deg)
+    size = min(CHUNK_TRIALS, MAX_PSI_STACK_BYTES // _psi_trial_bytes(m, grid_points))
+    if workers > 1:  # several chunks per worker keep the pool evenly loaded
+        size = max(1, min(size, -(-points * trials // (4 * workers))))
+    # Point i fills slot i % ring; a chunk touches at most `ring` points, and
+    # every point before its first one is already aggregated.
+    ring = min(points, (size - 1) // trials + 2)
+    # Per slot and algorithm: float64 errors per source and a bool success flag per trial.
+    ring_bytes = ring * len(scenario.algorithms) * trials * (8 * scenario.sources.num_sources + 1)
+    if ring_bytes > MAX_RING_BYTES:
+        raise InstanceTooLargeError(
+            f"{trials} trials per SNR point need {ring_bytes / 2**20:.4g} MiB of point "
+            f"buffers, over the {MAX_RING_BYTES / 2**20:.4g} MiB limit; use fewer trials"
+        )
+    return size, ring
 
 
 def _check_snr(snr_db: float) -> None:
@@ -449,8 +480,9 @@ def run_monte_carlo(
     ``workers`` processes takes whole chunks. Each chunk's rows are copied
     into a ring of point buffers, and the points it completes are aggregated
     together, so memory holds one chunk's stacks and the per-source errors
-    of the points one chunk touches. Neither the chunking nor ``workers``
-    changes the result.
+    of the points one chunk touches. A sweep whose point buffers would pass
+    ``MAX_RING_BYTES`` raises :class:`InstanceTooLargeError` before any
+    work. Neither the chunking nor ``workers`` changes the result.
     """
     sweep = tuple(float(s) for s in snr_sweep_db)
     if not sweep:
@@ -462,19 +494,16 @@ def run_monte_carlo(
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
+    size, ring = _sweep_layout(scenario, len(sweep), trials, workers)
     manifold = build_manifold(scenario.grid, scenario.geometry)
     total = len(sweep) * trials
-    m, points = scenario.measurement.num_measurements, len(scenario.grid.angles_deg)
-    size = min(CHUNK_TRIALS, MAX_PSI_STACK_BYTES // _psi_trial_bytes(m, points))
-    if workers > 1:  # several chunks per worker keep the pool evenly loaded
-        size = max(1, min(size, -(-total // (4 * workers))))
-    chunks = [range(start, min(start + size, total)) for start in range(0, total, size)]
+
+    def chunks():  # built as the loop takes them, not held for the whole sweep
+        return (range(start, min(start + size, total)) for start in range(0, total, size))
+
     solve = partial(_sweep_chunk, scenario, sweep, manifold, trials)
 
     algorithms = scenario.algorithms
-    # Point i fills slot i % ring; a chunk touches at most `ring` points, and
-    # every point before its first one is already aggregated.
-    ring = min(len(sweep), (size - 1) // trials + 2)
     errors = np.empty((ring, len(algorithms), trials, scenario.sources.num_sources))
     success = np.empty((ring, len(algorithms), trials), dtype=bool)
     # One (points, 3, algorithms) block per chunk that completes points: the
@@ -506,10 +535,10 @@ def run_monte_carlo(
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for flat, outcome in zip(chunks, pool.map(solve, chunks)):
+            for flat, outcome in zip(chunks(), pool.map(solve, chunks())):
                 collect(flat, *outcome)
     else:
-        for flat in chunks:
+        for flat in chunks():
             collect(flat, *solve(flat))
 
     table = np.concatenate(aggregates)

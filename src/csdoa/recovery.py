@@ -114,12 +114,13 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(basis)
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     deficient = diag.min(axis=-1) <= RANK_TOL * diag.max(axis=-1)
-    if deficient.any():
+    any_deficient = deficient.any()
+    if any_deficient:
         if basis.ndim == 2:
             raise RankDeficientError("selected columns are numerically rank deficient")
         r[deficient] = np.eye(k)  # solvable stand-ins; their rows are set to NaN below
     coef = np.linalg.solve(r, np.matmul(q.conj().swapaxes(-1, -2), y[..., None]))[..., 0]
-    if basis.ndim > 2:
+    if any_deficient:
         coef[deficient] = np.nan
     return coef
 
@@ -173,7 +174,9 @@ def _stack_inputs(system: SensingSystem, y: np.ndarray) -> tuple[np.ndarray, np.
     y = np.asarray(y, dtype=complex)
     if y.ndim != 2 or y.shape[1] != system.num_measurements:
         raise ValueError(f"y must be a (trials, {system.num_measurements}) stack")
-    psi = np.broadcast_to(system.psi, (y.shape[0],) + system.psi.shape[-2:])
+    psi = system.psi
+    if psi.shape[:-2] != y.shape[:1]:  # a shared system serves every row
+        psi = np.broadcast_to(psi, y.shape[:1] + psi.shape[-2:])
     return y, psi
 
 
@@ -322,7 +325,7 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
         active &= ~deficient
         support = np.zeros((trials, keep_count), dtype=int)
         coef = np.zeros((trials, keep_count), dtype=complex)
-        for size in np.unique(sizes[active]):
+        for size in sorted(set(sizes[active].tolist())):
             group = np.flatnonzero(active & (sizes == size))
             merged = candidates[group][fresh[group]].reshape(group.size, size)
             fit = least_squares(_columns(psi, merged, group), y[group])

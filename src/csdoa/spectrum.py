@@ -4,7 +4,8 @@ The sparse coefficient vector lives on the scan grid, so its squared moduli
 already form the angle power spectrum. Peaks degenerate to the support of
 the estimate, and scoring reduces to aligning two sorted angle lists.
 :func:`score_stack` scores a stack of T estimates at once; ``pick_peaks``
-and ``trial_error`` share its peak picking and alignment.
+and ``trial_error`` share its peak picking and alignment. Rows whose
+positional pairing is certified optimal skip the per-row alignment.
 """
 
 from __future__ import annotations
@@ -110,13 +111,29 @@ def score_stack(
     Row by row this is ``angle_spectrum`` -> ``pick_peaks`` -> ``trial_error``;
     a trial succeeds when its largest error is below the grid step. A zero row
     (as a rank-deficient solve leaves) has no peaks and misses every source.
+
+    A row with one peak per source whose positional gaps ``|est_k - true_k|``
+    sum, right to left as ``_align`` adds them, to less than
+    ``MISS_PENALTY_DEG`` is scored positionally in one step for all such
+    rows: every other order-preserving alignment of equal-length lists has a
+    miss and costs at least the penalty, so ``_align`` returns exactly those
+    gaps. Only the other rows are aligned one by one.
     """
     power = np.abs(coefficients) ** 2
     peaks, counts = _peak_indices(power, num_peaks)
     # Unfilled peak slots hold len(grid), clipped to the last angle; each row is cut to its count.
-    angles = grid.angles_deg.take(peaks, mode="clip").tolist()
+    angles = grid.angles_deg.take(peaks, mode="clip")
     true = sorted(truth.doas_deg)
-    errors = np.array([_align(row[:count], true) for row, count in zip(angles, counts.tolist())])
+    n = len(true)
+    if angles.shape[1] >= n:
+        errors = np.abs(angles[:, :n] - true)
+        total = np.cumsum(errors[:, ::-1], axis=1)[:, -1]
+        aligned = np.flatnonzero((counts != n) | (total >= MISS_PENALTY_DEG))
+    else:  # fewer peak slots than sources: no row has a full set of peaks
+        errors = np.empty((len(counts), n))
+        aligned = range(len(counts))
+    for t in aligned:
+        errors[t] = _align(angles[t, : counts[t]].tolist(), true)
     return StackedScores(power, peaks, counts, errors, errors.max(axis=1) < grid.step_deg)
 
 

@@ -88,13 +88,23 @@ def oracle_match_counts(offset: int, count: int) -> dict:
 
 
 class ZeroRng:
-    """Generator stub whose every draw is zero: phases 0, no noise."""
+    """Generator stub whose every draw is zero: phases 0, no noise.
 
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return np.zeros(size if size is not None else ())
+    Like ``np.random.Generator``, each draw fills ``out`` when given one.
+    """
 
-    def standard_normal(self, size=None):
-        return np.zeros(size if size is not None else ())
+    @staticmethod
+    def _zeros(size, out):
+        if out is None:
+            return np.zeros(size if size is not None else ())
+        out[...] = 0.0
+        return out
+
+    def random(self, size=None, out=None):
+        return self._zeros(size, out)
+
+    def standard_normal(self, size=None, out=None):
+        return self._zeros(size, out)
 
 
 # ---------------------------------------------------------------------------

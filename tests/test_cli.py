@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface (run in-process)."""
 
+import hashlib
 import json
 import math
 import os
@@ -185,6 +186,21 @@ def test_trial_psi_over_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch
             assert not out_dir.exists()
 
 
+def test_sweep_over_the_point_buffer_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep started work before its size check")
+
+    monkeypatch.setattr(experiments, "_run_trials", forbidden)
+    out_dir = tmp_path / "out"
+    argv = ["montecarlo", "--sources", "-60,60", "--trials", "1000000000", "--out", out_dir]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("csdoa: error: 1000000000 trials per SNR point need")
+    assert "MiB limit; use fewer trials" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_synth_on_a_fine_grid_within_the_limit_runs(tmp_path, capsys):
     # A 0.001 degree grid's 64-trial Psi stack would pass the limit, one
     # trial's does not; synth builds no Psi at all, and its meta replays.
@@ -314,6 +330,51 @@ def test_synth_and_spectrum_write_what_run_single_returns(tmp_path, capsys, vari
         }
         for algorithm, run in result.runs.items()
     }
+
+
+# SHA-256 of the CSV each run writes, recorded before the raw-uniform phase
+# draws, the in-place draws and the certified positional scoring: all three
+# must leave every output byte as it was, for both amplitude models.
+PINNED_OUTPUTS = [
+    ("spectrum", ["--sources", "-60,60", "--seed", "3"],
+     "c983cf135537e7167cbdaa804d8e406ba03b56236c8d44f0f6178d25e69f7fc1"),
+    ("spectrum", ["--sources", "-20,10,40", "--coherent", "1,2",
+                  "--amplitude-model", "complex_gaussian", "--seed", "5"],
+     "5ef63ae9c7a72b651c57bedfb2d894245a69ac18194abea1537f26f3922735fd"),
+    ("spectrum", ["--sources", "-59.9,29.0", "--grid=-90:90:0.7", "--phi", "identity",
+                  "--snr-db", "10", "--seed", "5"],
+     "25ec2ff79fd09c5b6a2feadf55cfe2e49b81a86547de8adbd302c042f21ce991"),
+    ("spectrum", ["--sources", "-30,45", "--noise", "off", "--amplitude-model", "complex_gaussian",
+                  "--seed", "2"],
+     "cc5f7adca0b2a349719b3ded825bff1f874b03b0f84a57e87cd819e1e7115277"),
+    ("synth", ["--sources", "-60,60", "--seed", "3"],
+     "61e04ea8acace2ae340bc41eb2b68cbbcbff56f6269e8db1f6d57e44cc56d275"),
+    ("synth", ["--sources", "-20,10,40", "--coherent", "1,2",
+               "--amplitude-model", "complex_gaussian", "--seed", "5"],
+     "1fc4e8a5bdedb0343d319956581851b03c988430c7beba4e14743912cebca9e2"),
+    ("synth", ["--sources", "-59.9,29.0", "--grid=-90:90:0.7", "--noise", "off", "--seed", "1"],
+     "ccc4cc62831d239cbf2140e14670fa1cc51d84a883a9a53eb6e4e24a46ca3f44"),
+    ("montecarlo", ["--sources", "-60,60", "--trials", "7", "--snr-sweep=-5:10:5", "--seed", "4"],
+     "f7072e74953c98dba9deff4c414a792f9235c280284ec3b91d1bcb315997daa1"),
+    ("montecarlo", ["--sources", "-20,10,40", "--coherent", "1,2",
+                    "--amplitude-model", "complex_gaussian", "--trials", "9",
+                    "--snr-sweep=0:10:10", "--seed", "6"],
+     "5a6a821ab1ffbab3b2c8b1565b1185bc5ecb35b78e96e461bfc9f4873b910681"),
+    ("montecarlo", ["--sources", "-59.9,29.0", "--grid=-90:90:0.7", "--phi", "identity",
+                    "--trials", "35", "--snr-sweep=10:10:1", "--seed", "5"],
+     "b506705b8082068b51935f0b9c8a544597b2fbb40a7ab2b46a6893eee1702f76"),
+    ("montecarlo", ["--sources", "-30,45", "--noise", "off", "--amplitude-model",
+                    "complex_gaussian", "--trials", "11", "--seed", "2"],
+     "83827815f6883c436be286f3d36b2c50623f149e6785372fc3d34c41c32b41b0"),
+]
+CSV_OF = {"spectrum": "spectrum.csv", "synth": "snapshot.csv", "montecarlo": "rmse.csv"}
+
+
+@pytest.mark.parametrize("command, flags, digest", PINNED_OUTPUTS)
+def test_outputs_keep_their_pinned_bytes(tmp_path, capsys, command, flags, digest):
+    assert run_cli([command, *flags, "--out", tmp_path], capsys)[0] == 0
+    written = (tmp_path / CSV_OF[command]).read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

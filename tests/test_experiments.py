@@ -509,6 +509,34 @@ def test_chunks_take_fewer_trials_to_keep_psi_under_the_limit(monkeypatch):
     assert curve_key(curve) == per_trial_curve(scenario, [0.0, 20.0], 13)
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the sweep started work before its size check")
+
+
+def test_sweep_refuses_point_buffers_over_the_limit(monkeypatch):
+    # 1e9 trials a point would need a 64 GiB ring of point buffers. The check
+    # runs before the manifold, the ring or any chunk is built.
+    monkeypatch.setattr(experiments, "build_manifold", _forbidden)
+    monkeypatch.setattr(experiments, "_run_trials", _forbidden)
+    scenario = csdoa.build_scenario([-60.0, 60.0])
+    with pytest.raises(csdoa.InstanceTooLargeError, match="MiB of point buffers"):
+        csdoa.run_monte_carlo(scenario, [0.0, 10.0], 1_000_000_000)
+
+
+def test_ring_limit_counts_each_errors_and_success_byte():
+    # 7 points of 3 trials fit one 64-trial chunk, so the ring has 7 slots of
+    # 2 algorithms x 3 trials x (2 float64 errors + 1 bool flag).
+    scenario = csdoa.build_scenario([-60.0, 60.0], seed=3)
+    at_limit = 7 * 2 * 3 * (2 * 8 + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "MAX_RING_BYTES", at_limit)
+        curve = csdoa.run_monte_carlo(scenario, range(0, 35, 5), 3)
+        mp.setattr(experiments, "MAX_RING_BYTES", at_limit - 1)
+        with pytest.raises(csdoa.InstanceTooLargeError, match="MiB of point buffers"):
+            csdoa.run_monte_carlo(scenario, range(0, 35, 5), 3)
+    assert curve_key(curve) == per_trial_curve(scenario, range(0, 35, 5), 3)
+
+
 def _psi_spy(monkeypatch) -> list:
     """Each engine chunk's Psi, as it reaches the OMP solver."""
     seen = []

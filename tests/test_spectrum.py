@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csdoa
-from conftest import gaussian_system, reference_score
+from conftest import gaussian_system, reference_score, reference_trial_error
 from csdoa.spectrum import score_stack
 
 
@@ -249,6 +249,52 @@ def test_stacked_scoring_equals_per_trial_scoring(step, rows, num_sources, num_p
         peaks = csdoa.pick_peaks(spectrum, num_peaks)
         assert (peaks.doas_deg, peaks.powers) == (doas, powers)
         assert csdoa.trial_error(peaks, truth).tobytes() == errors.tobytes()
+
+
+def _grid_index(pick: int, n: int) -> int:
+    """Pick ``k`` in [-12, 12) is the k-th grid point from the near or far end; others any point."""
+    return n + pick if pick < 0 else pick % n
+
+
+def _typed(angle: float) -> float:
+    """The shortest decimal of ``angle`` that still names its grid point, as a user types it."""
+    for digits in range(13):
+        value = float(f"{angle:.{digits}f}")
+        if abs(value - angle) < csdoa.array_model.ON_GRID_ATOL:
+            return value
+    return angle
+
+
+_PICK = st.one_of(st.integers(-12, 11), st.integers(12, 10**6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    step=st.sampled_from([1.0, 0.7, 1 / 3]),
+    true=st.lists(_PICK, min_size=1, max_size=4),
+    rows=st.lists(st.lists(_PICK, max_size=4), min_size=1, max_size=8),
+)
+# Positional pairing ties the optimal alignment here (359.4 either way) but
+# differs from it, so this row must be aligned, not scored positionally.
+@example(step=0.1, true=[0, 2, 5], rows=[[3, -3, -1]])
+def test_full_peak_rows_score_as_the_reference_alignment(step, true, rows):
+    grid = csdoa.make_grid(-90.0, 90.0, step)
+    n = len(grid)
+    picked = sorted({_grid_index(k, n) for k in true})
+    truth = csdoa.SourceSet(tuple(_typed(a) for a in grid.angles_deg[picked].tolist()))
+    # Every row has one peak per source: its picks, then the ends outward.
+    fill = [i for pair in zip(range(n), range(n - 1, -1, -1)) for i in pair]
+    coefficients = np.zeros((len(rows), n), dtype=complex)
+    for t, row in enumerate(rows):
+        where = list(dict.fromkeys([_grid_index(k, n) for k in row] + fill))[: len(picked)]
+        coefficients[t, where] = 1.0 + 0.5j
+    scores = score_stack(coefficients, grid, truth, len(picked))
+    assert np.all(scores.counts == len(picked))
+    for t in range(len(rows)):
+        peaks = scores.peaks[t, : len(picked)]
+        errors = reference_trial_error(grid.angles_deg[peaks].tolist(), truth)
+        assert scores.errors_deg[t].tobytes() == errors.tobytes()
+        assert scores.success[t] == (errors.max() < grid.step_deg)
 
 
 _ANGLES = [-90.0, -60.0, -59.5, -30.0, -1.0, 0.0, 0.5, 1.0, 30.0, 60.0, 89.0, 90.0]

@@ -28,6 +28,7 @@ from .array_model import AMPLITUDE_MODELS, UNIT_MODULUS, build_manifold
 from .errors import CsdoaError
 from .experiments import (
     ALGORITHMS,
+    MAX_SWEEP_POINTS,
     RmseCurve,
     Scenario,
     SingleRunResult,
@@ -105,7 +106,12 @@ def _expand_sweep(triple: tuple[float, float, float]) -> list[float]:
     span = (hi - lo) / step + 1e-9
     if math.isinf(span):
         raise ValueError("--snr-sweep has too many points to count")
-    return [lo + step * k for k in range(int(math.floor(span)) + 1)]
+    count = int(math.floor(span)) + 1
+    if count > MAX_SWEEP_POINTS:  # refused before the list is built
+        raise ValueError(
+            f"--snr-sweep has {count:.4g} points, over the limit of {MAX_SWEEP_POINTS}"
+        )
+    return [lo + step * k for k in range(count)]
 
 
 def _scenario_flags() -> argparse.ArgumentParser:

@@ -85,6 +85,15 @@ KEPT_PSI_BYTES = CHUNK_TRIALS * 15 * 181 * 16
 # point; a sweep over the limit is refused before any work starts.
 MAX_RING_BYTES = 2**28
 
+# Most SNR points one sweep may have: as many as fit in MAX_RING_BYTES at the
+# memory each point holds for the whole run. That is its float in the
+# caller's list (a 24-byte float and an 8-byte slot) and its slot in the sweep
+# tuple (8 bytes), plus its aggregate row per algorithm: three float64 in the
+# result table and three Python floats in the result tuples (3 * (8 + 32)
+# bytes). With both algorithms that is 280 bytes and 958,698 points.
+# `csdoa montecarlo` refuses a longer --snr-sweep before it builds the list.
+MAX_SWEEP_POINTS = MAX_RING_BYTES // (8 + 32 + len(ALGORITHMS) * 3 * (8 + 32))
+
 # Largest sweep or trial position: each is one 32-bit word of a trial's seed entropy.
 _MAX_INDEX = 2**32 - 1
 

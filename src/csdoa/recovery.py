@@ -19,8 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InstanceTooLargeError, RankDeficientError
 from .sensing import SensingSystem
@@ -93,6 +95,12 @@ class StackedEstimate:
     deficient: np.ndarray  # (T,) bool
 
 
+@cache
+def _upper(k: int) -> np.ndarray:
+    """Mask of the upper triangle, diagonal included, of a k x k matrix."""
+    return np.triu(np.ones((k, k), dtype=bool))
+
+
 def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of ``y`` against the columns of ``basis``.
 
@@ -102,7 +110,12 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     fails the guard raises :class:`RankDeficientError`. A stack of T systems
     (``basis`` (T, m, k), ``y`` (T, m)) is solved trial by trial, and the
     coefficient rows of trials that fail the guard are NaN. Requires at least
-    as many rows as columns.
+    as many rows as columns. The basis is factored as complex.
+
+    The fit calls numpy's LAPACK gufuncs directly, the same calls with the
+    same signatures that ``np.linalg.qr`` and ``np.linalg.solve`` make on
+    complex input, so it rounds exactly as they do without their per-call
+    Python wrappers.
     """
     basis = np.asarray(basis)
     y = np.asarray(y)
@@ -111,7 +124,10 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.zeros(basis.shape[:-2] + (0,), dtype=complex)
     if k > m:
         raise RankDeficientError(f"system with {k} columns and {m} rows is underdetermined")
-    q, r = np.linalg.qr(basis)
+    a = basis.astype(complex)  # qr_r_raw factors its operand in place
+    tau = _umath_linalg.qr_r_raw(a, signature="D->D")
+    q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
+    r = np.where(_upper(k), a[..., :k, :], 0j)  # np.triu's own where
     diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
     deficient = diag.min(axis=-1) <= RANK_TOL * diag.max(axis=-1)
     any_deficient = deficient.any()
@@ -119,7 +135,8 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
         if basis.ndim == 2:
             raise RankDeficientError("selected columns are numerically rank deficient")
         r[deficient] = np.eye(k)  # solvable stand-ins; their rows are set to NaN below
-    coef = np.linalg.solve(r, np.matmul(q.conj().swapaxes(-1, -2), y[..., None]))[..., 0]
+    qhy = np.matmul(q.conj().swapaxes(-1, -2), y[..., None])
+    coef = _umath_linalg.solve(r, qhy, signature="DD->D")[..., 0]
     if any_deficient:
         coef[deficient] = np.nan
     return coef
@@ -331,8 +348,9 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
             fit = least_squares(_columns(psi, merged, group), y[group])
             deficient[group] = np.isnan(fit[:, 0])
             keep = np.sort(_top_indices(np.abs(fit), keep_count), axis=1)
-            support[group] = np.take_along_axis(merged, keep, axis=1)
-            coef[group] = np.take_along_axis(fit, keep, axis=1)
+            picked = np.arange(group.size)[:, None]
+            support[group] = merged[picked, keep]
+            coef[group] = fit[picked, keep]
         active &= ~deficient
         fitted = y - np.matmul(_columns(psi, support), coef[..., None])[..., 0]
         fitted_norm = _row_norms(fitted)
@@ -347,7 +365,7 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
         active &= (fitted_norm > tolerance) & ~stalled
 
     coefficients = np.zeros((trials, num_atoms), dtype=complex)
-    np.put_along_axis(coefficients, best_support, best_coef, axis=1)
+    coefficients[np.arange(trials)[:, None], best_support] = best_coef
     return _stacked(coefficients, best_support, best_norm, iterations, norm_y, deficient, config)
 
 

@@ -158,6 +158,10 @@ def test_nonfinite_triple_is_a_usage_error(tmp_path, capsys, command, flag, vali
     assert not out_dir.exists()
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the sweep started work before its size check")
+
+
 def test_uncountable_snr_sweep_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(
         ["montecarlo", "--sources", "0", "--snr-sweep=-1e308:1e308:1", "--out", tmp_path / "out"],
@@ -166,6 +170,25 @@ def test_uncountable_snr_sweep_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert "--snr-sweep" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_snr_sweep_over_the_point_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # A lowered limit stands in for a huge span such as 0:1e300:1: the count
+    # is checked before any point list is built.
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 5)
+    out_dir = tmp_path / "out"
+    argv = ["montecarlo", "--sources", "-60,60", "--trials", "1", "--snr-sweep", "0:5:1",
+            "--out", out_dir]
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_run_trials", _forbidden)
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == "csdoa: error: --snr-sweep has 6 points, over the limit of 5\n"
+    assert out == ""
+    assert not out_dir.exists()
+    argv[argv.index("0:5:1")] = "0:4:1"
+    assert run_cli(argv, capsys)[0] == 0
+    assert read_meta(out_dir)["summary"]["snr_points_db"] == [0, 1, 2, 3, 4]
 
 
 def test_trial_psi_over_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
@@ -187,10 +210,7 @@ def test_trial_psi_over_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch
 
 
 def test_sweep_over_the_point_buffer_limit_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the sweep started work before its size check")
-
-    monkeypatch.setattr(experiments, "_run_trials", forbidden)
+    monkeypatch.setattr(experiments, "_run_trials", _forbidden)
     out_dir = tmp_path / "out"
     argv = ["montecarlo", "--sources", "-60,60", "--trials", "1000000000", "--out", out_dir]
     code, out, err = run_cli(argv, capsys)

@@ -1,5 +1,8 @@
 """Tests for the complex least-squares core and the three sparse solvers."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 import csdoa
 from conftest import (
+    _reference_least_squares,
     gaussian_system,
     normal_equations,
     oracle_match_counts,
@@ -15,6 +19,7 @@ from conftest import (
     reference_omp,
     stack_measurements,
 )
+from csdoa import cli, recovery
 from csdoa.recovery import cosamp_stack, omp_stack
 
 
@@ -94,6 +99,49 @@ def test_least_squares_stack_solves_each_trial_and_marks_deficient_ones():
         assert np.array_equal(coef[t], csdoa.least_squares(basis[t], y[t]))
     with pytest.raises(csdoa.RankDeficientError):
         csdoa.least_squares(basis[2], y[2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    trials=st.integers(1, 8),
+    shape=st.integers(1, 10).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m))),
+    edits=st.lists(
+        st.tuples(
+            st.integers(0, 7),
+            st.sampled_from(["duplicate", "zero", "scale"]),
+            st.integers(0, 9),
+            st.integers(0, 9),
+            st.sampled_from([2.0**-40, 1e-12, 1e-6, 3.0, 2.0**30]),
+        ),
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_least_squares_equals_the_numpy_reference_bit_for_bit(trials, shape, edits, seed):
+    m, k = shape
+    rng = np.random.default_rng(seed)
+    basis = rng.standard_normal((trials, m, k)) + 1j * rng.standard_normal((trials, m, k))
+    y = rng.standard_normal((trials, m)) + 1j * rng.standard_normal((trials, m))
+    for t, edit, j, source, factor in edits:
+        t, j, source = t % trials, j % k, source % k
+        if edit == "duplicate":
+            basis[t, :, j] = basis[t, :, source]
+        elif edit == "zero":
+            basis[t, :, j] = 0.0
+        else:
+            basis[t, :, j] *= factor
+    coef = csdoa.least_squares(basis, y)
+    assert coef.shape == (trials, k)
+    for t in range(trials):
+        try:
+            expected = _reference_least_squares(basis[t], y[t])
+        except csdoa.RankDeficientError:
+            assert np.all(np.isnan(coef[t]))
+            with pytest.raises(csdoa.RankDeficientError):
+                csdoa.least_squares(basis[t], y[t])
+            continue
+        assert np.array_equal(coef[t], expected)
+        assert np.array_equal(csdoa.least_squares(basis[t], y[t]), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -552,3 +600,83 @@ def test_omp_stack_drops_a_rank_deficient_trial_and_finishes_the_others():
     )
     with pytest.raises(csdoa.RankDeficientError):
         csdoa.omp(first, y[0], config)
+
+
+# ---------------------------------------------------------------------------
+# call counts at the traced replay's hook point
+
+# The benchmark's traced replay times least_squares and correlate by wrapping
+# these module attributes, so the solvers must look both up there at call
+# time. The counts below are pinned for fixed trial sets.
+_WORKLOADS = {
+    "mc-2src": (["--sources", "-60,60", "--snr-sweep=-10:20:5", "--trials", "3"], 0),
+    "mc-3src": (["--sources", "-60,0,40", "--coherent", "2,3", "--snr-sweep", "0:0:1",
+                 "--trials", "20"], 17),
+}
+
+
+def _count_calls(monkeypatch) -> Counter:
+    counts = Counter()
+    for name in ("least_squares", "correlate"):
+        original = getattr(recovery, name)
+
+        def wrapper(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(recovery, name, wrapper)
+    return counts
+
+
+def _per_trial_calls(scenario, sweep, trials, counts) -> dict:
+    """Calls the single-trial solvers make on each trial of a sweep, drawn stage by stage."""
+    manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
+    spec = scenario.measurement
+    counts.clear()
+    for i, snr in enumerate(sweep):
+        point = replace(scenario, snr_db=snr)
+        for t in range(trials):
+            data_seed, phi_seed = csdoa.trial_seeds(scenario.seed, i, t)
+            snapshot = csdoa.synthesize(point, np.random.default_rng(data_seed))
+            phi = csdoa.draw_measurement_matrix(
+                spec.num_measurements, scenario.geometry.num_sensors, spec.kind, seed=phi_seed
+            )
+            system = csdoa.build_sensing_system(phi, manifold)
+            y = csdoa.compress(phi, snapshot.data)
+            for solver in (csdoa.omp, csdoa.cosamp):
+                try:
+                    solver(system, y, scenario.solver)
+                except csdoa.RankDeficientError:
+                    pass
+    return dict(counts)
+
+
+def test_solver_call_counts_are_pinned_for_fixed_trial_sets(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch)
+    engine = {}
+    for name, (flags, seed) in _WORKLOADS.items():
+        counts.clear()
+        argv = ["montecarlo", *flags, "--seed", str(seed), "--out", str(tmp_path / name)]
+        assert cli.main(argv) == 0
+        engine[name] = dict(counts)
+    counts.clear()
+    csdoa.run_single(csdoa.build_scenario([-60.0, 0.0, 40.0], snr_db=0.0, seed=0))
+    engine["single-shot"] = dict(counts)
+    # The engine solves each chunk as one stack: one call per greedy step.
+    assert engine == {
+        "mc-2src": {"correlate": 4, "least_squares": 4},
+        "mc-3src": {"correlate": 5, "least_squares": 5},
+        "single-shot": {"correlate": 4, "least_squares": 4},
+    }
+    # The traced replay solves trial by trial: 64 calls over 21 trials, and
+    # 81 over 20, whatever time box the benchmark runs for.
+    two = csdoa.build_scenario([-60.0, 60.0], seed=0)
+    three = csdoa.build_scenario([-60.0, 0.0, 40.0], coherent_groups=[[1, 2]], seed=17)
+    replayed = {
+        "mc-2src": _per_trial_calls(two, [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0], 3, counts),
+        "mc-3src": _per_trial_calls(three, [0.0], 20, counts),
+    }
+    assert replayed == {
+        "mc-2src": {"correlate": 64, "least_squares": 64},
+        "mc-3src": {"correlate": 81, "least_squares": 81},
+    }

@@ -20,6 +20,7 @@ from .errors import (
     InstanceTooLargeError,
     NonPositiveStepError,
     OffGridSourceError,
+    integer,
 )
 
 if TYPE_CHECKING:
@@ -62,6 +63,7 @@ class ArrayGeometry:
     spacing_over_wavelength: float = 0.5
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "num_sensors", integer(self.num_sensors, "num_sensors"))
         if self.num_sensors < 2:
             raise ValueError(f"num_sensors must be >= 2, got {self.num_sensors}")
         spacing = self.spacing_over_wavelength

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its integer-setting check."""
+
+from numbers import Integral
 
 
 class CsdoaError(Exception):
@@ -31,3 +33,14 @@ class RankDeficientError(CsdoaError, ArithmeticError):
 
 class InstanceTooLargeError(CsdoaError, ValueError):
     """Problem too large to set up: an exhaustive search, an uncountable grid or a huge Psi."""
+
+
+def integer(value: object, name: str) -> int:
+    """``value`` as a Python int; raises TypeError unless it is an integer.
+
+    Python and numpy integers pass; ``bool`` and floats, even integral ones
+    such as ``15.0``, do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)

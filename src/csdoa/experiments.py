@@ -32,7 +32,7 @@ from .array_model import (
     make_grid,
     snapshot_stack,
 )
-from .errors import DimensionMismatchError, InstanceTooLargeError
+from .errors import DimensionMismatchError, InstanceTooLargeError, integer
 from .recovery import (
     COSAMP,
     OMP,
@@ -149,6 +149,8 @@ class MeasurementSpec:
     def __post_init__(self) -> None:
         if self.kind not in MEASUREMENT_KINDS:
             raise ValueError(f"unknown measurement kind {self.kind!r}")
+        m = integer(self.num_measurements, "num_measurements")
+        object.__setattr__(self, "num_measurements", m)
         if self.num_measurements < 1:
             raise ValueError("num_measurements must be >= 1")
 
@@ -180,6 +182,7 @@ class Scenario:
                 raise ValueError(f"unknown algorithm {name!r}")
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError("algorithms must not repeat")
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         _check_snr(self.snr_db)

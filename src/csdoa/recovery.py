@@ -11,7 +11,9 @@ OMP and CoSaMP have one implementation each, over a stack of T trials
 (:func:`omp_stack`, :func:`cosamp_stack`): every greedy step runs once for
 the whole stack, the result is one :class:`StackedEstimate`, and
 ``omp``/``cosamp`` are a stack of one. Per trial, the stacked steps round
-exactly as the single-trial ones do.
+exactly as the single-trial ones do. While every trial is still active a
+step updates the stack whole; once some trial has stopped, the steps work
+on masks (and CoSaMP on size groups), which changes no bit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from functools import cache
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import InstanceTooLargeError, RankDeficientError
+from .errors import InstanceTooLargeError, RankDeficientError, integer
 from .sensing import SensingSystem
 
 # Relative threshold on the QR diagonal below which a column set is treated
@@ -47,12 +49,14 @@ class SolverConfig:
     residual_tol: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("sparsity", "max_iterations"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.residual_tol < 0:
-            raise ValueError("residual_tol must be >= 0")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol >= 0):
+            raise ValueError(f"residual_tol must be finite and >= 0, got {self.residual_tol}")
 
 
 def check_config(algorithm: str, config: SolverConfig, m: int) -> None:
@@ -128,8 +132,8 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     tau = _umath_linalg.qr_r_raw(a, signature="D->D")
     q = _umath_linalg.qr_reduced(a, tau, signature="DD->D")
     r = np.where(_upper(k), a[..., :k, :], 0j)  # np.triu's own where
-    diag = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-    deficient = diag.min(axis=-1) <= RANK_TOL * diag.max(axis=-1)
+    diag = np.abs(a.diagonal(0, -2, -1))  # R's diagonal
+    deficient = np.minimum.reduce(diag, axis=-1) <= RANK_TOL * np.maximum.reduce(diag, axis=-1)
     any_deficient = deficient.any()
     if any_deficient:
         if basis.ndim == 2:
@@ -157,9 +161,10 @@ def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
     """Per row, indices of the ``count`` largest entries, ties resolved to lowest index.
 
     The same choice as a stable argsort of ``-values``, by repeated argmax,
-    which is far cheaper for the few entries the solvers keep.
+    which is far cheaper for the few entries the solvers keep. Overwrites
+    ``values``: each chosen entry becomes ``-inf``, so callers pass a
+    temporary of their own.
     """
-    values = values.copy()
     rows = np.arange(values.shape[0])
     top = np.empty((values.shape[0], count), dtype=int)
     for j in range(count):
@@ -249,44 +254,60 @@ def omp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> Sta
     """:func:`omp` on T trials at once: ``y`` is (T, m), ``system`` stacked or shared.
 
     Each greedy step runs once for the whole stack; trials that converge or
-    hit a rank-deficient fit stop while the others go on.
+    hit a rank-deficient fit stop while the others go on. While every trial
+    is active a step updates the stack whole; masked updates start only once
+    some trial has stopped.
     """
     y, psi = _stack_inputs(system, y)
     check_config(OMP, config, system.num_measurements)
-    trials = y.shape[0]
+    trials, sparsity = y.shape[0], config.sparsity
     rows = np.arange(trials)[:, None]
     norm_y = _row_norms(y)
     tolerance = config.residual_tol * norm_y
-    support = np.zeros((trials, config.sparsity), dtype=int)
-    coef = np.zeros((trials, config.sparsity), dtype=complex)
+    support = np.zeros((trials, sparsity), dtype=int)
+    coef = np.zeros((trials, sparsity), dtype=complex)
     residual = y
     residual_norm = norm_y.copy()
     iterations = np.zeros(trials, dtype=int)
     deficient = np.zeros(trials, dtype=bool)
     active = norm_y > 0.0
-    for step in range(config.sparsity):
-        if not active.any():
+    whole = trials > 0 and bool(active.all())  # every trial is still active
+    for step in range(sparsity):
+        if not whole and not active.any():
             break
         proxy = correlate(system, residual)
-        proxy[rows, support[:, :step]] = -1.0  # an index is never re-selected
+        if step:
+            proxy[rows, support[:, :step]] = -1.0  # an index is never re-selected
         support[:, step] = np.argmax(proxy, axis=1)
         basis = _columns(psi, support[:, : step + 1])
         fit = least_squares(basis, y)
-        deficient |= active & np.isnan(fit[:, 0])
-        active &= ~deficient
+        failed = np.isnan(fit[:, 0])
         fitted = y - np.matmul(basis, fit[..., None])[..., 0]
         fitted_norm = _row_norms(fitted)
+        if whole and not failed.any():
+            coef[:, : step + 1] = fit
+            residual, residual_norm = fitted, fitted_norm
+            iterations[:] = step + 1
+            active = fitted_norm > tolerance
+            whole = bool(active.all())
+            continue
+        whole = False
+        deficient |= active & failed
+        active &= ~deficient
         coef[active, : step + 1] = fit[active]
         residual = np.where(active[:, None], fitted, residual)
         residual_norm = np.where(active, fitted_norm, residual_norm)
         iterations[active] = step + 1
         active &= fitted_norm > tolerance
 
-    chosen = np.arange(config.sparsity) < iterations[:, None]
-    support[~chosen] = -1
     coefficients = np.zeros((trials, system.num_atoms), dtype=complex)
-    t, j = np.nonzero(chosen)
-    coefficients[t, support[t, j]] = coef[t, j]
+    if np.minimum.reduce(iterations, initial=sparsity) == sparsity:  # every trial ran every step
+        coefficients[rows, support] = coef
+    else:
+        chosen = np.arange(sparsity) < iterations[:, None]
+        support[~chosen] = -1
+        t, j = np.nonzero(chosen)
+        coefficients[t, support[t, j]] = coef[t, j]
     return _stacked(coefficients, support, residual_norm, iterations, norm_y, deficient, config)
 
 
@@ -310,13 +331,16 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
     Each iteration runs once for the stack. The least-squares fit runs once
     per merged-support size among the active trials, so nothing is padded.
     A trial whose merged support outgrows the m measurements, or whose fit is
-    rank deficient, stops and is marked deficient.
+    rank deficient, stops and is marked deficient. While every trial is
+    active and all merged supports have one size, an iteration fits and
+    updates the stack whole; otherwise it works on masks and size groups.
     """
     y, psi = _stack_inputs(system, y)
     m = system.num_measurements
     check_config(COSAMP, config, m)
     sparsity = config.sparsity
     trials, num_atoms = y.shape[0], system.num_atoms
+    rows = np.arange(trials)[:, None]
     keep_count = min(sparsity, num_atoms)
     norm_y = _row_norms(y)
     tolerance = config.residual_tol * norm_y
@@ -329,8 +353,9 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
     iterations = np.zeros(trials, dtype=int)
     deficient = np.zeros(trials, dtype=bool)
     active = norm_y > 0.0
+    whole = trials > 0 and bool(active.all())  # every trial is still active
     for _ in range(config.max_iterations):
-        if not active.any():
+        if not whole and not active.any():
             break
         proxy = correlate(system, residual)
         omega = _top_indices(proxy, min(2 * sparsity, num_atoms))
@@ -338,34 +363,52 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
         fresh = np.ones(candidates.shape, dtype=bool)
         fresh[:, 1:] = candidates[:, 1:] != candidates[:, :-1]
         sizes = fresh.sum(axis=1)
-        deficient |= active & (sizes > m)
-        active &= ~deficient
-        support = np.zeros((trials, keep_count), dtype=int)
-        coef = np.zeros((trials, keep_count), dtype=complex)
-        for size in sorted(set(sizes[active].tolist())):
-            group = np.flatnonzero(active & (sizes == size))
-            merged = candidates[group][fresh[group]].reshape(group.size, size)
-            fit = least_squares(_columns(psi, merged, group), y[group])
-            deficient[group] = np.isnan(fit[:, 0])
+        if whole and sizes[0] <= m and (sizes == sizes[0]).all():
+            merged = candidates[fresh].reshape(trials, sizes[0])
+            fit = least_squares(_columns(psi, merged), y)
+            deficient = np.isnan(fit[:, 0])
             keep = np.sort(_top_indices(np.abs(fit), keep_count), axis=1)
-            picked = np.arange(group.size)[:, None]
-            support[group] = merged[picked, keep]
-            coef[group] = fit[picked, keep]
-        active &= ~deficient
+            support, coef = merged[rows, keep], fit[rows, keep]
+            whole = not deficient.any()
+        else:
+            whole = False
+            deficient |= active & (sizes > m)
+            active &= ~deficient
+            support = np.zeros((trials, keep_count), dtype=int)
+            coef = np.zeros((trials, keep_count), dtype=complex)
+            for size in sorted(set(sizes[active].tolist())):
+                group = np.flatnonzero(active & (sizes == size))
+                merged = candidates[group][fresh[group]].reshape(group.size, size)
+                fit = least_squares(_columns(psi, merged, group), y[group])
+                deficient[group] = np.isnan(fit[:, 0])
+                keep = np.sort(_top_indices(np.abs(fit), keep_count), axis=1)
+                picked = np.arange(group.size)[:, None]
+                support[group] = merged[picked, keep]
+                coef[group] = fit[picked, keep]
         fitted = y - np.matmul(_columns(psi, support), coef[..., None])[..., 0]
         fitted_norm = _row_norms(fitted)
-        iterations[active] += 1
-        better = active & (fitted_norm < best_norm)
-        best_norm[better] = fitted_norm[better]
-        best_support[better] = support[better]
-        best_coef[better] = coef[better]
-        residual = np.where(active[:, None], fitted, residual)
+        if whole:
+            iterations += 1
+            better = fitted_norm < best_norm
+            residual = fitted
+        else:
+            active &= ~deficient
+            iterations[active] += 1
+            better = active & (fitted_norm < best_norm)
+            residual = np.where(active[:, None], fitted, residual)
+        if better.all():  # a copy: best_norm must not alias prev_norm
+            best_norm, best_support, best_coef = fitted_norm.copy(), support, coef
+        else:
+            best_norm[better] = fitted_norm[better]
+            best_support[better] = support[better]
+            best_coef[better] = coef[better]
         stalled = prev_norm - fitted_norm < STAGNATION_TOL * prev_norm
-        prev_norm = np.where(active, fitted_norm, prev_norm)
+        prev_norm = fitted_norm if whole else np.where(active, fitted_norm, prev_norm)
         active &= (fitted_norm > tolerance) & ~stalled
+        whole = whole and bool(active.all())
 
     coefficients = np.zeros((trials, num_atoms), dtype=complex)
-    coefficients[np.arange(trials)[:, None], best_support] = best_coef
+    coefficients[rows, best_support] = best_coef
     return _stacked(coefficients, best_support, best_norm, iterations, norm_y, deficient, config)
 
 

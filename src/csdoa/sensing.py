@@ -80,8 +80,8 @@ class SensingSystem:
                 f"{self.manifold.shape[0]} rows"
             )
         self.psi = _dictionary(self.phi.entries, self.manifold, psi_out)
-        self.column_norms = _column_norms(self.psi, scratch)
-        if np.any(self.column_norms <= 0.0) or not np.all(np.isfinite(self.column_norms)):
+        self.column_norms = norms = _column_norms(self.psi, scratch)
+        if not (np.isfinite(norms) & (norms > 0.0)).all():
             raise ValueError("every psi column must have a positive finite norm")
 
     @property

@@ -148,7 +148,8 @@ def _peak_indices(power: np.ndarray, num_peaks: int) -> tuple[np.ndarray, np.nda
     count = min(num_peaks, power.shape[-1])
     top = _top_indices(np.where(positive, power, -np.inf), count)
     counts = np.minimum(positive.sum(axis=-1), count)
-    top[np.arange(count) >= counts[:, None]] = power.shape[-1]
+    if (counts < count).any():
+        top[np.arange(count) >= counts[:, None]] = power.shape[-1]
     top.sort(axis=-1)
     return top, counts
 

@@ -1,0 +1,46 @@
+"""The gated benchmark workloads' recorded outputs, checked by the test suite.
+
+``benchmark/reference/`` holds the rmse.csv bytes of the two sweep workloads
+at their reference seeds and the run_single estimates of the single-shot
+workload for seeds 0-2047; the benchmark fails a timed run whose outputs
+differ from them. These tests only read those files, so an output that
+moves shows up here as well as in the benchmark.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+import csdoa
+from csdoa import cli
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference"
+
+# The flags of each sweep workload's `csdoa montecarlo` call at its reference seed.
+SWEEPS = {
+    "mc-2src": ["--sources", "-60,60", "--snr-sweep=-10:20:5", "--trials", "3", "--seed", "0"],
+    "mc-3src": ["--sources", "-60,0,40", "--coherent", "2,3", "--snr-sweep", "0:0:1",
+                "--trials", "20", "--seed", "17"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep_workloads_write_their_reference_bytes(tmp_path, name):
+    assert cli.main(["montecarlo", *SWEEPS[name], "--out", str(tmp_path)]) == 0
+    reference = (REFERENCE / f"{name}.csv").read_bytes()
+    assert (tmp_path / "rmse.csv").read_bytes() == reference
+
+
+def test_single_shot_estimates_match_the_reference():
+    # One line per seed: "<seed> omp:<doas> cosamp:<doas>", angles as %.12g.
+    lines = (REFERENCE / "single-shot.txt").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2048
+    base = csdoa.build_scenario([-60.0, 0.0, 40.0], snr_db=0.0)
+    for seed, line in enumerate(lines):
+        runs = csdoa.run_single(dataclasses.replace(base, seed=seed)).runs
+        estimates = " ".join(
+            f"{algorithm}:" + ",".join("%.12g" % doa for doa in run.estimated.doas_deg)
+            for algorithm, run in runs.items()
+        )
+        assert line == f"{seed} {estimates}"

@@ -684,6 +684,36 @@ def test_bad_from_meta_is_a_usage_error(tmp_path, capsys, text):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("sparsity", 2.5),
+        ("sparsity", True),
+        ("max_iterations", 7.5),
+        ("seed", 1.5),
+        ("seed", False),
+        ("measurements", 7.5),
+        ("sensors", 15.0),
+        ("residual_tol", math.nan),
+        ("residual_tol", math.inf),
+        ("residual_tol", -1e-6),
+    ],
+)
+def test_bad_solver_or_array_setting_in_meta_is_a_usage_error(tmp_path, capsys, key, value):
+    good = tmp_path / "good"
+    assert run_cli(["spectrum", "--sources", "-60,0,40", "--seed", "2", "--out", good], capsys)[0] == 0
+    meta = read_meta(good)
+    meta["scenario"][key] = value
+    bad = tmp_path / "meta.json"
+    bad.write_text(json.dumps(meta))  # NaN and Infinity as Python's json writes them
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["spectrum", "--from-meta", bad, "--out", out_dir], capsys)
+    assert code == 2
+    assert err.startswith("csdoa: error:") and "Traceback" not in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # rewriting outputs in place
 

@@ -88,6 +88,39 @@ def test_build_scenario_validation():
         csdoa.build_scenario([0.0], snr_db=float("nan"))
 
 
+def test_integer_settings_take_numpy_integers_and_refuse_bools_and_floats():
+    scenario = csdoa.build_scenario(
+        [-60.0, 60.0],
+        num_sensors=np.int64(15),
+        num_measurements=np.int32(8),
+        sparsity=np.int16(2),
+        max_iterations=np.uint8(9),
+        seed=np.int64(4),
+    )
+    settings = (
+        scenario.geometry.num_sensors,
+        scenario.measurement.num_measurements,
+        scenario.solver.sparsity,
+        scenario.solver.max_iterations,
+        scenario.seed,
+    )
+    assert settings == (15, 8, 2, 9, 4)
+    assert all(type(value) is int for value in settings)  # so meta.json can hold them
+    for bad in (
+        {"num_sensors": 15.0},
+        {"num_measurements": 8.0},
+        {"sparsity": True},
+        {"max_iterations": 9.5},
+        {"seed": False},
+        {"seed": np.float64(1.0)},
+    ):
+        with pytest.raises(TypeError, match="must be an integer"):
+            csdoa.build_scenario([-60.0, 60.0], **bad)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="residual_tol"):
+            csdoa.SolverConfig(sparsity=1, residual_tol=tol)
+
+
 def test_scenario_rejects_repeated_algorithms_directly():
     base = csdoa.build_scenario([0.0])
     with pytest.raises(ValueError):

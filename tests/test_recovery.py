@@ -560,24 +560,67 @@ def test_stacked_solvers_match_the_per_trial_loops(
     if zero_trial:
         y[0] = 0.0
     config = csdoa.SolverConfig(sparsity=sparsity)
-    for stack, scalar, reference in (
-        (omp_stack, csdoa.omp, reference_omp),
-        (cosamp_stack, csdoa.cosamp, reference_cosamp),
-    ):
-        stacked = stack(system, y, config)
+    for solver in (OMP_SOLVERS, COSAMP_SOLVERS):
+        stacked = solver[0](system, y, config)
         assert stacked.coefficients.shape == (trials, num_atoms)
-        for t in range(trials):
-            estimate = _row(stacked, t)
-            single = csdoa.build_sensing_system(phis[t], manifold)
-            try:
-                expected = reference(single, y[t], config)
-            except csdoa.RankDeficientError:
-                assert estimate is None and _is_empty_row(stacked, t, y[t])
-                with pytest.raises(csdoa.RankDeficientError):
-                    scalar(single, y[t], config)
-                continue
-            assert estimate is not None and _same(estimate, expected)
-            assert _same(scalar(single, y[t], config), expected)
+        _assert_rows_are_lone_solves(stacked, solver, phis, manifold, y, config)
+
+
+OMP_SOLVERS = (omp_stack, csdoa.omp, reference_omp)
+COSAMP_SOLVERS = (cosamp_stack, csdoa.cosamp, reference_cosamp)
+
+
+def _assert_rows_are_lone_solves(stacked, solver, phis, manifold, y, config) -> None:
+    """Every row of ``stacked`` equals its trial solved alone, by the reference and the solver."""
+    _, scalar, reference = solver
+    for t in range(len(phis)):
+        estimate = _row(stacked, t)
+        single = csdoa.build_sensing_system(phis[t], manifold)
+        try:
+            expected = reference(single, y[t], config)
+        except csdoa.RankDeficientError:
+            assert estimate is None and _is_empty_row(stacked, t, y[t])
+            with pytest.raises(csdoa.RankDeficientError):
+                scalar(single, y[t], config)
+            continue
+        assert estimate is not None and _same(estimate, expected)
+        assert _same(scalar(single, y[t], config), expected)
+
+
+@pytest.mark.parametrize(
+    "solver, sparsity, planted, iterations",
+    [
+        # Trial 0 is one atom: it converges at step 1 of 3 while the others go on.
+        pytest.param(OMP_SOLVERS, 3, (1, 3, 3, 3), [1, 3, 3, 3], id="omp"),
+        # Trial 0 is exact and stops after one iteration, and only trial 2
+        # runs a third: the second iteration writes its best iterates by mask.
+        pytest.param(COSAMP_SOLVERS, 2, (2, 2, 2, 2), [1, 2, 3, 2], id="cosamp"),
+    ],
+)
+def test_stacks_that_lose_trials_mid_solve_match_lone_solves(solver, sparsity, planted, iterations):
+    # Every trial is active at the first step, so it updates the stack whole;
+    # later steps run on masks once a trial has stopped.
+    m, noise = 6, 0.1
+    manifold = _dictionary("gaussian")
+    n, num_atoms = manifold.shape
+    rng = np.random.default_rng(11)
+    phis = [
+        csdoa.draw_measurement_matrix(m, n, csdoa.GAUSSIAN, seed=int(s))
+        for s in rng.integers(0, 2**32, len(planted))
+    ]
+    system = csdoa.build_sensing_system(stack_measurements(phis), manifold)
+    x = np.zeros((len(planted), num_atoms), dtype=complex)
+    for t, count in enumerate(planted):
+        x[t, rng.choice(num_atoms, size=count, replace=False)] = np.exp(
+            1j * rng.uniform(0.0, 2.0 * np.pi, count)
+        )
+    y = np.matmul(system.psi, x[..., None])[..., 0]
+    y[1:] += noise * (rng.standard_normal(y[1:].shape) + 1j * rng.standard_normal(y[1:].shape))
+    config = csdoa.SolverConfig(sparsity=sparsity)
+    stacked = solver[0](system, y, config)
+    assert stacked.iterations.tolist() == iterations
+    assert stacked.converged[0] and not stacked.deficient.any()
+    _assert_rows_are_lone_solves(stacked, solver, phis, manifold, y, config)
 
 
 def test_omp_stack_drops_a_rank_deficient_trial_and_finishes_the_others():

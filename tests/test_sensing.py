@@ -160,6 +160,17 @@ def test_system_derives_psi_and_cannot_take_it():
         csdoa.build_sensing_system(phi, zero_column)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf-j"])
+def test_system_rejects_a_non_finite_column(bad):
+    manifold = np.array(_standard_manifold())
+    manifold[:, 7] = bad
+    phi = csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=3)
+    # An infinite entry makes Phi A do invalid inf arithmetic; only the
+    # rejection is under test, so numpy's warning about it is silenced here.
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="positive finite norm"):
+        csdoa.build_sensing_system(phi, manifold)
+
+
 # ---------------------------------------------------------------------------
 # stacked measurement matrices
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .array_model import AMPLITUDE_MODELS, UNIT_MODULUS, build_manifold
-from .errors import CsdoaError
+from .errors import CsdoaError, integer
 from .experiments import (
     ALGORITHMS,
     MAX_SWEEP_POINTS,
@@ -429,7 +429,7 @@ def _sweep_run(
     """``cmd_montecarlo``'s ``(trials, snr_sweep, snr_points)``, from the meta's sweep or flags."""
     sweep = {"trials": args.trials, "snr_sweep": args.snr_sweep}
     sweep.update(meta.get("sweep", {}) if meta else {})
-    trials, snr_sweep = int(sweep["trials"]), str(sweep["snr_sweep"])
+    trials, snr_sweep = integer(sweep["trials"], "trials"), str(sweep["snr_sweep"])
     # A noiseless scenario runs at its one SNR point, whatever the sweep says.
     if math.isinf(scenario.snr_db):
         points = [math.inf]

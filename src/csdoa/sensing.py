@@ -67,6 +67,10 @@ class SensingSystem:
     column_norms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        # Checked before the product, which would warn on inf arithmetic. The
+        # engine's manifold comes from build_manifold, so _derive skips this.
+        if not np.isfinite(self.manifold).all():
+            raise ValueError("the manifold must hold only finite entries")
         self._derive()
 
     def _derive(

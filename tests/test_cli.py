@@ -714,6 +714,20 @@ def test_bad_solver_or_array_setting_in_meta_is_a_usage_error(tmp_path, capsys, 
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("trials", [2.5, True, "3"], ids=["float", "bool", "string"])
+def test_non_integer_trials_in_meta_is_a_usage_error(tmp_path, capsys, trials):
+    meta = read_meta(DATA / "noiseless_coherent")
+    meta["sweep"]["trials"] = trials
+    bad = tmp_path / "meta.json"
+    bad.write_text(json.dumps(meta))
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["montecarlo", "--from-meta", bad, "--out", out_dir], capsys)
+    assert code == 2
+    assert err.startswith("csdoa: error: trials must be an integer") and "Traceback" not in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 # ---------------------------------------------------------------------------
 # rewriting outputs in place
 

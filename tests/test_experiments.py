@@ -1,10 +1,14 @@
 """Tests for scenario assembly, seeded trials, and Monte Carlo aggregation."""
 
+import concurrent.futures
 import dataclasses
+import json
 import math
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,6 +417,78 @@ def test_concurrent_sweeps_in_threads_equal_the_serial_curve():
     finally:
         sys.setswitchinterval(interval)
     assert curves == expected * 3
+
+
+class _WindowSpy:
+    """A thread-backed ProcessPoolExecutor that records the most futures held uncollected."""
+
+    pools: list = []
+
+    def __init__(self, max_workers):
+        self._threads = ThreadPoolExecutor(max_workers)
+        self.uncollected = self.most = 0
+        _WindowSpy.pools.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._threads.shutdown()
+
+    def submit(self, fn, *args):
+        future = self._threads.submit(fn, *args)
+        self.uncollected += 1
+        self.most = max(self.most, self.uncollected)
+        result = future.result
+
+        def collected():
+            self.uncollected -= 1
+            return result()
+
+        future.result = collected
+        return future
+
+
+def test_a_pooled_sweep_keeps_a_bounded_window_of_chunks_in_flight(monkeypatch):
+    scenario = csdoa.build_scenario([-60.0, 60.0], seed=4)
+    sweep, trials = [0.0, 10.0], 30
+    expected = curve_key(csdoa.run_monte_carlo(scenario, sweep, trials))
+    monkeypatch.setattr(experiments, "CHUNK_TRIALS", 1)  # 60 chunks of one trial
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _WindowSpy)
+    monkeypatch.setattr(_WindowSpy, "pools", [])
+    assert curve_key(csdoa.run_monte_carlo(scenario, sweep, trials, workers=2)) == expected
+    [pool] = _WindowSpy.pools
+    assert pool.most == experiments.IN_FLIGHT_PER_WORKER * 2
+    assert pool.uncollected == 0
+
+
+COLD_START = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import csdoa, csdoa.cli
+
+POOL = ("multiprocessing", "concurrent.futures.process")
+scenario = csdoa.build_scenario([-60.0, 60.0], seed=1)
+csdoa.run_single(scenario)
+serial = csdoa.run_monte_carlo(scenario, [0.0, 10.0], 4)
+loaded = [[name for name in POOL if name in sys.modules]]
+pooled = csdoa.run_monte_carlo(scenario, [0.0, 10.0], 4, workers=2)
+loaded.append([name for name in POOL if name in sys.modules])
+same = pooled.per_algorithm["omp"].rmse_deg == serial.per_algorithm["omp"].rmse_deg
+print(json.dumps(loaded + [same]))
+"""
+
+
+def test_only_a_pooled_sweep_loads_the_process_pool():
+    src = Path(csdoa.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", COLD_START, str(src)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    before, after, same = json.loads(done.stdout.splitlines()[-1])
+    assert before == []
+    assert after == ["multiprocessing", "concurrent.futures.process"]
+    assert same
 
 
 def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():

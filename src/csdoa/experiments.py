@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Sequence
@@ -78,11 +77,6 @@ MAX_PSI_STACK_BYTES = 2**27
 # faulted back in by the next chunk; a larger stack is allocated per chunk,
 # so a fine grid does not pin its buffers in the thread.
 KEPT_PSI_BYTES = CHUNK_TRIALS * 15 * 181 * 16
-
-# Most chunks a pooled sweep keeps submitted but not yet collected, per
-# worker: enough to keep every worker busy, and few enough that a long sweep
-# neither queues all its chunks at once nor piles up results behind a slow one.
-IN_FLIGHT_PER_WORKER = 4
 
 # Largest ring of per-point buffers a sweep allocates up front: 256 MiB. The
 # ring holds each algorithm's per-source errors and success flags for every
@@ -494,13 +488,11 @@ def run_monte_carlo(
     The flat list of (point, trial) pairs runs in chunks of at most
     ``CHUNK_TRIALS`` trials, and fewer when their Psi stack would pass
     ``MAX_PSI_STACK_BYTES``, each solved as one stacked problem; a pool of
-    ``workers`` processes takes whole chunks, at most
-    ``IN_FLIGHT_PER_WORKER`` per worker submitted and not yet collected. The
-    pool is imported by the first sweep with ``workers > 1`` in a process;
-    a serial sweep never loads it. Each chunk's rows are copied
-    into a ring of point buffers, and the points it completes are aggregated
-    together, so memory holds one chunk's stacks and the per-source errors
-    of the points one chunk touches. A sweep whose point buffers would pass
+    ``workers`` processes takes whole chunks. The pool is imported by the
+    first sweep with ``workers > 1`` in a process; a serial sweep never loads
+    it. Each chunk's rows are copied into a ring of point buffers, and the
+    points it completes are aggregated together, so memory holds one chunk's
+    stacks and the per-source errors of the points one chunk touches. A sweep whose point buffers would pass
     ``MAX_RING_BYTES`` raises :class:`InstanceTooLargeError` before any
     work. Neither the chunking nor ``workers`` changes the result.
     """
@@ -518,8 +510,8 @@ def run_monte_carlo(
     manifold = build_manifold(scenario.grid, scenario.geometry)
     total = len(sweep) * trials
 
-    # Built as the loop takes them, not held for the whole sweep.
-    chunks = (range(start, min(start + size, total)) for start in range(0, total, size))
+    def chunks():  # built as the loop takes them, not held for the whole sweep
+        return (range(start, min(start + size, total)) for start in range(0, total, size))
 
     solve = partial(_sweep_chunk, scenario, sweep, manifold, trials)
 
@@ -558,17 +550,10 @@ def run_monte_carlo(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            # Collected in submission order, as the ring of point buffers needs.
-            in_flight = deque()
-            for flat in chunks:
-                in_flight.append((flat, pool.submit(solve, flat)))
-                if len(in_flight) == IN_FLIGHT_PER_WORKER * workers:
-                    done, future = in_flight.popleft()
-                    collect(done, *future.result())
-            for flat, future in in_flight:
-                collect(flat, *future.result())
+            for flat, outcome in zip(chunks(), pool.map(solve, chunks())):
+                collect(flat, *outcome)
     else:
-        for flat in chunks:
+        for flat in chunks():
             collect(flat, *solve(flat))
 
     table = np.concatenate(aggregates)

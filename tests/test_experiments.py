@@ -1,6 +1,5 @@
 """Tests for scenario assembly, seeded trials, and Monte Carlo aggregation."""
 
-import concurrent.futures
 import dataclasses
 import json
 import math
@@ -417,49 +416,6 @@ def test_concurrent_sweeps_in_threads_equal_the_serial_curve():
     finally:
         sys.setswitchinterval(interval)
     assert curves == expected * 3
-
-
-class _WindowSpy:
-    """A thread-backed ProcessPoolExecutor that records the most futures held uncollected."""
-
-    pools: list = []
-
-    def __init__(self, max_workers):
-        self._threads = ThreadPoolExecutor(max_workers)
-        self.uncollected = self.most = 0
-        _WindowSpy.pools.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._threads.shutdown()
-
-    def submit(self, fn, *args):
-        future = self._threads.submit(fn, *args)
-        self.uncollected += 1
-        self.most = max(self.most, self.uncollected)
-        result = future.result
-
-        def collected():
-            self.uncollected -= 1
-            return result()
-
-        future.result = collected
-        return future
-
-
-def test_a_pooled_sweep_keeps_a_bounded_window_of_chunks_in_flight(monkeypatch):
-    scenario = csdoa.build_scenario([-60.0, 60.0], seed=4)
-    sweep, trials = [0.0, 10.0], 30
-    expected = curve_key(csdoa.run_monte_carlo(scenario, sweep, trials))
-    monkeypatch.setattr(experiments, "CHUNK_TRIALS", 1)  # 60 chunks of one trial
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _WindowSpy)
-    monkeypatch.setattr(_WindowSpy, "pools", [])
-    assert curve_key(csdoa.run_monte_carlo(scenario, sweep, trials, workers=2)) == expected
-    [pool] = _WindowSpy.pools
-    assert pool.most == experiments.IN_FLIGHT_PER_WORKER * 2
-    assert pool.uncollected == 0
 
 
 COLD_START = """

@@ -1,6 +1,7 @@
 """Tests for scenario assembly, seeded trials, and Monte Carlo aggregation."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -478,6 +479,43 @@ def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
     curve = csdoa.run_monte_carlo(scenario, [-10.0], 1)
     assert curve.per_algorithm["cosamp"].rmse_deg == (csdoa.MISS_PENALTY_DEG,)
     assert curve.per_algorithm["cosamp"].success_rate == (0.0,)
+
+
+# SHA-256 over every field of every StackedEstimate the engine makes on the
+# sweeps below, in call order. The set holds 4 OMP trials that converge a step
+# early while the rest of their stack goes on, 24 CoSaMP stacks whose trials
+# stop at different iterations, and 2 rank-deficient trials. CSV bytes cannot
+# see residual bits or iteration counts; this digest does. Re-record it only
+# in a change that means to move a solver's output, and say so.
+_ENGINE_DIGEST = "c69b818b6f75334e704ce1ba08afebcc782c5a1c73ee11af4b6d4e2bc915a547"
+_CRITERION3_SWEEP = [-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0]
+
+
+def test_engine_estimates_keep_their_pinned_bits(monkeypatch):
+    runs = [(csdoa.build_scenario([-60.0, 60.0], seed=s), _CRITERION3_SWEEP, 3) for s in range(10)]
+    runs += [
+        (csdoa.build_scenario([-60.0, 0.0, 40.0], coherent_groups=[[1, 2]], seed=s), [0.0], 20)
+        for s in range(10)
+    ]
+    runs.append((csdoa.build_scenario([-60.0, 60.0], seed=0), _CRITERION3_SWEEP, 64))
+    runs.append((csdoa.build_scenario([-60.0, 60.0], sparsity=3, seed=0), [math.inf], 64))
+    digest = hashlib.sha256()
+
+    def hashed(solver):
+        def solve(system, y, config):
+            estimate = solver(system, y, config)
+            for name in ("coefficients", "support", "residual_norm", "iterations", "converged",
+                         "deficient"):
+                digest.update(np.ascontiguousarray(getattr(estimate, name)).tobytes())
+            return estimate
+
+        return solve
+
+    for algorithm, solver in list(experiments._STACK_SOLVERS.items()):
+        monkeypatch.setitem(experiments._STACK_SOLVERS, algorithm, hashed(solver))
+    for scenario, sweep, trials in runs:
+        csdoa.run_monte_carlo(scenario, sweep, trials)
+    assert digest.hexdigest() == _ENGINE_DIGEST
 
 
 def _same_bits(a, b) -> bool:

@@ -8,12 +8,11 @@ two leaves every choice unchanged. CoSaMP's prune keeps the largest raw
 coefficients, so a scaled column can move its support.
 
 OMP and CoSaMP have one implementation each, over a stack of T trials
-(:func:`omp_stack`, :func:`cosamp_stack`): every greedy step runs once for
-the whole stack, the result is one :class:`StackedEstimate`, and
-``omp``/``cosamp`` are a stack of one. Per trial, the stacked steps round
-exactly as the single-trial ones do. While every trial is still active a
-step updates the stack whole; once some trial has stopped, the steps work
-on masks (and CoSaMP on size groups), which changes no bit.
+(:func:`omp_stack`, :func:`cosamp_stack`), and ``omp``/``cosamp`` are a
+stack of one. Every greedy step runs once, whole, on the live set: the
+trials still running, with their Psi gathered so that each rounds exactly
+as it does alone. A trial leaves the set when it stops, and writes its row
+of the one :class:`StackedEstimate` as it goes.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import InstanceTooLargeError, RankDeficientError, integer
-from .sensing import SensingSystem
+from .sensing import SensingSystem, _trials_of
 
 # Relative threshold on the QR diagonal below which a column set is treated
 # as rank deficient.
@@ -179,47 +178,78 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
-def _columns(psi: np.ndarray, indices: np.ndarray, trials: np.ndarray | None = None) -> np.ndarray:
-    """``psi[trials[i]][:, indices[i]]`` for each row ``i``; every trial by default.
+def _columns(psi: np.ndarray, indices: np.ndarray, trials: np.ndarray) -> np.ndarray:
+    """``psi[trials[i, 0]][:, indices[i]]`` for each row ``i``; ``trials`` is a column.
 
-    Each slice is column-major, as ``psi[:, indices]`` is for one system, so
+    Each slice is column-major, as one system's ``psi[:, indices]`` is, so
     products with it round exactly as a single trial's do.
     """
-    if trials is None:
-        trials = np.arange(indices.shape[0])
-    rows = np.arange(psi.shape[1])
-    return psi[trials[:, None, None], rows[None, None, :], indices[:, :, None]].swapaxes(1, 2)
+    return psi.swapaxes(1, 2)[trials, indices].swapaxes(1, 2)
 
 
-def _stack_inputs(system: SensingSystem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``y`` as a complex (T, m) stack and psi as a matching (T, m, N_s) view."""
-    y = np.asarray(y, dtype=complex)
-    if y.ndim != 2 or y.shape[1] != system.num_measurements:
-        raise ValueError(f"y must be a (trials, {system.num_measurements}) stack")
-    psi = system.psi
-    if psi.shape[:-2] != y.shape[:1]:  # a shared system serves every row
-        psi = np.broadcast_to(psi, y.shape[:1] + psi.shape[-2:])
-    return y, psi
+class _Live:
+    """The trials of a stacked solve that are still running, and the solve's result.
 
+    ``rows`` holds their stack positions, ``index`` their positions here as
+    a column, and ``y``, ``norm_y``, ``residual`` and ``tolerance`` their
+    rows. ``system`` (for ``correlate``) and ``psi`` (for ``_columns``) are a
+    gathered C-contiguous copy of theirs, or the one shared system. Each row
+    of ``stack`` starts empty, as a zero ``y`` or a failed fit leaves it; a
+    trial that leaves with an iterate writes its row once.
+    """
 
-def _stacked(
-    coefficients: np.ndarray,
-    support: np.ndarray,
-    residual_norm: np.ndarray,
-    iterations: np.ndarray,
-    norm_y: np.ndarray,
-    deficient: np.ndarray,
-    config: SolverConfig,
-) -> StackedEstimate:
-    """A stacked solve's result; trials with zero ``y`` or a rank-deficient fit get empty rows."""
-    empty = deficient | (norm_y == 0.0)
-    if empty.any():
-        coefficients[empty] = 0.0
-        support[empty] = -1
-        iterations[empty] = 0
-        residual_norm = np.where(empty, norm_y, residual_norm)
-    converged = ~deficient & (residual_norm <= config.residual_tol * norm_y)
-    return StackedEstimate(coefficients, support, residual_norm, iterations, converged, deficient)
+    def __init__(self, algorithm: str, system: SensingSystem, y, config: SolverConfig, width: int):
+        y = np.asarray(y, dtype=complex)
+        m = system.num_measurements
+        if y.ndim != 2 or y.shape[1] != m:
+            raise ValueError(f"y must be a (trials, {m}) stack")
+        check_config(algorithm, config, m)
+        psi, trials = system.psi, y.shape[0]
+        if psi.shape[:-2] != y.shape[:1]:  # a shared system serves every row
+            psi = np.broadcast_to(psi, y.shape[:1] + psi.shape[-2:])
+        self.system, self.psi, self.y, self.residual = system, psi, y, y
+        self.norm_y = norm_y = _row_norms(y)
+        self.tolerance = config.residual_tol * norm_y
+        self.rows = np.arange(trials)
+        self.index = self.rows[:, None]
+        self.stack = StackedEstimate(
+            coefficients=np.zeros((trials, system.num_atoms), dtype=complex),
+            support=np.full((trials, width), -1),
+            residual_norm=norm_y.copy(),
+            iterations=np.zeros(trials, dtype=int),
+            converged=norm_y == 0.0,  # as 0 <= residual_tol * 0; set as trials leave
+            deficient=np.zeros(trials, dtype=bool),
+        )
+        going = norm_y > 0.0
+        if not going.all():
+            self.keep(going)
+
+    def leave(self, done, support, coef, residual_norm, iterations: int, failed) -> None:
+        """Write the rows of the trials ``done`` (a mask or slice of the live rows) as they leave."""
+        rows, stack, failed = self.rows[done], self.stack, failed[done]
+        support, coef, residual_norm = support[done], coef[done], residual_norm[done]
+        stack.converged[rows] = ~failed & (residual_norm <= self.tolerance[done])
+        if failed.any():
+            stack.deficient[rows[failed]] = True
+            ok = ~failed
+            rows, support, coef, residual_norm = rows[ok], support[ok], coef[ok], residual_norm[ok]
+        stack.support[rows, : support.shape[1]] = support
+        stack.coefficients[rows[:, None], support] = coef
+        stack.residual_norm[rows] = residual_norm
+        stack.iterations[rows] = iterations
+
+    def keep(self, going: np.ndarray, *state: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Keep the live trials where ``going`` holds; returns their rows of ``state``."""
+        self.rows, self.y, self.norm_y, self.residual, self.tolerance = (
+            a[going] for a in (self.rows, self.y, self.norm_y, self.residual, self.tolerance)
+        )
+        self.index = np.arange(self.rows.size)[:, None]
+        if self.psi is self.system.psi:
+            self.system = _trials_of(self.system, going)
+            self.psi = self.system.psi
+        else:  # a broadcast view of one shared system
+            self.psi = self.psi[: self.rows.size]
+        return tuple(a[going] for a in state)
 
 
 def _one(stack: StackedEstimate, solver: str) -> SparseEstimate:
@@ -253,62 +283,31 @@ def omp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> SparseEst
 def omp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> StackedEstimate:
     """:func:`omp` on T trials at once: ``y`` is (T, m), ``system`` stacked or shared.
 
-    Each greedy step runs once for the whole stack; trials that converge or
-    hit a rank-deficient fit stop while the others go on. While every trial
-    is active a step updates the stack whole; masked updates start only once
-    some trial has stopped.
+    Each greedy step runs once, whole, on the live set: the trials still
+    running. A trial leaves it, with its row written, when it converges, hits
+    a rank-deficient fit or has made every selection.
     """
-    y, psi = _stack_inputs(system, y)
-    check_config(OMP, config, system.num_measurements)
-    trials, sparsity = y.shape[0], config.sparsity
-    rows = np.arange(trials)[:, None]
-    norm_y = _row_norms(y)
-    tolerance = config.residual_tol * norm_y
-    support = np.zeros((trials, sparsity), dtype=int)
-    coef = np.zeros((trials, sparsity), dtype=complex)
-    residual = y
-    residual_norm = norm_y.copy()
-    iterations = np.zeros(trials, dtype=int)
-    deficient = np.zeros(trials, dtype=bool)
-    active = norm_y > 0.0
-    whole = trials > 0 and bool(active.all())  # every trial is still active
-    for step in range(sparsity):
-        if not whole and not active.any():
-            break
-        proxy = correlate(system, residual)
+    live = _Live(OMP, system, y, config, config.sparsity)
+    support = np.empty((live.rows.size, config.sparsity), dtype=int)
+    for step in range(config.sparsity if live.rows.size else 0):
+        proxy = correlate(live.system, live.residual)
         if step:
-            proxy[rows, support[:, :step]] = -1.0  # an index is never re-selected
+            proxy[live.index, support[:, :step]] = -1.0  # an index is never re-selected
         support[:, step] = np.argmax(proxy, axis=1)
-        basis = _columns(psi, support[:, : step + 1])
-        fit = least_squares(basis, y)
-        failed = np.isnan(fit[:, 0])
-        fitted = y - np.matmul(basis, fit[..., None])[..., 0]
-        fitted_norm = _row_norms(fitted)
-        if whole and not failed.any():
-            coef[:, : step + 1] = fit
-            residual, residual_norm = fitted, fitted_norm
-            iterations[:] = step + 1
-            active = fitted_norm > tolerance
-            whole = bool(active.all())
-            continue
-        whole = False
-        deficient |= active & failed
-        active &= ~deficient
-        coef[active, : step + 1] = fit[active]
-        residual = np.where(active[:, None], fitted, residual)
-        residual_norm = np.where(active, fitted_norm, residual_norm)
-        iterations[active] = step + 1
-        active &= fitted_norm > tolerance
-
-    coefficients = np.zeros((trials, system.num_atoms), dtype=complex)
-    if np.minimum.reduce(iterations, initial=sparsity) == sparsity:  # every trial ran every step
-        coefficients[rows, support] = coef
-    else:
-        chosen = np.arange(sparsity) < iterations[:, None]
-        support[~chosen] = -1
-        t, j = np.nonzero(chosen)
-        coefficients[t, support[t, j]] = coef[t, j]
-    return _stacked(coefficients, support, residual_norm, iterations, norm_y, deficient, config)
+        basis = _columns(live.psi, support[:, : step + 1], live.index)
+        fit = least_squares(basis, live.y)
+        live.residual = live.y - np.matmul(basis, fit[..., None])[..., 0]
+        residual_norm = _row_norms(live.residual)
+        going = residual_norm > live.tolerance  # false after a rank-deficient (NaN) fit
+        staying = np.count_nonzero(going) if step + 1 < config.sparsity else 0
+        if staying < going.size:
+            done = ~going if staying else slice(None)
+            failed = np.isnan(fit[:, 0])
+            live.leave(done, support[:, : step + 1], fit, residual_norm, step + 1, failed)
+            if not staying:
+                break
+            (support,) = live.keep(going, support)
+    return live.stack
 
 
 def cosamp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> SparseEstimate:
@@ -325,91 +324,77 @@ def cosamp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> Sparse
     return _one(cosamp_stack(system, np.asarray(y)[None], config), "cosamp")
 
 
+def _pruned_fit(psi, y, merged, trials, m: int, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fit of ``y`` on each row's ``merged`` support, pruned to the ``keep`` largest.
+
+    Returns the kept atoms, ascending, and their coefficients. A support of
+    more than ``m`` atoms gets NaN coefficients, as a rank-deficient fit does.
+    """
+    if merged.shape[1] > m:
+        return merged[:, :keep], np.full((merged.shape[0], keep), np.nan, dtype=complex)
+    fit = least_squares(_columns(psi, merged, trials), y)
+    picked = np.arange(merged.shape[0])[:, None]
+    kept = np.sort(_top_indices(np.abs(fit), keep), axis=1)
+    return merged[picked, kept], fit[picked, kept]
+
+
 def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> StackedEstimate:
     """:func:`cosamp` on T trials at once: ``y`` is (T, m), ``system`` stacked or shared.
 
-    Each iteration runs once for the stack. The least-squares fit runs once
-    per merged-support size among the active trials, so nothing is padded.
-    A trial whose merged support outgrows the m measurements, or whose fit is
-    rank deficient, stops and is marked deficient. While every trial is
-    active and all merged supports have one size, an iteration fits and
-    updates the stack whole; otherwise it works on masks and size groups.
+    Each iteration runs once, whole, on the live set: the trials still
+    running. Only the fit runs once per merged-support size, so nothing is
+    padded. A trial leaves, with its best iterate written, when it converges,
+    stalls or runs out of iterations, and leaves deficient when its merged
+    support outgrows the m measurements or its fit is rank deficient.
     """
-    y, psi = _stack_inputs(system, y)
-    m = system.num_measurements
-    check_config(COSAMP, config, m)
-    sparsity = config.sparsity
-    trials, num_atoms = y.shape[0], system.num_atoms
-    rows = np.arange(trials)[:, None]
-    keep_count = min(sparsity, num_atoms)
-    norm_y = _row_norms(y)
-    tolerance = config.residual_tol * norm_y
-    support = np.zeros((trials, 0), dtype=int)
-    residual = y
-    prev_norm = norm_y
-    best_norm = np.full(trials, np.inf)
-    best_support = np.zeros((trials, keep_count), dtype=int)
-    best_coef = np.zeros((trials, keep_count), dtype=complex)
-    iterations = np.zeros(trials, dtype=int)
-    deficient = np.zeros(trials, dtype=bool)
-    active = norm_y > 0.0
-    whole = trials > 0 and bool(active.all())  # every trial is still active
-    for _ in range(config.max_iterations):
-        if not whole and not active.any():
-            break
-        proxy = correlate(system, residual)
+    sparsity, m, num_atoms = config.sparsity, system.num_measurements, system.num_atoms
+    keep = min(sparsity, num_atoms)
+    live = _Live(COSAMP, system, y, config, keep)
+    trials = live.rows.size
+    support, prev_norm = np.zeros((trials, 0), dtype=int), live.norm_y  # the last iterate's
+    best_norm, best_support = np.full(trials, np.inf), np.zeros((trials, keep), dtype=int)
+    best_coef = np.zeros((trials, keep), dtype=complex)
+    for iteration in range(1, config.max_iterations + 1 if live.rows.size else 1):
+        proxy = correlate(live.system, live.residual)
         omega = _top_indices(proxy, min(2 * sparsity, num_atoms))
         candidates = np.sort(np.concatenate([omega, support], axis=1), axis=1)
         fresh = np.ones(candidates.shape, dtype=bool)
         fresh[:, 1:] = candidates[:, 1:] != candidates[:, :-1]
         sizes = fresh.sum(axis=1)
-        if whole and sizes[0] <= m and (sizes == sizes[0]).all():
-            merged = candidates[fresh].reshape(trials, sizes[0])
-            fit = least_squares(_columns(psi, merged), y)
-            deficient = np.isnan(fit[:, 0])
-            keep = np.sort(_top_indices(np.abs(fit), keep_count), axis=1)
-            support, coef = merged[rows, keep], fit[rows, keep]
-            whole = not deficient.any()
+        if (sizes == sizes[0]).all():  # one size group, the usual case
+            merged = candidates[fresh].reshape(sizes.size, sizes[0])
+            support, coef = _pruned_fit(live.psi, live.y, merged, live.index, m, keep)
         else:
-            whole = False
-            deficient |= active & (sizes > m)
-            active &= ~deficient
-            support = np.zeros((trials, keep_count), dtype=int)
-            coef = np.zeros((trials, keep_count), dtype=complex)
-            for size in sorted(set(sizes[active].tolist())):
-                group = np.flatnonzero(active & (sizes == size))
+            support, coef = np.empty_like(best_support), np.empty_like(best_coef)
+            for size in sorted(set(sizes.tolist())):
+                group = np.flatnonzero(sizes == size)
                 merged = candidates[group][fresh[group]].reshape(group.size, size)
-                fit = least_squares(_columns(psi, merged, group), y[group])
-                deficient[group] = np.isnan(fit[:, 0])
-                keep = np.sort(_top_indices(np.abs(fit), keep_count), axis=1)
-                picked = np.arange(group.size)[:, None]
-                support[group] = merged[picked, keep]
-                coef[group] = fit[picked, keep]
-        fitted = y - np.matmul(_columns(psi, support), coef[..., None])[..., 0]
-        fitted_norm = _row_norms(fitted)
-        if whole:
-            iterations += 1
-            better = fitted_norm < best_norm
-            residual = fitted
-        else:
-            active &= ~deficient
-            iterations[active] += 1
-            better = active & (fitted_norm < best_norm)
-            residual = np.where(active[:, None], fitted, residual)
-        if better.all():  # a copy: best_norm must not alias prev_norm
-            best_norm, best_support, best_coef = fitted_norm.copy(), support, coef
-        else:
-            best_norm[better] = fitted_norm[better]
-            best_support[better] = support[better]
-            best_coef[better] = coef[better]
-        stalled = prev_norm - fitted_norm < STAGNATION_TOL * prev_norm
-        prev_norm = fitted_norm if whole else np.where(active, fitted_norm, prev_norm)
-        active &= (fitted_norm > tolerance) & ~stalled
-        whole = whole and bool(active.all())
-
-    coefficients = np.zeros((trials, num_atoms), dtype=complex)
-    coefficients[rows, best_support] = best_coef
-    return _stacked(coefficients, best_support, best_norm, iterations, norm_y, deficient, config)
+                support[group], coef[group] = _pruned_fit(
+                    live.psi, live.y[group], merged, group[:, None], m, keep
+                )
+        columns = _columns(live.psi, support, live.index)
+        live.residual = live.y - np.matmul(columns, coef[..., None])[..., 0]
+        residual_norm = _row_norms(live.residual)
+        better = residual_norm < best_norm
+        improved = np.count_nonzero(better)
+        if improved == better.size:
+            best_norm, best_support, best_coef = residual_norm, support, coef
+        elif improved:
+            best_norm = np.where(better, residual_norm, best_norm)
+            best_support = np.where(better[:, None], support, best_support)
+            best_coef = np.where(better[:, None], coef, best_coef)
+        stalled = prev_norm - residual_norm < STAGNATION_TOL * prev_norm
+        going = (residual_norm > live.tolerance) & ~stalled  # false after a deficient (NaN) fit
+        prev_norm = residual_norm
+        staying = np.count_nonzero(going) if iteration < config.max_iterations else 0
+        if staying < going.size:
+            done = ~going if staying else slice(None)
+            live.leave(done, best_support, best_coef, best_norm, iteration, np.isnan(coef[:, 0]))
+            if not staying:
+                break
+            state = (support, prev_norm, best_norm, best_support, best_coef)
+            support, prev_norm, best_norm, best_support, best_coef = live.keep(going, *state)
+    return live.stack
 
 
 def l0_oracle(system: SensingSystem, y: np.ndarray, sparsity: int) -> SparseEstimate:

@@ -535,7 +535,7 @@ def _same(estimate, reference) -> bool:
     extra_rows=st.integers(0, 4),
     planted=st.integers(1, 3),
     noise=st.sampled_from([0.0, 0.1, 1.0]),
-    zero_trial=st.booleans(),
+    zero_trial=st.sampled_from(["none", "first", "last", "every"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_solvers_match_the_per_trial_loops(
@@ -557,8 +557,8 @@ def test_stacked_solvers_match_the_per_trial_loops(
     system = csdoa.build_sensing_system(phi, manifold)
     y = np.matmul(system.psi, x[..., None])[..., 0]
     y += noise * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-    if zero_trial:
-        y[0] = 0.0
+    zeroed = {"none": [], "first": [0], "last": [trials - 1], "every": list(range(trials))}
+    y[zeroed[zero_trial]] = 0.0
     config = csdoa.SolverConfig(sparsity=sparsity)
     for solver in (OMP_SOLVERS, COSAMP_SOLVERS):
         stacked = solver[0](system, y, config)
@@ -593,13 +593,23 @@ def _assert_rows_are_lone_solves(stacked, solver, phis, manifold, y, config) -> 
         # Trial 0 is one atom: it converges at step 1 of 3 while the others go on.
         pytest.param(OMP_SOLVERS, 3, (1, 3, 3, 3), [1, 3, 3, 3], id="omp"),
         # Trial 0 is exact and stops after one iteration, and only trial 2
-        # runs a third: the second iteration writes its best iterates by mask.
+        # runs a third: the live set goes from 4 trials to 3, then to 1.
         pytest.param(COSAMP_SOLVERS, 2, (2, 2, 2, 2), [1, 2, 3, 2], id="cosamp"),
     ],
 )
 def test_stacks_that_lose_trials_mid_solve_match_lone_solves(solver, sparsity, planted, iterations):
-    # Every trial is active at the first step, so it updates the stack whole;
-    # later steps run on masks once a trial has stopped.
+    # Every trial is live at the first step; a trial that stops leaves the
+    # live set, and the later steps run on the trials still in it.
+    system, y, phis, manifold = _stack_that_loses_trials(planted)
+    config = csdoa.SolverConfig(sparsity=sparsity)
+    stacked = solver[0](system, y, config)
+    assert stacked.iterations.tolist() == iterations
+    assert stacked.converged[0] and not stacked.deficient.any()
+    _assert_rows_are_lone_solves(stacked, solver, phis, manifold, y, config)
+
+
+def _stack_that_loses_trials(planted):
+    """A stack of ``len(planted)`` trials at m = 6: trial 0 is exact, the rest noisy."""
     m, noise = 6, 0.1
     manifold = _dictionary("gaussian")
     n, num_atoms = manifold.shape
@@ -616,11 +626,29 @@ def test_stacks_that_lose_trials_mid_solve_match_lone_solves(solver, sparsity, p
         )
     y = np.matmul(system.psi, x[..., None])[..., 0]
     y[1:] += noise * (rng.standard_normal(y[1:].shape) + 1j * rng.standard_normal(y[1:].shape))
-    config = csdoa.SolverConfig(sparsity=sparsity)
-    stacked = solver[0](system, y, config)
-    assert stacked.iterations.tolist() == iterations
-    assert stacked.converged[0] and not stacked.deficient.any()
-    _assert_rows_are_lone_solves(stacked, solver, phis, manifold, y, config)
+    return system, y, phis, manifold
+
+
+@pytest.mark.parametrize(
+    "solver, sparsity, planted, live",
+    [
+        pytest.param(omp_stack, 3, (1, 3, 3, 3), [4, 3, 3], id="omp"),
+        pytest.param(cosamp_stack, 2, (2, 2, 2, 2), [4, 3, 1], id="cosamp"),
+    ],
+)
+def test_each_step_correlates_the_live_trials_only(monkeypatch, solver, sparsity, planted, live):
+    # The stacks above: a trial that has stopped is not correlated again, and
+    # the system each step sees holds the live trials' Psi only.
+    system, y, _, _ = _stack_that_loses_trials(planted)
+    original, seen = recovery.correlate, []
+
+    def spy(system, residual):
+        seen.append((len(residual), len(system.psi), len(system.column_norms)))
+        return original(system, residual)
+
+    monkeypatch.setattr(recovery, "correlate", spy)
+    solver(system, y, csdoa.SolverConfig(sparsity=sparsity))
+    assert seen == [(rows, rows, rows) for rows in live]
 
 
 def test_omp_stack_drops_a_rank_deficient_trial_and_finishes_the_others():

@@ -220,7 +220,7 @@ class _Live:
             converged=norm_y == 0.0,  # as 0 <= residual_tol * 0; set as trials leave
             deficient=np.zeros(trials, dtype=bool),
         )
-        going = norm_y > 0.0
+        going = norm_y > 0.0  # a zero y never enters the set: its empty row is its result
         if not going.all():
             self.keep(going)
 
@@ -324,13 +324,13 @@ def cosamp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> Sparse
     return _one(cosamp_stack(system, np.asarray(y)[None], config), "cosamp")
 
 
-def _pruned_fit(psi, y, merged, trials, m: int, keep: int) -> tuple[np.ndarray, np.ndarray]:
+def _pruned_fit(psi, y, merged, trials, keep: int) -> tuple[np.ndarray, np.ndarray]:
     """The fit of ``y`` on each row's ``merged`` support, pruned to the ``keep`` largest.
 
-    Returns the kept atoms, ascending, and their coefficients. A support of
-    more than ``m`` atoms gets NaN coefficients, as a rank-deficient fit does.
+    Returns the kept atoms, ascending, and their coefficients. A support
+    larger than Psi's m rows gets NaN coefficients, as a rank-deficient fit does.
     """
-    if merged.shape[1] > m:
+    if merged.shape[1] > psi.shape[1]:
         return merged[:, :keep], np.full((merged.shape[0], keep), np.nan, dtype=complex)
     fit = least_squares(_columns(psi, merged, trials), y)
     picked = np.arange(merged.shape[0])[:, None]
@@ -347,7 +347,7 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
     stalls or runs out of iterations, and leaves deficient when its merged
     support outgrows the m measurements or its fit is rank deficient.
     """
-    sparsity, m, num_atoms = config.sparsity, system.num_measurements, system.num_atoms
+    sparsity, num_atoms = config.sparsity, system.num_atoms
     keep = min(sparsity, num_atoms)
     live = _Live(COSAMP, system, y, config, keep)
     trials = live.rows.size
@@ -363,14 +363,14 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
         sizes = fresh.sum(axis=1)
         if (sizes == sizes[0]).all():  # one size group, the usual case
             merged = candidates[fresh].reshape(sizes.size, sizes[0])
-            support, coef = _pruned_fit(live.psi, live.y, merged, live.index, m, keep)
+            support, coef = _pruned_fit(live.psi, live.y, merged, live.index, keep)
         else:
             support, coef = np.empty_like(best_support), np.empty_like(best_coef)
             for size in sorted(set(sizes.tolist())):
                 group = np.flatnonzero(sizes == size)
                 merged = candidates[group][fresh[group]].reshape(group.size, size)
                 support[group], coef[group] = _pruned_fit(
-                    live.psi, live.y[group], merged, group[:, None], m, keep
+                    live.psi, live.y[group], merged, group[:, None], keep
                 )
         columns = _columns(live.psi, support, live.index)
         live.residual = live.y - np.matmul(columns, coef[..., None])[..., 0]

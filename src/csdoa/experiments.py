@@ -41,7 +41,7 @@ from .recovery import (
     cosamp_stack,
     omp_stack,
 )
-from .seeding import pcg64_states, stream_seeds
+from .seeding import lone_seeds, stream_states
 from .sensing import (
     GAUSSIAN,
     IDENTITY,
@@ -259,13 +259,12 @@ def trial_seeds(seed: int, snr_index: int, trial_index: int) -> tuple[int, int]:
     Uses a splittable seed sequence over (scenario seed, sweep position,
     trial position) so trials are reproducible regardless of execution order
     or worker count: ``np.random.SeedSequence([seed, snr_index,
-    trial_index]).generate_state(2, np.uint64)``, computed as a chunk of
-    one by :func:`~csdoa.seeding.stream_seeds`. The positions lie in
-    ``[0, 2**32)``.
+    trial_index]).generate_state(2, np.uint64)``. The positions lie in
+    ``[0, 2**32)``, the range a chunk's vectorised seeding takes.
     """
     if not (0 <= snr_index <= _MAX_INDEX and 0 <= trial_index <= _MAX_INDEX):
         raise ValueError(f"snr_index and trial_index must lie in [0, {_MAX_INDEX}]")
-    data_seed, phi_seed = stream_seeds(seed, [(snr_index, trial_index)])[0].tolist()
+    data_seed, phi_seed = lone_seeds(seed, snr_index, trial_index)
     return data_seed, phi_seed
 
 
@@ -365,12 +364,13 @@ def _draw_trials(
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], MeasurementMatrix]:
     """Snapshots ``(data, clean, noise)``, each (T, N), and the Phi stack of trials ``tasks``.
 
-    Trial ``(i, t)`` runs at SNR ``snr_db[i]``. Every trial's two
-    ``trial_seeds`` streams are derived for the whole chunk at once; per
-    trial, the thread's generator is reset to each stream's state and makes
-    the raw draws, in ``synthesize``'s and ``draw_measurement_matrix``'s
-    order. The rest runs once for the stack and gives each trial's arrays
-    bit for bit.
+    Trial ``(i, t)`` runs at SNR ``snr_db[i]``. The PCG64 states of every
+    trial's two ``trial_seeds`` streams come from
+    :func:`~csdoa.seeding.stream_states`: numpy's own for a lone trial,
+    derived for the whole chunk at once otherwise. Per trial, the thread's
+    generator is reset to each stream's state and makes the raw draws, in
+    ``synthesize``'s and ``draw_measurement_matrix``'s order. The rest runs
+    once for the stack and gives each trial's arrays bit for bit.
     """
     sources, spec = scenario.sources, scenario.measurement
     n = scenario.geometry.num_sensors
@@ -380,7 +380,7 @@ def _draw_trials(
     normals = None
     if spec.kind == GAUSSIAN:
         normals = np.empty((len(tasks), 2, spec.num_measurements, n))
-    states = pcg64_states(stream_seeds(scenario.seed, tasks))
+    states = stream_states(scenario.seed, tasks)
     rng = _generator()
     for k, (data_state, phi_state) in enumerate(zip(states[0::2], states[1::2])):
         rng.bit_generator.state = data_state

@@ -252,6 +252,14 @@ class _Live:
         return tuple(a[going] for a in state)
 
 
+def _finite(y) -> np.ndarray:
+    """A caller's ``y`` as complex; raises ValueError on a non-finite entry, before any use."""
+    y = np.asarray(y, dtype=complex)
+    if not np.isfinite(y).all():
+        raise ValueError("y must hold only finite entries")
+    return y
+
+
 def _one(stack: StackedEstimate, solver: str) -> SparseEstimate:
     """The single estimate of a stack of one; raises if its fit was rank deficient."""
     if stack.deficient[0]:
@@ -275,9 +283,9 @@ def omp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> SparseEst
     (ties break to the lowest index; already-selected columns are excluded),
     refits all selected columns by least squares, and updates the residual,
     which is therefore orthogonal to every selected column. A batch of one
-    over :func:`omp_stack`.
+    over :func:`omp_stack`; a non-finite ``y`` raises ValueError.
     """
-    return _one(omp_stack(system, np.asarray(y)[None], config), "omp")
+    return _one(omp_stack(system, _finite(y)[None], config), "omp")
 
 
 def omp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> StackedEstimate:
@@ -285,7 +293,9 @@ def omp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> Sta
 
     Each greedy step runs once, whole, on the live set: the trials still
     running. A trial leaves it, with its row written, when it converges, hits
-    a rank-deficient fit or has made every selection.
+    a rank-deficient fit or has made every selection. ``y`` is not checked
+    for finite entries: the engine's is finite by construction, and
+    :func:`omp` checks a caller's.
     """
     live = _Live(OMP, system, y, config, config.sparsity)
     support = np.empty((live.rows.size, config.sparsity), dtype=int)
@@ -319,9 +329,9 @@ def cosamp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> Sparse
     residual. Halts on a small relative residual, on stagnation (relative
     improvement below ``STAGNATION_TOL``), or after ``max_iterations``; the
     best-residual iterate seen is returned. A batch of one over
-    :func:`cosamp_stack`.
+    :func:`cosamp_stack`; a non-finite ``y`` raises ValueError.
     """
-    return _one(cosamp_stack(system, np.asarray(y)[None], config), "cosamp")
+    return _one(cosamp_stack(system, _finite(y)[None], config), "cosamp")
 
 
 def _pruned_fit(psi, y, merged, trials, keep: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +355,9 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
     running. Only the fit runs once per merged-support size, so nothing is
     padded. A trial leaves, with its best iterate written, when it converges,
     stalls or runs out of iterations, and leaves deficient when its merged
-    support outgrows the m measurements or its fit is rank deficient.
+    support outgrows the m measurements or its fit is rank deficient. ``y``
+    is not checked for finite entries: the engine's is finite by
+    construction, and :func:`cosamp` checks a caller's.
     """
     sparsity, num_atoms = config.sparsity, system.num_atoms
     keep = min(sparsity, num_atoms)
@@ -402,7 +414,8 @@ def l0_oracle(system: SensingSystem, y: np.ndarray, sparsity: int) -> SparseEsti
 
     Test-scale oracle: evaluates a least-squares fit on every subset and keeps
     the one with the smallest residual (ties go to the lexicographically
-    smallest support). Guarded to at most 10^6 candidate subsets.
+    smallest support). Guarded to at most 10^6 candidate subsets; a
+    non-finite ``y`` raises ValueError.
     """
     if sparsity < 1:
         raise ValueError("sparsity must be >= 1")
@@ -412,7 +425,7 @@ def l0_oracle(system: SensingSystem, y: np.ndarray, sparsity: int) -> SparseEsti
         raise InstanceTooLargeError(
             f"{n_subsets} candidate subsets exceed the 10^6 enumeration guard"
         )
-    y = np.asarray(y, dtype=complex)
+    y = _finite(y)
     best: tuple[float, tuple[int, ...], np.ndarray] | None = None
     evaluated = 0
     for subset in itertools.combinations(range(num_atoms), sparsity):

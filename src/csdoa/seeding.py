@@ -1,16 +1,18 @@
-"""Per-trial stream seeding, derived for a whole chunk of trials at once.
+"""Per-trial stream seeding: numpy's own for a lone trial, vectorised for a chunk.
 
 Trial ``(snr_index, trial_index)`` of a run seeded ``seed`` draws from two
 streams, ``np.random.default_rng(d)`` and ``np.random.default_rng(p)``, where
 ``d, p = np.random.SeedSequence([seed, snr_index, trial_index])
-.generate_state(2, np.uint64)``. Both steps are fixed integer recipes:
-``SeedSequence``'s ``hashmix``/``mix`` entropy pool, and PCG64's
-``pcg_setseq_128_srandom_r`` (O'Neill, "PCG", HMC-CS-2014-0905). Here they
-run on ``uint32`` arrays shaped (words, T), one ufunc call per step for all
-T trials, and give numpy's words bit for bit; the tests check them against
-numpy itself. A chunk then sets the PCG64 state of one ``Generator`` per
+.generate_state(2, np.uint64)``. :func:`stream_states` gives a chunk's
+PCG64 states of those streams. A chunk of one trial takes them from numpy's
+``SeedSequence`` and ``PCG64`` themselves. A larger chunk runs both fixed
+integer recipes, ``SeedSequence``'s ``hashmix``/``mix`` entropy pool and
+PCG64's ``pcg_setseq_128_srandom_r`` (O'Neill, "PCG", HMC-CS-2014-0905), on
+``uint32`` arrays shaped (words, T), one ufunc call per step for all T
+trials, and gives numpy's words bit for bit; the tests check them against
+numpy itself. The chunk then sets the PCG64 state of one ``Generator`` per
 stream, instead of building a ``SeedSequence`` and two ``default_rng`` per
-trial.
+trial. ``np.random`` is loaded by the first call, not by the import.
 """
 
 from __future__ import annotations
@@ -162,3 +164,22 @@ def pcg64_states(seeds: np.ndarray) -> list[dict]:
             }
         )
     return states
+
+
+def lone_seeds(seed: int, snr_index: int, trial_index: int) -> list[int]:
+    """One trial's ``[data_seed, phi_seed]``, from numpy's own ``SeedSequence``."""
+    entropy = np.random.SeedSequence([seed, snr_index, trial_index])
+    return entropy.generate_state(2, np.uint64).tolist()
+
+
+def stream_states(seed: int, tasks: Sequence[tuple[int, int]]) -> list[dict]:
+    """The PCG64 states of each trial's data and Phi streams, in that order: 2T dicts.
+
+    Each equals ``np.random.default_rng(s).bit_generator.state`` for the
+    trial's stream seed ``s``. A lone trial takes them from numpy's
+    ``SeedSequence`` and ``PCG64``; two or more take them from
+    :func:`stream_seeds` and :func:`pcg64_states` for the whole chunk at once.
+    """
+    if len(tasks) == 1:
+        return [np.random.PCG64(s).state for s in lone_seeds(seed, *tasks[0])]
+    return pcg64_states(stream_seeds(seed, tasks))

@@ -8,6 +8,8 @@ moves shows up here as well as in the benchmark.
 """
 
 import dataclasses
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ import pytest
 import csdoa
 from csdoa import cli
 
-REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference"
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+REFERENCE = BENCHMARK / "reference"
 
 # The flags of each sweep workload's `csdoa montecarlo` call at its reference seed.
 SWEEPS = {
@@ -44,3 +47,13 @@ def test_single_shot_estimates_match_the_reference():
             for algorithm, run in runs.items()
         )
         assert line == f"{seed} {estimates}"
+
+
+def test_benchmark_selftest_passes():
+    # The benchmark's replay composes trials from trial_seeds, synthesize and
+    # draw_measurement_matrix, which no other benchmark check in this suite calls.
+    done = subprocess.run(
+        [sys.executable, str(BENCHMARK / "selftest.py")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

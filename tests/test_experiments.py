@@ -426,13 +426,15 @@ import csdoa, csdoa.cli
 
 POOL = ("multiprocessing", "concurrent.futures.process")
 scenario = csdoa.build_scenario([-60.0, 60.0], seed=1)
+csdoa.build_manifold(scenario.grid, scenario.geometry)
+random_at_setup = "numpy.random" in sys.modules
 csdoa.run_single(scenario)
 serial = csdoa.run_monte_carlo(scenario, [0.0, 10.0], 4)
 loaded = [[name for name in POOL if name in sys.modules]]
 pooled = csdoa.run_monte_carlo(scenario, [0.0, 10.0], 4, workers=2)
 loaded.append([name for name in POOL if name in sys.modules])
 same = pooled.per_algorithm["omp"].rmse_deg == serial.per_algorithm["omp"].rmse_deg
-print(json.dumps(loaded + [same]))
+print(json.dumps(loaded + [same, random_at_setup]))
 """
 
 
@@ -442,7 +444,10 @@ def test_only_a_pooled_sweep_loads_the_process_pool():
         [sys.executable, "-c", COLD_START, str(src)],
         capture_output=True, text=True, check=True, timeout=120,
     )
-    before, after, same = json.loads(done.stdout.splitlines()[-1])
+    before, after, same, random_at_setup = json.loads(done.stdout.splitlines()[-1])
+    # The benchmark's setup_s times import, build_scenario and build_manifold;
+    # numpy.random (about 19 ms) loads with the first draw, not before.
+    assert not random_at_setup
     assert before == []
     assert after == ["multiprocessing", "concurrent.futures.process"]
     assert same
@@ -573,6 +578,33 @@ def test_chunk_draws_equal_per_trial_draws(
         single_phi = csdoa.draw_measurement_matrix(*args, seed=phi_seed).entries
         assert _same_bits(phi.entries[k], single_phi)
         assert _same_bits(single_phi, reference_phi(*args, phi_seed))
+
+
+_EDGE = 2**32 - 1  # the largest sweep or trial position
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1])
+@pytest.mark.parametrize(
+    "kind, snr_db", [(csdoa.GAUSSIAN, 6.3), (csdoa.IDENTITY, 6.3), (csdoa.GAUSSIAN, math.inf)]
+)
+def test_a_lone_trial_draws_what_it_draws_in_a_chunk(seed, kind, snr_db):
+    # A chunk of one seeds its streams through numpy's own SeedSequence and
+    # PCG64, a larger chunk through the vectorised replica. The property test
+    # above draws seeds below 2**31 only; these span one, two and three
+    # entropy words, at both ends of the position range.
+    scenario = csdoa.build_scenario(
+        [-60.0, 0.0, 40.0], coherent_groups=[[0, 2]], measurement_kind=kind, seed=seed
+    )
+    manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
+    tasks = [(0, 0), (0, _EDGE), (_EDGE, 0), (_EDGE, _EDGE)]
+    sweep = {0: snr_db, _EDGE: snr_db - 5.0}  # only indexed: stands in for 2**32 points
+    (data, clean, noise), phi = experiments._draw_trials(scenario, sweep, manifold, tasks)
+    for k, task in enumerate(tasks):
+        assert csdoa.trial_seeds(seed, *task) == reference_trial_seeds(seed, *task)
+        lone, lone_phi = experiments._draw_trials(scenario, sweep, manifold, [task])
+        for stacked, single in zip((data, clean, noise, phi.entries), (*lone, lone_phi.entries)):
+            assert _same_bits(stacked[k], single[0])
+    assert math.isfinite(snr_db) == bool(noise.any())
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,24 @@ def test_oracle_refuses_huge_searches():
         csdoa.l0_oracle(system, system.psi[:, 0].copy(), 5)  # C(50,5) > 10^6
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, -np.inf)])
+@pytest.mark.parametrize("solver", ["omp", "cosamp", "l0_oracle"])
+def test_public_solvers_reject_a_non_finite_y(solver, bad):
+    # Raised before any arithmetic, so no RuntimeWarning (an error in this
+    # suite) comes first, and a NaN row is not scored as a silent miss.
+    system = gaussian_system(8, 12, seed=0)
+    y = system.psi[:, 0] + system.psi[:, 5]
+    y[3] = bad
+    config = csdoa.SolverConfig(sparsity=2)
+    call = {
+        "omp": lambda: csdoa.omp(system, y, config),
+        "cosamp": lambda: csdoa.cosamp(system, y, config),
+        "l0_oracle": lambda: csdoa.l0_oracle(system, y, 2),
+    }[solver]
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # shared estimate invariants
 

@@ -41,7 +41,7 @@ from .recovery import (
     cosamp_stack,
     omp_stack,
 )
-from .seeding import lone_seeds, stream_states
+from .seeding import stream_states, trial_seeds
 from .sensing import (
     GAUSSIAN,
     IDENTITY,
@@ -92,9 +92,6 @@ MAX_RING_BYTES = 2**28
 # bytes). With both algorithms that is 280 bytes and 958,698 points.
 # `csdoa montecarlo` refuses a longer --snr-sweep before it builds the list.
 MAX_SWEEP_POINTS = MAX_RING_BYTES // (8 + 32 + len(ALGORITHMS) * 3 * (8 + 32))
-
-# Largest sweep or trial position: each is one 32-bit word of a trial's seed entropy.
-_MAX_INDEX = 2**32 - 1
 
 # Each thread's one generator for the raw draws and its kept Psi buffers.
 # Every stream sets its full state before drawing, so reusing the generator is
@@ -251,21 +248,6 @@ class RmseCurve:
 def default_num_measurements(num_sources: int, num_sensors: int) -> int:
     """Default measurement count: one more than the information-theoretic floor."""
     return min_measurements(num_sources, num_sensors) + 1
-
-
-def trial_seeds(seed: int, snr_index: int, trial_index: int) -> tuple[int, int]:
-    """Derive independent (data_seed, phi_seed) for one trial.
-
-    Uses a splittable seed sequence over (scenario seed, sweep position,
-    trial position) so trials are reproducible regardless of execution order
-    or worker count: ``np.random.SeedSequence([seed, snr_index,
-    trial_index]).generate_state(2, np.uint64)``. The positions lie in
-    ``[0, 2**32)``, the range a chunk's vectorised seeding takes.
-    """
-    if not (0 <= snr_index <= _MAX_INDEX and 0 <= trial_index <= _MAX_INDEX):
-        raise ValueError(f"snr_index and trial_index must lie in [0, {_MAX_INDEX}]")
-    data_seed, phi_seed = lone_seeds(seed, snr_index, trial_index)
-    return data_seed, phi_seed
 
 
 def build_scenario(

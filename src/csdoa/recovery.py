@@ -10,9 +10,9 @@ coefficients, so a scaled column can move its support.
 OMP and CoSaMP have one implementation each, over a stack of T trials
 (:func:`omp_stack`, :func:`cosamp_stack`), and ``omp``/``cosamp`` are a
 stack of one. Every greedy step runs once, whole, on the live set: the
-trials still running, with their Psi gathered so that each rounds exactly
-as it does alone. A trial leaves the set when it stops, and writes its row
-of the one :class:`StackedEstimate` as it goes.
+trials still running, with their ``y``, Psi and column norms gathered so
+that each rounds exactly as it does alone. A trial leaves the set when it
+stops, and writes its row of the one :class:`StackedEstimate` as it goes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import InstanceTooLargeError, RankDeficientError, integer
-from .sensing import SensingSystem, _trials_of
+from .sensing import SensingSystem
 
 # Relative threshold on the QR diagonal below which a column set is treated
 # as rank deficient.
@@ -148,8 +148,10 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
 def correlate(system: SensingSystem, residual: np.ndarray) -> np.ndarray:
     """Normalized correlation magnitudes ``|<residual, psi_j>| / ||psi_j||``.
 
+    Reads only ``system.psi`` and ``system.column_norms``, so a solve's live
+    set serves as well as a :class:`~csdoa.sensing.SensingSystem`.
     ``residual`` is one vector of length m, or a (T, m) stack matched row by
-    row with a stacked system (a single system serves every row).
+    row with a stack of T Psi (a single Psi serves every row).
     """
     # psi^T conj(r) is the exact conjugate of psi^H r and needs no conjugated copy of psi.
     products = np.matmul(system.psi.swapaxes(-1, -2), np.asarray(residual).conj()[..., None])
@@ -191,11 +193,13 @@ class _Live:
     """The trials of a stacked solve that are still running, and the solve's result.
 
     ``rows`` holds their stack positions, ``index`` their positions here as
-    a column, and ``y``, ``norm_y``, ``residual`` and ``tolerance`` their
-    rows. ``system`` (for ``correlate``) and ``psi`` (for ``_columns``) are a
-    gathered C-contiguous copy of theirs, or the one shared system. Each row
-    of ``stack`` starts empty, as a zero ``y`` or a failed fit leaves it; a
-    trial that leaves with an iterate writes its row once.
+    a column, and ``y``, ``norm_y``, ``residual``, ``tolerance``, ``psi`` and
+    ``column_norms`` their rows, gathered into C-contiguous copies as trials
+    leave. ``psi`` and ``column_norms`` are all that :func:`correlate` reads.
+    A one-trial (2-D) system is a stack of one; otherwise the system holds
+    one trial per row of ``y``. Each row of ``stack`` starts empty, as a zero
+    ``y`` or a failed fit leaves it; a trial that leaves with an iterate
+    writes its row once.
     """
 
     def __init__(self, algorithm: str, system: SensingSystem, y, config: SolverConfig, width: int):
@@ -204,10 +208,12 @@ class _Live:
         if y.ndim != 2 or y.shape[1] != m:
             raise ValueError(f"y must be a (trials, {m}) stack")
         check_config(algorithm, config, m)
-        psi, trials = system.psi, y.shape[0]
-        if psi.shape[:-2] != y.shape[:1]:  # a shared system serves every row
-            psi = np.broadcast_to(psi, y.shape[:1] + psi.shape[-2:])
-        self.system, self.psi, self.y, self.residual = system, psi, y, y
+        psi, column_norms, trials = system.psi, system.column_norms, y.shape[0]
+        if psi.ndim == 2:  # one trial's system: a stack of one
+            psi, column_norms = psi[None], column_norms[None]
+        if psi.shape[0] != trials:
+            raise ValueError(f"y has {trials} rows but the system holds {psi.shape[0]} trials")
+        self.psi, self.column_norms, self.y, self.residual = psi, column_norms, y, y
         self.norm_y = norm_y = _row_norms(y)
         self.tolerance = config.residual_tol * norm_y
         self.rows = np.arange(trials)
@@ -240,15 +246,11 @@ class _Live:
 
     def keep(self, going: np.ndarray, *state: np.ndarray) -> tuple[np.ndarray, ...]:
         """Keep the live trials where ``going`` holds; returns their rows of ``state``."""
-        self.rows, self.y, self.norm_y, self.residual, self.tolerance = (
-            a[going] for a in (self.rows, self.y, self.norm_y, self.residual, self.tolerance)
-        )
+        (self.rows, self.y, self.norm_y, self.residual, self.tolerance, self.psi,
+         self.column_norms) = (a[going] for a in (
+            self.rows, self.y, self.norm_y, self.residual, self.tolerance, self.psi,
+            self.column_norms))
         self.index = np.arange(self.rows.size)[:, None]
-        if self.psi is self.system.psi:
-            self.system = _trials_of(self.system, going)
-            self.psi = self.system.psi
-        else:  # a broadcast view of one shared system
-            self.psi = self.psi[: self.rows.size]
         return tuple(a[going] for a in state)
 
 
@@ -289,18 +291,19 @@ def omp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> SparseEst
 
 
 def omp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> StackedEstimate:
-    """:func:`omp` on T trials at once: ``y`` is (T, m), ``system`` stacked or shared.
+    """:func:`omp` on T trials at once: ``y`` is (T, m), ``system`` a stack of T trials.
 
-    Each greedy step runs once, whole, on the live set: the trials still
-    running. A trial leaves it, with its row written, when it converges, hits
-    a rank-deficient fit or has made every selection. ``y`` is not checked
-    for finite entries: the engine's is finite by construction, and
-    :func:`omp` checks a caller's.
+    A one-trial system counts as a stack of one; another mismatch raises
+    ValueError. Each greedy step runs once, whole, on the live set: the
+    trials still running. A trial leaves it, with its row written, when it
+    converges, hits a rank-deficient fit or has made every selection. ``y``
+    is not checked for finite entries: the engine's is finite by
+    construction, and :func:`omp` checks a caller's.
     """
     live = _Live(OMP, system, y, config, config.sparsity)
     support = np.empty((live.rows.size, config.sparsity), dtype=int)
     for step in range(config.sparsity if live.rows.size else 0):
-        proxy = correlate(live.system, live.residual)
+        proxy = correlate(live, live.residual)
         if step:
             proxy[live.index, support[:, :step]] = -1.0  # an index is never re-selected
         support[:, step] = np.argmax(proxy, axis=1)
@@ -349,15 +352,16 @@ def _pruned_fit(psi, y, merged, trials, keep: int) -> tuple[np.ndarray, np.ndarr
 
 
 def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> StackedEstimate:
-    """:func:`cosamp` on T trials at once: ``y`` is (T, m), ``system`` stacked or shared.
+    """:func:`cosamp` on T trials at once: ``y`` is (T, m), ``system`` a stack of T trials.
 
-    Each iteration runs once, whole, on the live set: the trials still
-    running. Only the fit runs once per merged-support size, so nothing is
-    padded. A trial leaves, with its best iterate written, when it converges,
-    stalls or runs out of iterations, and leaves deficient when its merged
-    support outgrows the m measurements or its fit is rank deficient. ``y``
-    is not checked for finite entries: the engine's is finite by
-    construction, and :func:`cosamp` checks a caller's.
+    A one-trial system counts as a stack of one; another mismatch raises
+    ValueError. Each iteration runs once, whole, on the live set: the trials
+    still running. Only the fit runs once per merged-support size, so nothing
+    is padded. A trial leaves, with its best iterate written, when it
+    converges, stalls or runs out of iterations, and leaves deficient when
+    its merged support outgrows the m measurements or its fit is rank
+    deficient. ``y`` is not checked for finite entries: the engine's is
+    finite by construction, and :func:`cosamp` checks a caller's.
     """
     sparsity, num_atoms = config.sparsity, system.num_atoms
     keep = min(sparsity, num_atoms)
@@ -367,7 +371,7 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
     best_norm, best_support = np.full(trials, np.inf), np.zeros((trials, keep), dtype=int)
     best_coef = np.zeros((trials, keep), dtype=complex)
     for iteration in range(1, config.max_iterations + 1 if live.rows.size else 1):
-        proxy = correlate(live.system, live.residual)
+        proxy = correlate(live, live.residual)
         omega = _top_indices(proxy, min(2 * sparsity, num_atoms))
         candidates = np.sort(np.concatenate([omega, support], axis=1), axis=1)
         fresh = np.ones(candidates.shape, dtype=bool)

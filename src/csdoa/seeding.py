@@ -5,12 +5,12 @@ streams, ``np.random.default_rng(d)`` and ``np.random.default_rng(p)``, where
 ``d, p = np.random.SeedSequence([seed, snr_index, trial_index])
 .generate_state(2, np.uint64)``. :func:`stream_states` gives a chunk's
 PCG64 states of those streams. A chunk of one trial takes them from numpy's
-``SeedSequence`` and ``PCG64`` themselves. A larger chunk runs both fixed
-integer recipes, ``SeedSequence``'s ``hashmix``/``mix`` entropy pool and
-PCG64's ``pcg_setseq_128_srandom_r`` (O'Neill, "PCG", HMC-CS-2014-0905), on
-``uint32`` arrays shaped (words, T), one ufunc call per step for all T
-trials, and gives numpy's words bit for bit; the tests check them against
-numpy itself. The chunk then sets the PCG64 state of one ``Generator`` per
+``SeedSequence`` (:func:`trial_seeds`) and ``PCG64`` themselves. A larger
+chunk runs both fixed integer recipes, ``SeedSequence``'s ``hashmix``/``mix``
+entropy pool and PCG64's ``pcg_setseq_128_srandom_r`` (O'Neill, "PCG",
+HMC-CS-2014-0905), on ``uint32`` arrays shaped (words, T), one ufunc call
+per step for all T trials, and gives numpy's words bit for bit; the tests
+check them against numpy itself. The chunk then sets the PCG64 state of one ``Generator`` per
 stream, instead of building a ``SeedSequence`` and two ``default_rng`` per
 trial. ``np.random`` is loaded by the first call, not by the import.
 """
@@ -32,6 +32,8 @@ _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
+# Largest sweep or trial position: each is one 32-bit word of a trial's seed entropy.
+_MAX_INDEX = 2**32 - 1
 
 
 def _sequence(init: int, mult: int, count: int) -> list[int]:
@@ -166,10 +168,20 @@ def pcg64_states(seeds: np.ndarray) -> list[dict]:
     return states
 
 
-def lone_seeds(seed: int, snr_index: int, trial_index: int) -> list[int]:
-    """One trial's ``[data_seed, phi_seed]``, from numpy's own ``SeedSequence``."""
+def trial_seeds(seed: int, snr_index: int, trial_index: int) -> tuple[int, int]:
+    """Derive independent (data_seed, phi_seed) for one trial.
+
+    Uses a splittable seed sequence over (scenario seed, sweep position,
+    trial position) so trials are reproducible regardless of execution order
+    or worker count: numpy's own ``np.random.SeedSequence([seed, snr_index,
+    trial_index]).generate_state(2, np.uint64)``. The positions lie in
+    ``[0, 2**32)``, the range a chunk's vectorised seeding takes.
+    """
+    if not (0 <= snr_index <= _MAX_INDEX and 0 <= trial_index <= _MAX_INDEX):
+        raise ValueError(f"snr_index and trial_index must lie in [0, {_MAX_INDEX}]")
     entropy = np.random.SeedSequence([seed, snr_index, trial_index])
-    return entropy.generate_state(2, np.uint64).tolist()
+    data_seed, phi_seed = entropy.generate_state(2, np.uint64).tolist()
+    return data_seed, phi_seed
 
 
 def stream_states(seed: int, tasks: Sequence[tuple[int, int]]) -> list[dict]:
@@ -181,5 +193,5 @@ def stream_states(seed: int, tasks: Sequence[tuple[int, int]]) -> list[dict]:
     :func:`stream_seeds` and :func:`pcg64_states` for the whole chunk at once.
     """
     if len(tasks) == 1:
-        return [np.random.PCG64(s).state for s in lone_seeds(seed, *tasks[0])]
+        return [np.random.PCG64(s).state for s in trial_seeds(seed, *tasks[0])]
     return pcg64_states(stream_seeds(seed, tasks))

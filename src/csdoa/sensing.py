@@ -171,21 +171,6 @@ def _system_into(
     return system
 
 
-def _trials_of(system: SensingSystem, trials: np.ndarray) -> SensingSystem:
-    """The trials ``trials`` (an index or mask) of a stacked ``system``, not derived again.
-
-    Psi is gathered into a new C-contiguous array, so products with it round
-    as with the stack's. Neither it nor the gathered Phi, rows of a checked
-    stack, is checked again.
-    """
-    part, phi = object.__new__(SensingSystem), object.__new__(MeasurementMatrix)
-    phi.entries, phi.kind = system.phi.entries[trials], system.phi.kind
-    part.phi = phi
-    part.manifold, part.psi = system.manifold, system.psi[trials]
-    part.column_norms = system.column_norms[trials]
-    return part
-
-
 def _dictionary(
     entries: np.ndarray, manifold: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:

@@ -50,8 +50,9 @@ def test_single_shot_estimates_match_the_reference():
 
 
 def test_benchmark_selftest_passes():
-    # The benchmark's replay composes trials from trial_seeds, synthesize and
-    # draw_measurement_matrix, which no other benchmark check in this suite calls.
+    # The self-test runs the benchmark's output checks, sweep and single-shot,
+    # against the reference files, and its trace-wrapper and name checks; it
+    # does not run the replay (test_benchmark_replay.py checks that).
     done = subprocess.run(
         [sys.executable, str(BENCHMARK / "selftest.py")],
         capture_output=True, text=True, timeout=300,

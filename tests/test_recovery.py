@@ -669,6 +669,35 @@ def test_each_step_correlates_the_live_trials_only(monkeypatch, solver, sparsity
     assert seen == [(rows, rows, rows) for rows in live]
 
 
+@pytest.mark.parametrize(
+    "solver, sparsity, planted",
+    [
+        pytest.param(omp_stack, 3, (1, 3, 3, 3), id="omp"),
+        pytest.param(cosamp_stack, 2, (2, 2, 2, 2), id="cosamp"),
+    ],
+)
+def test_stacked_solvers_read_only_psi_and_its_norms(solver, sparsity, planted):
+    # The stacks above shrink mid-solve; a system without its Phi solves
+    # them bit for bit as the untouched one does.
+    system, y, _, _ = _stack_that_loses_trials(planted)
+    config = csdoa.SolverConfig(sparsity=sparsity)
+    expected = solver(system, y, config)
+    system.phi = None
+    got = solver(system, y, config)
+    for field in ("coefficients", "support", "residual_norm", "iterations", "converged",
+                  "deficient"):
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
+
+
+@pytest.mark.parametrize("solver", [omp_stack, cosamp_stack])
+def test_stacked_solvers_reject_one_system_for_several_trials(solver):
+    # A one-trial system is a stack of one; it does not serve a second row of y.
+    system = gaussian_system(8, 12, seed=0)
+    y = np.ones((2, 8), dtype=complex)
+    with pytest.raises(ValueError, match="2 rows"):
+        solver(system, y, csdoa.SolverConfig(sparsity=2))
+
+
 def test_omp_stack_drops_a_rank_deficient_trial_and_finishes_the_others():
     # Trial 0's two columns coincide, so its second fit is rank deficient.
     entries = np.array([[[1, 1], [0, 0]], [[1, 0], [0, 1]]], dtype=complex)

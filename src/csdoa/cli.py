@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .array_model import AMPLITUDE_MODELS, UNIT_MODULUS, build_manifold
+from .array_model import AMPLITUDE_MODELS, UNIT_MODULUS
 from .errors import CsdoaError, integer
 from .experiments import (
     ALGORITHMS,
@@ -409,8 +409,7 @@ def cmd_montecarlo(
 
 def cmd_synth(args: argparse.Namespace, scenario: Scenario) -> int:
     started = time.perf_counter()
-    manifold = build_manifold(scenario.grid, scenario.geometry)
-    snapshots, _ = _draw_trials(scenario, (scenario.snr_db,), manifold, [(0, 0)])
+    snapshots, _ = _draw_trials(scenario, (scenario.snr_db,), [(0, 0)])
     data, clean, noise = (stack[0] for stack in snapshots)  # run_single's snapshot
     duration = time.perf_counter() - started
 

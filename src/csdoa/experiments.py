@@ -341,7 +341,6 @@ def _psi_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def _draw_trials(
     scenario: Scenario,
     snr_db: tuple[float, ...],
-    manifold: np.ndarray,
     tasks: Sequence[tuple[int, int]],
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], MeasurementMatrix]:
     """Snapshots ``(data, clean, noise)``, each (T, N), and the Phi stack of trials ``tasks``.
@@ -371,7 +370,7 @@ def _draw_trials(
         if normals is not None:
             rng.bit_generator.state = phi_state
             rng.standard_normal(out=normals[k])
-    columns = manifold[:, list(scenario.source_indices)]
+    columns = build_manifold(scenario.grid, scenario.geometry)[:, list(scenario.source_indices)]
     snapshots = snapshot_stack(sources, columns, snrs, amplitudes, noise)
     if normals is None:
         entries = np.repeat(np.eye(n, dtype=complex)[None], len(tasks), axis=0)
@@ -383,7 +382,6 @@ def _draw_trials(
 def _run_trials(
     scenario: Scenario,
     snr_db: tuple[float, ...],
-    manifold: np.ndarray,
     tasks: Sequence[tuple[int, int]],
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], dict[str, StackedEstimate], StackedScores]:
     """Fully seeded trials ``(snr_index, trial_index)``, drawn, solved and scored as one stack.
@@ -396,7 +394,8 @@ def _run_trials(
     and the scores of all of them in one stack: row ``a * len(tasks) + k``
     belongs to the ``a``-th algorithm's estimate of ``tasks[k]``.
     """
-    snapshots, phi = _draw_trials(scenario, snr_db, manifold, tasks)
+    snapshots, phi = _draw_trials(scenario, snr_db, tasks)
+    manifold = build_manifold(scenario.grid, scenario.geometry)
     # Psi goes into this thread's kept buffers; nothing returned holds a view of them.
     buffers = _psi_buffers(phi.entries.shape[:-1] + manifold.shape[-1:])
     system = _system_into(phi, manifold, *buffers)
@@ -415,10 +414,7 @@ def run_single(scenario: Scenario) -> SingleRunResult:
 
     Equivalent to trial 0 of the first sweep point of ``run_monte_carlo``.
     """
-    manifold = build_manifold(scenario.grid, scenario.geometry)
-    (data, clean, noise), estimates, scores = _run_trials(
-        scenario, (scenario.snr_db,), manifold, [(0, 0)]
-    )
+    (data, clean, noise), estimates, scores = _run_trials(scenario, (scenario.snr_db,), [(0, 0)])
     runs = {
         algorithm: AlgorithmRun(
             spectrum=AngleSpectrum(grid=scenario.grid, power=scores.power[row]),
@@ -437,7 +433,6 @@ def run_single(scenario: Scenario) -> SingleRunResult:
 def _sweep_chunk(
     scenario: Scenario,
     snr_db: tuple[float, ...],
-    manifold: np.ndarray,
     trials: int,
     flat: range,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -447,7 +442,7 @@ def _sweep_chunk(
     (algorithms, trials), algorithms in scenario order.
     """
     tasks = [divmod(k, trials) for k in flat]
-    _, estimates, scores = _run_trials(scenario, snr_db, manifold, tasks)
+    _, estimates, scores = _run_trials(scenario, snr_db, tasks)
     shape = (len(estimates), len(flat))
     return scores.errors_deg.reshape(shape + (-1,)), scores.success.reshape(shape)
 
@@ -470,32 +465,35 @@ def run_monte_carlo(
     The flat list of (point, trial) pairs runs in chunks of at most
     ``CHUNK_TRIALS`` trials, and fewer when their Psi stack would pass
     ``MAX_PSI_STACK_BYTES``, each solved as one stacked problem; a pool of
-    ``workers`` processes takes whole chunks. The pool is imported by the
-    first sweep with ``workers > 1`` in a process; a serial sweep never loads
-    it. Each chunk's rows are copied into a ring of point buffers, and the
-    points it completes are aggregated together, so memory holds one chunk's
-    stacks and the per-source errors of the points one chunk touches. A sweep whose point buffers would pass
-    ``MAX_RING_BYTES`` raises :class:`InstanceTooLargeError` before any
-    work. Neither the chunking nor ``workers`` changes the result.
+    ``workers`` processes takes whole chunks. A task carries the scenario,
+    the sweep and its range; each worker takes A from its own
+    :func:`build_manifold` cache. Only a sweep with ``workers > 1`` imports
+    the pool. Each chunk's rows are copied into a ring of point buffers, and
+    the points it completes are aggregated together, so memory holds one
+    chunk's stacks and the per-source errors of the points one chunk
+    touches. Point buffers over ``MAX_RING_BYTES`` raise
+    :class:`InstanceTooLargeError`, and a non-integer ``trials`` or
+    ``workers`` TypeError, before any work. Neither the chunking nor
+    ``workers`` changes the result.
     """
     sweep = tuple(float(s) for s in snr_sweep_db)
     if not sweep:
         raise ValueError("snr_sweep_db must be nonempty")
     for snr in sweep:
         _check_snr(snr)
+    trials, workers = integer(trials, "trials"), integer(workers, "workers")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
     size, ring = _sweep_layout(scenario, len(sweep), trials, workers)
-    manifold = build_manifold(scenario.grid, scenario.geometry)
     total = len(sweep) * trials
 
     def chunks():  # built as the loop takes them, not held for the whole sweep
         return (range(start, min(start + size, total)) for start in range(0, total, size))
 
-    solve = partial(_sweep_chunk, scenario, sweep, manifold, trials)
+    solve = partial(_sweep_chunk, scenario, sweep, trials)
 
     algorithms = scenario.algorithms
     errors = np.empty((ring, len(algorithms), trials, scenario.sources.num_sources))

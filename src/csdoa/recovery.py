@@ -193,7 +193,7 @@ class _Live:
     """The trials of a stacked solve that are still running, and the solve's result.
 
     ``rows`` holds their stack positions, ``index`` their positions here as
-    a column, and ``y``, ``norm_y``, ``residual``, ``tolerance``, ``psi`` and
+    a column, and ``y``, ``residual``, ``tolerance``, ``psi`` and
     ``column_norms`` their rows, gathered into C-contiguous copies as trials
     leave. ``psi`` and ``column_norms`` are all that :func:`correlate` reads.
     A one-trial (2-D) system is a stack of one; otherwise the system holds
@@ -214,7 +214,7 @@ class _Live:
         if psi.shape[0] != trials:
             raise ValueError(f"y has {trials} rows but the system holds {psi.shape[0]} trials")
         self.psi, self.column_norms, self.y, self.residual = psi, column_norms, y, y
-        self.norm_y = norm_y = _row_norms(y)
+        norm_y = _row_norms(y)
         self.tolerance = config.residual_tol * norm_y
         self.rows = np.arange(trials)
         self.index = self.rows[:, None]
@@ -246,10 +246,9 @@ class _Live:
 
     def keep(self, going: np.ndarray, *state: np.ndarray) -> tuple[np.ndarray, ...]:
         """Keep the live trials where ``going`` holds; returns their rows of ``state``."""
-        (self.rows, self.y, self.norm_y, self.residual, self.tolerance, self.psi,
-         self.column_norms) = (a[going] for a in (
-            self.rows, self.y, self.norm_y, self.residual, self.tolerance, self.psi,
-            self.column_norms))
+        (self.rows, self.y, self.residual, self.tolerance, self.psi, self.column_norms) = (
+            a[going] for a in (
+                self.rows, self.y, self.residual, self.tolerance, self.psi, self.column_norms))
         self.index = np.arange(self.rows.size)[:, None]
         return tuple(a[going] for a in state)
 
@@ -367,7 +366,8 @@ def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> 
     keep = min(sparsity, num_atoms)
     live = _Live(COSAMP, system, y, config, keep)
     trials = live.rows.size
-    support, prev_norm = np.zeros((trials, 0), dtype=int), live.norm_y  # the last iterate's
+    # The last iterate's support and residual norm; the stack's norms are still ||y||.
+    support, prev_norm = np.zeros((trials, 0), dtype=int), live.stack.residual_norm[live.rows]
     best_norm, best_support = np.full(trials, np.inf), np.zeros((trials, keep), dtype=int)
     best_coef = np.zeros((trials, keep), dtype=complex)
     for iteration in range(1, config.max_iterations + 1 if live.rows.size else 1):

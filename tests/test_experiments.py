@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -453,6 +454,35 @@ def test_only_a_pooled_sweep_loads_the_process_pool():
     assert same
 
 
+def test_a_pool_task_does_not_carry_the_dictionary(monkeypatch):
+    # A thread-backed pool that pickles each task and its result as a process
+    # pool does. The workers take A from build_manifold's cache, so a task
+    # holds the scenario, the sweep and its range, not A's 43 KB.
+    import concurrent.futures
+
+    sizes = []
+
+    class PicklingPool(ThreadPoolExecutor):
+        def map(self, fn, *iterables):
+            def run(item):
+                task = pickle.dumps((fn, item))
+                sizes.append(len(task))
+                solve, flat = pickle.loads(task)
+                return pickle.loads(pickle.dumps(solve(flat)))
+
+            return super().map(run, *iterables)
+
+    scenario = csdoa.build_scenario([-60.0, 60.0], seed=3)
+    sweep = range(-10, 25, 5)
+    serial = csdoa.run_monte_carlo(scenario, sweep, 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+    pooled = csdoa.run_monte_carlo(scenario, sweep, 4, workers=2)
+    manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
+    assert len(sizes) == 7  # 28 trials in chunks of 4
+    assert max(sizes) < manifold.nbytes / 4
+    assert curve_key(pooled) == curve_key(serial)
+
+
 def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
     # Trial (596, 0, 0) of the criterion-3 scenario at -10 dB: CoSaMP's
     # least-squares fit on the merged support is rank deficient.
@@ -473,7 +503,7 @@ def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
     assert not alone.success
     assert alone.residual_norm == float(np.linalg.norm(csdoa.compress(phi, snapshot.data)))
     tasks = [(0, t) for t in range(6)]
-    _, estimates, scores = experiments._run_trials(scenario, (scenario.snr_db,), manifold, tasks)
+    _, estimates, scores = experiments._run_trials(scenario, (scenario.snr_db,), tasks)
     estimate, row = estimates["cosamp"], 6  # CoSaMP's rows follow OMP's 6
     assert estimate.deficient[0] and scores.counts[row] == 0
     assert np.array_equal(scores.power[row], np.zeros(len(scenario.grid)))
@@ -561,9 +591,8 @@ def test_chunk_draws_equal_per_trial_draws(
         seed=seed,
     )
     points = {i: replace(scenario, snr_db=snr) for i, snr in enumerate(sweep)}
-    manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
     tasks = [(k % len(sweep), k // len(sweep)) for k in range(trials)]
-    (data, clean, noise), phi = experiments._draw_trials(scenario, tuple(sweep), manifold, tasks)
+    (data, clean, noise), phi = experiments._draw_trials(scenario, tuple(sweep), tasks)
     spec = scenario.measurement
     assert phi.entries.shape == (trials, spec.num_measurements, scenario.geometry.num_sensors)
     for k, (snr_index, trial_index) in enumerate(tasks):
@@ -595,13 +624,12 @@ def test_a_lone_trial_draws_what_it_draws_in_a_chunk(seed, kind, snr_db):
     scenario = csdoa.build_scenario(
         [-60.0, 0.0, 40.0], coherent_groups=[[0, 2]], measurement_kind=kind, seed=seed
     )
-    manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
     tasks = [(0, 0), (0, _EDGE), (_EDGE, 0), (_EDGE, _EDGE)]
     sweep = {0: snr_db, _EDGE: snr_db - 5.0}  # only indexed: stands in for 2**32 points
-    (data, clean, noise), phi = experiments._draw_trials(scenario, sweep, manifold, tasks)
+    (data, clean, noise), phi = experiments._draw_trials(scenario, sweep, tasks)
     for k, task in enumerate(tasks):
         assert csdoa.trial_seeds(seed, *task) == reference_trial_seeds(seed, *task)
-        lone, lone_phi = experiments._draw_trials(scenario, sweep, manifold, [task])
+        lone, lone_phi = experiments._draw_trials(scenario, sweep, [task])
         for stacked, single in zip((data, clean, noise, phi.entries), (*lone, lone_phi.entries)):
             assert _same_bits(stacked[k], single[0])
     assert math.isfinite(snr_db) == bool(noise.any())
@@ -656,6 +684,19 @@ def test_sweep_refuses_point_buffers_over_the_limit(monkeypatch):
     scenario = csdoa.build_scenario([-60.0, 60.0])
     with pytest.raises(csdoa.InstanceTooLargeError, match="MiB of point buffers"):
         csdoa.run_monte_carlo(scenario, [0.0, 10.0], 1_000_000_000)
+
+
+def test_monte_carlo_refuses_non_integer_trials_and_workers(monkeypatch):
+    # As SolverConfig and the CLI do: a float, even an integral one, or a bool
+    # is refused by name before any chunk runs.
+    monkeypatch.setattr(experiments, "_run_trials", _forbidden)
+    scenario = csdoa.build_scenario([-60.0, 60.0])
+    for trials in (2.5, 3.0, True):
+        with pytest.raises(TypeError, match="trials must be an integer"):
+            csdoa.run_monte_carlo(scenario, [0.0], trials)
+    for workers in (1.5, True):
+        with pytest.raises(TypeError, match="workers must be an integer"):
+            csdoa.run_monte_carlo(scenario, [0.0], 3, workers=workers)
 
 
 def test_ring_limit_counts_each_errors_and_success_byte():
@@ -745,9 +786,8 @@ def test_no_result_shares_memory_with_the_kept_psi_buffers():
     ]
     for scenario, sweep, trials in scenarios:
         csdoa.run_monte_carlo(scenario, sweep, trials)
-        chunk_manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
         tasks = [(0, t) for t in range(trials)]
-        returned = _arrays(experiments._run_trials(scenario, tuple(sweep), chunk_manifold, tasks))
+        returned = _arrays(experiments._run_trials(scenario, tuple(sweep), tasks))
         kept = _kept_buffers()
         assert kept
         for array in held + returned:

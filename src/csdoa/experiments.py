@@ -46,9 +46,7 @@ from .sensing import (
     GAUSSIAN,
     IDENTITY,
     MEASUREMENT_KINDS,
-    MeasurementMatrix,
-    _system_into,
-    compress,
+    _column_norms,
     gaussian_entries,
     min_measurements,
 )
@@ -342,8 +340,8 @@ def _draw_trials(
     scenario: Scenario,
     snr_db: tuple[float, ...],
     tasks: Sequence[tuple[int, int]],
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], MeasurementMatrix]:
-    """Snapshots ``(data, clean, noise)``, each (T, N), and the Phi stack of trials ``tasks``.
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """Snapshots ``(data, clean, noise)``, each (T, N), and the (T, m, N) Phi entries of ``tasks``.
 
     Trial ``(i, t)`` runs at SNR ``snr_db[i]``. The PCG64 states of every
     trial's two ``trial_seeds`` streams come from
@@ -373,10 +371,8 @@ def _draw_trials(
     columns = build_manifold(scenario.grid, scenario.geometry)[:, list(scenario.source_indices)]
     snapshots = snapshot_stack(sources, columns, snrs, amplitudes, noise)
     if normals is None:
-        entries = np.repeat(np.eye(n, dtype=complex)[None], len(tasks), axis=0)
-    else:
-        entries = gaussian_entries(normals)
-    return snapshots, MeasurementMatrix(entries, spec.kind)
+        return snapshots, np.repeat(np.eye(n, dtype=complex)[None], len(tasks), axis=0)
+    return snapshots, gaussian_entries(normals)
 
 
 def _run_trials(
@@ -394,14 +390,18 @@ def _run_trials(
     and the scores of all of them in one stack: row ``a * len(tasks) + k``
     belongs to the ``a``-th algorithm's estimate of ``tasks[k]``.
     """
-    snapshots, phi = _draw_trials(scenario, snr_db, tasks)
+    snapshots, entries = _draw_trials(scenario, snr_db, tasks)
     manifold = build_manifold(scenario.grid, scenario.geometry)
     # Psi goes into this thread's kept buffers; nothing returned holds a view of them.
-    buffers = _psi_buffers(phi.entries.shape[:-1] + manifold.shape[-1:])
-    system = _system_into(phi, manifold, *buffers)
-    y = compress(phi, snapshots[0])
+    psi, scratch = _psi_buffers(entries.shape[:-1] + manifold.shape[-1:])
+    # One product per trial, shaped as a lone trial's Phi A, so that each
+    # rounds as SensingSystem's does on every BLAS kernel. The Scenario fixed
+    # the shapes and build_manifold the finite entries, so nothing is re-checked.
+    np.matmul(entries, manifold, out=psi)
+    column_norms = _column_norms(psi, scratch)
+    y = np.matmul(entries, snapshots[0][..., None])[..., 0]
     estimates = {
-        algorithm: _STACK_SOLVERS[algorithm](system, y, scenario.solver)
+        algorithm: _STACK_SOLVERS[algorithm](psi, column_norms, y, scenario.solver)
         for algorithm in scenario.algorithms
     }
     coefficients = np.concatenate([estimate.coefficients for estimate in estimates.values()])

@@ -1,18 +1,20 @@
 """Greedy sparse solvers on complex data: OMP, CoSaMP, and a brute-force oracle.
 
-All solvers work on a :class:`~csdoa.sensing.SensingSystem` and return a
-:class:`SparseEstimate` whose coefficient vector is zero off the support.
-Atom selection uses column-normalized correlations; the least-squares refits
-use the raw columns. Scaling ``y``, or for OMP a column of Psi, by a power of
-two leaves every choice unchanged. CoSaMP's prune keeps the largest raw
-coefficients, so a scaled column can move its support.
+The public solvers take one trial's :class:`~csdoa.sensing.SensingSystem` and
+return a :class:`SparseEstimate` whose coefficient vector is zero off the
+support. Atom selection uses column-normalized correlations; the least-squares
+refits use the raw columns. Scaling ``y``, or for OMP a column of Psi, by a
+power of two leaves every choice unchanged. CoSaMP's prune keeps the largest
+raw coefficients, so a scaled column can move its support.
 
 OMP and CoSaMP have one implementation each, over a stack of T trials
-(:func:`omp_stack`, :func:`cosamp_stack`), and ``omp``/``cosamp`` are a
-stack of one. Every greedy step runs once, whole, on the live set: the
-trials still running, with their ``y``, Psi and column norms gathered so
-that each rounds exactly as it does alone. A trial leaves the set when it
-stops, and writes its row of the one :class:`StackedEstimate` as it goes.
+(:func:`omp_stack`, :func:`cosamp_stack`). These take Psi (T, m, N_s) and its
+column norms (T, N_s) as plain arrays, all that a solve reads of a system, and
+``omp``/``cosamp`` pass a system's two as a stack of one. Every greedy step
+runs once, whole, on the live set: the trials still running, with their
+``y``, Psi and column norms gathered so that each rounds exactly as it does
+alone. A trial leaves the set when it stops, and writes its row of the one
+:class:`StackedEstimate` as it goes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cache
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import InstanceTooLargeError, RankDeficientError, integer
+from .errors import DimensionMismatchError, InstanceTooLargeError, RankDeficientError, integer
 from .sensing import SensingSystem
 
 # Relative threshold on the QR diagonal below which a column set is treated
@@ -145,17 +147,17 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     return coef
 
 
-def correlate(system: SensingSystem, residual: np.ndarray) -> np.ndarray:
+def correlate(psi: np.ndarray, column_norms: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """Normalized correlation magnitudes ``|<residual, psi_j>| / ||psi_j||``.
 
-    Reads only ``system.psi`` and ``system.column_norms``, so a solve's live
-    set serves as well as a :class:`~csdoa.sensing.SensingSystem`.
-    ``residual`` is one vector of length m, or a (T, m) stack matched row by
-    row with a stack of T Psi (a single Psi serves every row).
+    ``psi`` is one m x N_s dictionary with its N_s ``column_norms``, or a
+    (T, m, N_s) stack with (T, N_s) norms. ``residual`` is one vector of
+    length m, or a (T, m) stack matched row by row with a stack of T Psi (a
+    single Psi serves every row).
     """
     # psi^T conj(r) is the exact conjugate of psi^H r and needs no conjugated copy of psi.
-    products = np.matmul(system.psi.swapaxes(-1, -2), np.asarray(residual).conj()[..., None])
-    return np.abs(products[..., 0]) / system.column_norms
+    products = np.matmul(psi.swapaxes(-1, -2), np.asarray(residual).conj()[..., None])
+    return np.abs(products[..., 0]) / column_norms
 
 
 def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
@@ -195,31 +197,27 @@ class _Live:
     ``rows`` holds their stack positions, ``index`` their positions here as
     a column, and ``y``, ``residual``, ``tolerance``, ``psi`` and
     ``column_norms`` their rows, gathered into C-contiguous copies as trials
-    leave. ``psi`` and ``column_norms`` are all that :func:`correlate` reads.
-    A one-trial (2-D) system is a stack of one; otherwise the system holds
-    one trial per row of ``y``. Each row of ``stack`` starts empty, as a zero
-    ``y`` or a failed fit leaves it; a trial that leaves with an iterate
-    writes its row once.
+    leave. ``psi`` (T, m, N_s) holds one trial per row of ``y``. Each row of
+    ``stack`` starts empty, as a zero ``y`` or a failed fit leaves it; a
+    trial that leaves with an iterate writes its row once.
     """
 
-    def __init__(self, algorithm: str, system: SensingSystem, y, config: SolverConfig, width: int):
+    def __init__(
+        self, algorithm: str, psi: np.ndarray, column_norms: np.ndarray, y, config: SolverConfig,
+        width: int,
+    ):
         y = np.asarray(y, dtype=complex)
-        m = system.num_measurements
-        if y.ndim != 2 or y.shape[1] != m:
-            raise ValueError(f"y must be a (trials, {m}) stack")
+        trials, m, num_atoms = psi.shape
+        if y.shape != (trials, m):
+            raise ValueError(f"y must be a ({trials}, {m}) stack, a row per trial; got {y.shape}")
         check_config(algorithm, config, m)
-        psi, column_norms, trials = system.psi, system.column_norms, y.shape[0]
-        if psi.ndim == 2:  # one trial's system: a stack of one
-            psi, column_norms = psi[None], column_norms[None]
-        if psi.shape[0] != trials:
-            raise ValueError(f"y has {trials} rows but the system holds {psi.shape[0]} trials")
         self.psi, self.column_norms, self.y, self.residual = psi, column_norms, y, y
         norm_y = _row_norms(y)
         self.tolerance = config.residual_tol * norm_y
         self.rows = np.arange(trials)
         self.index = self.rows[:, None]
         self.stack = StackedEstimate(
-            coefficients=np.zeros((trials, system.num_atoms), dtype=complex),
+            coefficients=np.zeros((trials, num_atoms), dtype=complex),
             support=np.full((trials, width), -1),
             residual_norm=norm_y.copy(),
             iterations=np.zeros(trials, dtype=int),
@@ -253,9 +251,16 @@ class _Live:
         return tuple(a[going] for a in state)
 
 
-def _finite(y) -> np.ndarray:
-    """A caller's ``y`` as complex; raises ValueError on a non-finite entry, before any use."""
+def _measured(system: SensingSystem, y) -> np.ndarray:
+    """A caller's ``y`` as complex, checked before any use.
+
+    Raises DimensionMismatchError unless ``y`` is a vector of the system's m
+    measurements, and ValueError on a non-finite entry.
+    """
     y = np.asarray(y, dtype=complex)
+    m = system.num_measurements
+    if y.shape != (m,):
+        raise DimensionMismatchError(f"y must be a vector of length {m}, got shape {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("y must hold only finite entries")
     return y
@@ -284,25 +289,29 @@ def omp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> SparseEst
     (ties break to the lowest index; already-selected columns are excluded),
     refits all selected columns by least squares, and updates the residual,
     which is therefore orthogonal to every selected column. A batch of one
-    over :func:`omp_stack`; a non-finite ``y`` raises ValueError.
+    over :func:`omp_stack`; a ``y`` that is not a finite vector of length m
+    raises ValueError.
     """
-    return _one(omp_stack(system, _finite(y)[None], config), "omp")
+    y = _measured(system, y)
+    return _one(omp_stack(system.psi[None], system.column_norms[None], y[None], config), "omp")
 
 
-def omp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> StackedEstimate:
-    """:func:`omp` on T trials at once: ``y`` is (T, m), ``system`` a stack of T trials.
+def omp_stack(
+    psi: np.ndarray, column_norms: np.ndarray, y: np.ndarray, config: SolverConfig
+) -> StackedEstimate:
+    """:func:`omp` on T trials at once: Psi (T, m, N_s), its norms (T, N_s) and ``y`` (T, m).
 
-    A one-trial system counts as a stack of one; another mismatch raises
-    ValueError. Each greedy step runs once, whole, on the live set: the
-    trials still running. A trial leaves it, with its row written, when it
-    converges, hits a rank-deficient fit or has made every selection. ``y``
-    is not checked for finite entries: the engine's is finite by
-    construction, and :func:`omp` checks a caller's.
+    A ``y`` of another shape raises ValueError. Each greedy step runs once,
+    whole, on the live set: the trials still running. A trial leaves it,
+    with its row written, when it converges, hits a rank-deficient fit or
+    has made every selection. Neither ``y`` nor Psi is checked for finite
+    entries: the engine's are finite by construction, and :func:`omp`
+    checks a caller's.
     """
-    live = _Live(OMP, system, y, config, config.sparsity)
+    live = _Live(OMP, psi, column_norms, y, config, config.sparsity)
     support = np.empty((live.rows.size, config.sparsity), dtype=int)
     for step in range(config.sparsity if live.rows.size else 0):
-        proxy = correlate(live, live.residual)
+        proxy = correlate(live.psi, live.column_norms, live.residual)
         if step:
             proxy[live.index, support[:, :step]] = -1.0  # an index is never re-selected
         support[:, step] = np.argmax(proxy, axis=1)
@@ -331,9 +340,12 @@ def cosamp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> Sparse
     residual. Halts on a small relative residual, on stagnation (relative
     improvement below ``STAGNATION_TOL``), or after ``max_iterations``; the
     best-residual iterate seen is returned. A batch of one over
-    :func:`cosamp_stack`; a non-finite ``y`` raises ValueError.
+    :func:`cosamp_stack`; a ``y`` that is not a finite vector of length m
+    raises ValueError.
     """
-    return _one(cosamp_stack(system, _finite(y)[None], config), "cosamp")
+    y = _measured(system, y)
+    stack = cosamp_stack(system.psi[None], system.column_norms[None], y[None], config)
+    return _one(stack, "cosamp")
 
 
 def _pruned_fit(psi, y, merged, trials, keep: int) -> tuple[np.ndarray, np.ndarray]:
@@ -350,28 +362,30 @@ def _pruned_fit(psi, y, merged, trials, keep: int) -> tuple[np.ndarray, np.ndarr
     return merged[picked, kept], fit[picked, kept]
 
 
-def cosamp_stack(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> StackedEstimate:
-    """:func:`cosamp` on T trials at once: ``y`` is (T, m), ``system`` a stack of T trials.
+def cosamp_stack(
+    psi: np.ndarray, column_norms: np.ndarray, y: np.ndarray, config: SolverConfig
+) -> StackedEstimate:
+    """:func:`cosamp` on T trials at once: Psi (T, m, N_s), its norms (T, N_s) and ``y`` (T, m).
 
-    A one-trial system counts as a stack of one; another mismatch raises
-    ValueError. Each iteration runs once, whole, on the live set: the trials
-    still running. Only the fit runs once per merged-support size, so nothing
-    is padded. A trial leaves, with its best iterate written, when it
-    converges, stalls or runs out of iterations, and leaves deficient when
-    its merged support outgrows the m measurements or its fit is rank
-    deficient. ``y`` is not checked for finite entries: the engine's is
-    finite by construction, and :func:`cosamp` checks a caller's.
+    A ``y`` of another shape raises ValueError. Each iteration runs once,
+    whole, on the live set: the trials still running. Only the fit runs once
+    per merged-support size, so nothing is padded. A trial leaves, with its
+    best iterate written, when it converges, stalls or runs out of
+    iterations, and leaves deficient when its merged support outgrows the m
+    measurements or its fit is rank deficient. Neither ``y`` nor Psi is
+    checked for finite entries: the engine's are finite by construction, and
+    :func:`cosamp` checks a caller's.
     """
-    sparsity, num_atoms = config.sparsity, system.num_atoms
+    sparsity, num_atoms = config.sparsity, psi.shape[-1]
     keep = min(sparsity, num_atoms)
-    live = _Live(COSAMP, system, y, config, keep)
+    live = _Live(COSAMP, psi, column_norms, y, config, keep)
     trials = live.rows.size
     # The last iterate's support and residual norm; the stack's norms are still ||y||.
     support, prev_norm = np.zeros((trials, 0), dtype=int), live.stack.residual_norm[live.rows]
     best_norm, best_support = np.full(trials, np.inf), np.zeros((trials, keep), dtype=int)
     best_coef = np.zeros((trials, keep), dtype=complex)
     for iteration in range(1, config.max_iterations + 1 if live.rows.size else 1):
-        proxy = correlate(live, live.residual)
+        proxy = correlate(live.psi, live.column_norms, live.residual)
         omega = _top_indices(proxy, min(2 * sparsity, num_atoms))
         candidates = np.sort(np.concatenate([omega, support], axis=1), axis=1)
         fresh = np.ones(candidates.shape, dtype=bool)
@@ -418,8 +432,8 @@ def l0_oracle(system: SensingSystem, y: np.ndarray, sparsity: int) -> SparseEsti
 
     Test-scale oracle: evaluates a least-squares fit on every subset and keeps
     the one with the smallest residual (ties go to the lexicographically
-    smallest support). Guarded to at most 10^6 candidate subsets; a
-    non-finite ``y`` raises ValueError.
+    smallest support). Guarded to at most 10^6 candidate subsets; a ``y``
+    that is not a finite vector of length m raises ValueError.
     """
     if sparsity < 1:
         raise ValueError("sparsity must be >= 1")
@@ -429,7 +443,7 @@ def l0_oracle(system: SensingSystem, y: np.ndarray, sparsity: int) -> SparseEsti
         raise InstanceTooLargeError(
             f"{n_subsets} candidate subsets exceed the 10^6 enumeration guard"
         )
-    y = _finite(y)
+    y = _measured(system, y)
     best: tuple[float, tuple[int, ...], np.ndarray] | None = None
     evaluated = 0
     for subset in itertools.combinations(range(num_atoms), sparsity):

@@ -1,9 +1,10 @@
 """Measurement-matrix draw, snapshot compression, and the effective dictionary.
 
 Compression is ``y = Phi x``; the sparse-recovery dictionary is
-``Psi = Phi A(theta)``, cached together with its column norms. Each of these
-also takes a stack of T trials' matrices, which the Monte Carlo engine builds
-from the trials' raw draws with :func:`gaussian_entries`.
+``Psi = Phi A(theta)``, cached together with its column norms. These types
+hold one trial. The Monte Carlo engine builds a chunk's Phi stack from the
+trials' raw draws with :func:`gaussian_entries`, and its Psi and column norms
+as plain arrays, one product per trial as :class:`SensingSystem` forms one.
 """
 
 from __future__ import annotations
@@ -22,21 +23,21 @@ MEASUREMENT_KINDS = (GAUSSIAN, IDENTITY)
 
 @dataclass(eq=False)
 class MeasurementMatrix:
-    """Compression operator Phi (m x N) and its kind.
-
-    ``entries`` may also be a stack (T, m, N) of T trials' operators.
-    """
+    """Compression operator Phi (m x N) and its kind."""
 
     entries: np.ndarray
     kind: str
 
     def __post_init__(self) -> None:
-        if self.entries.ndim not in (2, 3) or self.entries.shape[-2] < 1:
-            raise ValueError("entries must be a matrix or a stack of them, with at least one row")
+        if self.entries.ndim != 2 or self.entries.shape[0] < 1:
+            raise ValueError("entries must be a matrix with at least one row")
+        # Checked before any product with Phi, whose inf arithmetic would warn.
+        if not np.isfinite(self.entries).all():
+            raise ValueError("Phi must hold only finite entries")
         if self.kind not in MEASUREMENT_KINDS:
             raise ValueError(f"unknown measurement kind {self.kind!r}")
         if self.kind == IDENTITY:
-            m, n = self.entries.shape[-2:]
+            m, n = self.entries.shape
             if m != n:
                 raise DimensionMismatchError("identity measurement requires m == n")
             if not np.all(self.entries == np.eye(n, dtype=self.entries.dtype)):
@@ -44,21 +45,20 @@ class MeasurementMatrix:
 
     @property
     def num_measurements(self) -> int:
-        return self.entries.shape[-2]
+        return self.entries.shape[0]
 
     @property
     def signal_len(self) -> int:
-        return self.entries.shape[-1]
+        return self.entries.shape[1]
 
 
 @dataclass(eq=False)
 class SensingSystem:
     """The pair (Phi, A) together with Psi = Phi A and its column norms.
 
-    ``psi`` and ``column_norms`` are computed here from ``phi`` and
-    ``manifold`` and cannot be passed in, so Psi = Phi A holds by
-    construction. For a stacked Phi of T trials, ``psi`` is (T, m, N_s) and
-    ``column_norms`` (T, N_s).
+    ``psi`` (m x N_s) and ``column_norms`` (N_s) are computed here from
+    ``phi`` and ``manifold`` and cannot be passed in, so Psi = Phi A holds by
+    construction.
     """
 
     phi: MeasurementMatrix
@@ -67,34 +67,31 @@ class SensingSystem:
     column_norms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        # Checked before the product, which would warn on inf arithmetic. The
-        # engine's manifold comes from build_manifold, so _derive skips this.
-        if not np.isfinite(self.manifold).all():
-            raise ValueError("the manifold must hold only finite entries")
-        self._derive()
-
-    def _derive(
-        self, psi_out: np.ndarray | None = None, scratch: np.ndarray | None = None
-    ) -> None:
-        """Check the shapes, then compute ``psi`` (into ``psi_out`` if given) and its norms."""
         self.manifold = np.asarray(self.manifold)
+        if self.manifold.ndim != 2:
+            raise DimensionMismatchError(
+                f"the manifold must be an (N, N_s) matrix, got shape {self.manifold.shape}"
+            )
         if self.phi.signal_len != self.manifold.shape[0]:
             raise DimensionMismatchError(
                 f"Phi has {self.phi.signal_len} columns but the dictionary has "
                 f"{self.manifold.shape[0]} rows"
             )
-        self.psi = _dictionary(self.phi.entries, self.manifold, psi_out)
-        self.column_norms = norms = _column_norms(self.psi, scratch)
+        # Checked before the product, which would warn on inf arithmetic.
+        if not np.isfinite(self.manifold).all():
+            raise ValueError("the manifold must hold only finite entries")
+        self.psi = self.phi.entries @ self.manifold
+        self.column_norms = norms = _column_norms(self.psi)
         if not (np.isfinite(norms) & (norms > 0.0)).all():
             raise ValueError("every psi column must have a positive finite norm")
 
     @property
     def num_measurements(self) -> int:
-        return self.psi.shape[-2]
+        return self.psi.shape[0]
 
     @property
     def num_atoms(self) -> int:
-        return self.psi.shape[-1]
+        return self.psi.shape[1]
 
 
 def min_measurements(num_sources: int, signal_len: int) -> int:
@@ -139,53 +136,18 @@ def gaussian_entries(normals: np.ndarray) -> np.ndarray:
 
 
 def compress(phi: MeasurementMatrix, x: np.ndarray) -> np.ndarray:
-    """Exact matrix-vector product ``y = Phi x``.
-
-    For a stacked Phi, ``x`` is a (T, N) stack of snapshots and ``y`` is (T, m).
-    """
+    """Exact matrix-vector product ``y = Phi x`` for one snapshot ``x`` of length N."""
     x = np.asarray(x)
-    if x.shape[-1] != phi.signal_len:
+    if x.shape != (phi.signal_len,):
         raise DimensionMismatchError(
-            f"x has length {x.shape[-1]} but Phi has {phi.signal_len} columns"
+            f"x must be a vector of length {phi.signal_len}, got shape {x.shape}"
         )
-    return np.matmul(phi.entries, x[..., None])[..., 0]
+    return phi.entries @ x
 
 
 def build_sensing_system(phi: MeasurementMatrix, manifold: np.ndarray) -> SensingSystem:
-    """Form Psi = Phi A and its column norms (one stack of them for a stacked Phi)."""
+    """Form Psi = Phi A and its column norms."""
     return SensingSystem(phi, manifold)
-
-
-def _system_into(
-    phi: MeasurementMatrix, manifold: np.ndarray, psi_out: np.ndarray, scratch: np.ndarray
-) -> SensingSystem:
-    """``SensingSystem(phi, manifold)`` with Psi written into ``psi_out``, bit for bit.
-
-    ``psi_out`` and ``scratch`` are C-contiguous and shaped as Psi; the norms
-    use ``scratch`` for their Psi-sized temporary. The result's ``psi`` is
-    ``psi_out``, so it is valid only until the caller reuses that buffer.
-    """
-    system = object.__new__(SensingSystem)
-    system.phi, system.manifold = phi, manifold
-    system._derive(psi_out, scratch)
-    return system
-
-
-def _dictionary(
-    entries: np.ndarray, manifold: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Phi A for one Phi or a (T, m, N) stack, as one 2-D product over all T*m rows.
-
-    One product is cheaper than T stacked ones. Each row of it is the dot
-    products of one row of Phi, and each trial's rows round as that trial's
-    own ``phi @ manifold`` does (the tests check this bit for bit). With
-    ``out`` (C-contiguous, Psi's shape) the product is written there.
-    """
-    rows = entries.reshape(-1, entries.shape[-1])
-    if out is None:
-        return (rows @ manifold).reshape(entries.shape[:-1] + manifold.shape[-1:])
-    np.matmul(rows, manifold, out=out.reshape(rows.shape[0], -1))
-    return out
 
 
 def _column_norms(psi: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:

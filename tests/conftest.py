@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 import csdoa
+import csdoa.experiments
 import csdoa.recovery
 
 
@@ -23,9 +24,17 @@ def normal_equations(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, basis.conj().T @ y)
 
 
-def stack_measurements(phis) -> csdoa.MeasurementMatrix:
-    """One (T, m, N) operator from T trials' matrices of one kind and shape."""
-    return csdoa.MeasurementMatrix(entries=np.stack([phi.entries for phi in phis]), kind=phis[0].kind)
+def psi_spy(monkeypatch) -> list:
+    """What each engine chunk hands the OMP solver: ``(psi, column_norms, y)``."""
+    seen = []
+    solve = csdoa.experiments._STACK_SOLVERS[csdoa.OMP]
+
+    def spy(psi, column_norms, y, config):
+        seen.append((psi, column_norms, y))
+        return solve(psi, column_norms, y, config)
+
+    monkeypatch.setitem(csdoa.experiments._STACK_SOLVERS, csdoa.OMP, spy)
+    return seen
 
 
 def reference_trial_seeds(seed: int, snr_index: int, trial_index: int) -> tuple[int, int]:

@@ -20,6 +20,7 @@ import csdoa
 from conftest import (
     curve_key,
     per_trial_curve,
+    psi_spy,
     reference_phi,
     reference_synthesize,
     reference_trial_seeds,
@@ -537,8 +538,8 @@ def test_engine_estimates_keep_their_pinned_bits(monkeypatch):
     digest = hashlib.sha256()
 
     def hashed(solver):
-        def solve(system, y, config):
-            estimate = solver(system, y, config)
+        def solve(*args):
+            estimate = solver(*args)
             for name in ("coefficients", "support", "residual_norm", "iterations", "converged",
                          "deficient"):
                 digest.update(np.ascontiguousarray(getattr(estimate, name)).tobytes())
@@ -592,9 +593,9 @@ def test_chunk_draws_equal_per_trial_draws(
     )
     points = {i: replace(scenario, snr_db=snr) for i, snr in enumerate(sweep)}
     tasks = [(k % len(sweep), k // len(sweep)) for k in range(trials)]
-    (data, clean, noise), phi = experiments._draw_trials(scenario, tuple(sweep), tasks)
+    (data, clean, noise), entries = experiments._draw_trials(scenario, tuple(sweep), tasks)
     spec = scenario.measurement
-    assert phi.entries.shape == (trials, spec.num_measurements, scenario.geometry.num_sensors)
+    assert entries.shape == (trials, spec.num_measurements, scenario.geometry.num_sensors)
     for k, (snr_index, trial_index) in enumerate(tasks):
         data_seed, phi_seed = reference_trial_seeds(seed, snr_index, trial_index)
         alone = csdoa.synthesize(points[snr_index], np.random.default_rng(data_seed))
@@ -605,7 +606,7 @@ def test_chunk_draws_equal_per_trial_draws(
             assert _same_bits(stacked[k], single) and _same_bits(single, loop)
         args = (spec.num_measurements, scenario.geometry.num_sensors, spec.kind)
         single_phi = csdoa.draw_measurement_matrix(*args, seed=phi_seed).entries
-        assert _same_bits(phi.entries[k], single_phi)
+        assert _same_bits(entries[k], single_phi)
         assert _same_bits(single_phi, reference_phi(*args, phi_seed))
 
 
@@ -626,11 +627,11 @@ def test_a_lone_trial_draws_what_it_draws_in_a_chunk(seed, kind, snr_db):
     )
     tasks = [(0, 0), (0, _EDGE), (_EDGE, 0), (_EDGE, _EDGE)]
     sweep = {0: snr_db, _EDGE: snr_db - 5.0}  # only indexed: stands in for 2**32 points
-    (data, clean, noise), phi = experiments._draw_trials(scenario, sweep, tasks)
+    (data, clean, noise), entries = experiments._draw_trials(scenario, sweep, tasks)
     for k, task in enumerate(tasks):
         assert csdoa.trial_seeds(seed, *task) == reference_trial_seeds(seed, *task)
-        lone, lone_phi = experiments._draw_trials(scenario, sweep, [task])
-        for stacked, single in zip((data, clean, noise, phi.entries), (*lone, lone_phi.entries)):
+        lone, lone_entries = experiments._draw_trials(scenario, sweep, [task])
+        for stacked, single in zip((data, clean, noise, entries), (*lone, lone_entries)):
             assert _same_bits(stacked[k], single[0])
     assert math.isfinite(snr_db) == bool(noise.any())
 
@@ -664,11 +665,11 @@ def test_fine_grid_within_the_limit_builds():
 
 
 def test_chunks_take_fewer_trials_to_keep_psi_under_the_limit(monkeypatch):
-    seen = _psi_spy(monkeypatch)
+    seen = psi_spy(monkeypatch)
     monkeypatch.setattr(experiments, "MAX_PSI_STACK_BYTES", 10 * 7 * 181 * 16 + 1)
     scenario = csdoa.build_scenario([-60.0, 60.0], seed=3)
     curve = csdoa.run_monte_carlo(scenario, [0.0, 20.0], 13)
-    assert [psi.shape[0] for psi in seen] == [10, 10, 6]
+    assert [psi.shape[0] for psi, _, _ in seen] == [10, 10, 6]
     assert curve_key(curve) == per_trial_curve(scenario, [0.0, 20.0], 13)
 
 
@@ -713,19 +714,6 @@ def test_ring_limit_counts_each_errors_and_success_byte():
     assert curve_key(curve) == per_trial_curve(scenario, range(0, 35, 5), 3)
 
 
-def _psi_spy(monkeypatch) -> list:
-    """Each engine chunk's Psi, as it reaches the OMP solver."""
-    seen = []
-    solve = experiments._STACK_SOLVERS[csdoa.OMP]
-
-    def spy(system, y, config):
-        seen.append(system.psi)
-        return solve(system, y, config)
-
-    monkeypatch.setitem(experiments._STACK_SOLVERS, csdoa.OMP, spy)
-    return seen
-
-
 def _arrays(*objects) -> list:
     """Every array in ``objects``: arrays, tuples, dicts and dataclasses, searched through."""
     found = []
@@ -746,10 +734,10 @@ def _kept_buffers() -> tuple:
 
 
 def test_equal_chunks_build_psi_in_the_threads_kept_storage(monkeypatch):
-    seen = _psi_spy(monkeypatch)
+    seen = psi_spy(monkeypatch)
     scenario = csdoa.build_scenario([-60.0, 60.0], seed=2)
     csdoa.run_monte_carlo(scenario, [0.0, 10.0], experiments.CHUNK_TRIALS)
-    first, second = seen
+    (first, _, _), (second, _, _) = seen
     assert first.shape == second.shape == (experiments.CHUNK_TRIALS, 7, 181)
     assert first.ctypes.data == second.ctypes.data
     kept = _kept_buffers()
@@ -759,9 +747,10 @@ def test_equal_chunks_build_psi_in_the_threads_kept_storage(monkeypatch):
     monkeypatch.setattr(experiments, "KEPT_PSI_BYTES", 10 * 7 * 181 * 16)
     seen.clear()
     csdoa.run_monte_carlo(scenario, [0.0], 11)
-    assert seen[0].shape == (11, 7, 181)
+    [(psi, _, _)] = seen
+    assert psi.shape == (11, 7, 181)
     assert _kept_buffers() is kept
-    assert not any(np.shares_memory(seen[0], buffer) for buffer in kept)
+    assert not any(np.shares_memory(psi, buffer) for buffer in kept)
 
     def kept_after_an_over_cap_sweep() -> tuple:
         csdoa.run_monte_carlo(scenario, [0.0], 11)

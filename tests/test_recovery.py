@@ -17,7 +17,6 @@ from conftest import (
     planted_instance,
     reference_cosamp,
     reference_omp,
-    stack_measurements,
 )
 from csdoa import cli, recovery
 from csdoa.recovery import cosamp_stack, omp_stack
@@ -148,32 +147,39 @@ def test_stacked_least_squares_equals_the_numpy_reference_bit_for_bit(trials, sh
 # correlate
 
 
+def _stacked(systems):
+    """The (T, m, N_s) Psi and (T, N_s) column norms of T one-trial systems."""
+    systems = list(systems)
+    return np.stack([s.psi for s in systems]), np.stack([s.column_norms for s in systems])
+
+
 def test_correlate_zero_residual():
     system = gaussian_system(8, 12, seed=0)
-    assert np.array_equal(csdoa.correlate(system, np.zeros(8, dtype=complex)), np.zeros(12))
+    proxy = csdoa.correlate(system.psi, system.column_norms, np.zeros(8, dtype=complex))
+    assert np.array_equal(proxy, np.zeros(12))
 
 
 def test_correlate_matches_scalar_loop():
     system = gaussian_system(8, 12, seed=0)
     rng = np.random.default_rng(3)
     residual = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    proxy = csdoa.correlate(system, residual)
+    proxy = csdoa.correlate(system.psi, system.column_norms, residual)
     for j in range(12):
         expected = abs(np.vdot(system.psi[:, j], residual)) / system.column_norms[j]
         assert abs(proxy[j] - expected) < 1e-12
 
 
 def test_correlate_stack_matches_each_trial():
-    phis = [csdoa.draw_measurement_matrix(8, 12, csdoa.GAUSSIAN, seed=s) for s in range(4)]
-    stacked = csdoa.build_sensing_system(stack_measurements(phis), np.eye(12, dtype=complex))
+    systems = [gaussian_system(8, 12, seed=s) for s in range(4)]
     rng = np.random.default_rng(6)
     residual = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-    proxy = csdoa.correlate(stacked, residual)
-    shared = csdoa.correlate(gaussian_system(8, 12, seed=0), residual)
-    for t, phi in enumerate(phis):
-        single = csdoa.build_sensing_system(phi, np.eye(12, dtype=complex))
-        assert np.array_equal(proxy[t], csdoa.correlate(single, residual[t]))
-        assert np.array_equal(shared[t], csdoa.correlate(gaussian_system(8, 12, 0), residual[t]))
+    proxy = csdoa.correlate(*_stacked(systems), residual)
+    shared = csdoa.correlate(systems[0].psi, systems[0].column_norms, residual)
+    for t, single in enumerate(systems):
+        alone = csdoa.correlate(single.psi, single.column_norms, residual[t])
+        assert np.array_equal(proxy[t], alone)
+        first = csdoa.correlate(systems[0].psi, systems[0].column_norms, residual[t])
+        assert np.array_equal(shared[t], first)
 
 
 def _orthonormal_system(m=8, seed=0):
@@ -473,6 +479,25 @@ def test_public_solvers_reject_a_non_finite_y(solver, bad):
         call()
 
 
+@pytest.mark.parametrize(
+    "shape", [(7,), (9,), (1, 8), (2, 8), ()], ids=["short", "long", "row", "stack", "scalar"]
+)
+@pytest.mark.parametrize("solver", ["omp", "cosamp", "l0_oracle"])
+def test_public_solvers_reject_a_y_that_is_not_one_trials_vector(solver, shape):
+    # The public solvers take one trial; a stack of y, or a y of the wrong
+    # length, is refused by name before any arithmetic.
+    system = gaussian_system(8, 12, seed=0)
+    y = np.ones(shape, dtype=complex)
+    config = csdoa.SolverConfig(sparsity=2)
+    call = {
+        "omp": lambda: csdoa.omp(system, y, config),
+        "cosamp": lambda: csdoa.cosamp(system, y, config),
+        "l0_oracle": lambda: csdoa.l0_oracle(system, y, 2),
+    }[solver]
+    with pytest.raises(csdoa.DimensionMismatchError, match="y must be a vector of length 8"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # shared estimate invariants
 
@@ -571,15 +596,14 @@ def test_stacked_solvers_match_the_per_trial_loops(
     for t in range(trials):
         atoms = rng.choice(num_atoms, size=planted, replace=False)
         x[t, atoms] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, planted))
-    phi = stack_measurements(phis)
-    system = csdoa.build_sensing_system(phi, manifold)
-    y = np.matmul(system.psi, x[..., None])[..., 0]
+    psi, column_norms = _stacked(csdoa.SensingSystem(phi, manifold) for phi in phis)
+    y = np.matmul(psi, x[..., None])[..., 0]
     y += noise * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
     zeroed = {"none": [], "first": [0], "last": [trials - 1], "every": list(range(trials))}
     y[zeroed[zero_trial]] = 0.0
     config = csdoa.SolverConfig(sparsity=sparsity)
     for solver in (OMP_SOLVERS, COSAMP_SOLVERS):
-        stacked = solver[0](system, y, config)
+        stacked = solver[0](psi, column_norms, y, config)
         assert stacked.coefficients.shape == (trials, num_atoms)
         _assert_rows_are_lone_solves(stacked, solver, phis, manifold, y, config)
 
@@ -618,16 +642,19 @@ def _assert_rows_are_lone_solves(stacked, solver, phis, manifold, y, config) -> 
 def test_stacks_that_lose_trials_mid_solve_match_lone_solves(solver, sparsity, planted, iterations):
     # Every trial is live at the first step; a trial that stops leaves the
     # live set, and the later steps run on the trials still in it.
-    system, y, phis, manifold = _stack_that_loses_trials(planted)
+    psi, column_norms, y, phis, manifold = _stack_that_loses_trials(planted)
     config = csdoa.SolverConfig(sparsity=sparsity)
-    stacked = solver[0](system, y, config)
+    stacked = solver[0](psi, column_norms, y, config)
     assert stacked.iterations.tolist() == iterations
     assert stacked.converged[0] and not stacked.deficient.any()
     _assert_rows_are_lone_solves(stacked, solver, phis, manifold, y, config)
 
 
 def _stack_that_loses_trials(planted):
-    """A stack of ``len(planted)`` trials at m = 6: trial 0 is exact, the rest noisy."""
+    """A stack of ``len(planted)`` trials at m = 6: trial 0 is exact, the rest noisy.
+
+    Returns ``(psi, column_norms, y, phis, manifold)``.
+    """
     m, noise = 6, 0.1
     manifold = _dictionary("gaussian")
     n, num_atoms = manifold.shape
@@ -636,15 +663,15 @@ def _stack_that_loses_trials(planted):
         csdoa.draw_measurement_matrix(m, n, csdoa.GAUSSIAN, seed=int(s))
         for s in rng.integers(0, 2**32, len(planted))
     ]
-    system = csdoa.build_sensing_system(stack_measurements(phis), manifold)
+    psi, column_norms = _stacked(csdoa.SensingSystem(phi, manifold) for phi in phis)
     x = np.zeros((len(planted), num_atoms), dtype=complex)
     for t, count in enumerate(planted):
         x[t, rng.choice(num_atoms, size=count, replace=False)] = np.exp(
             1j * rng.uniform(0.0, 2.0 * np.pi, count)
         )
-    y = np.matmul(system.psi, x[..., None])[..., 0]
+    y = np.matmul(psi, x[..., None])[..., 0]
     y[1:] += noise * (rng.standard_normal(y[1:].shape) + 1j * rng.standard_normal(y[1:].shape))
-    return system, y, phis, manifold
+    return psi, column_norms, y, phis, manifold
 
 
 @pytest.mark.parametrize(
@@ -656,16 +683,16 @@ def _stack_that_loses_trials(planted):
 )
 def test_each_step_correlates_the_live_trials_only(monkeypatch, solver, sparsity, planted, live):
     # The stacks above: a trial that has stopped is not correlated again, and
-    # the system each step sees holds the live trials' Psi only.
-    system, y, _, _ = _stack_that_loses_trials(planted)
+    # each step sees the live trials' Psi and norms only.
+    psi, column_norms, y, _, _ = _stack_that_loses_trials(planted)
     original, seen = recovery.correlate, []
 
-    def spy(system, residual):
-        seen.append((len(residual), len(system.psi), len(system.column_norms)))
-        return original(system, residual)
+    def spy(psi, column_norms, residual):
+        seen.append((len(residual), len(psi), len(column_norms)))
+        return original(psi, column_norms, residual)
 
     monkeypatch.setattr(recovery, "correlate", spy)
-    solver(system, y, csdoa.SolverConfig(sparsity=sparsity))
+    solver(psi, column_norms, y, csdoa.SolverConfig(sparsity=sparsity))
     assert seen == [(rows, rows, rows) for rows in live]
 
 
@@ -677,13 +704,16 @@ def test_each_step_correlates_the_live_trials_only(monkeypatch, solver, sparsity
     ],
 )
 def test_stacked_solvers_read_only_psi_and_its_norms(solver, sparsity, planted):
-    # The stacks above shrink mid-solve; a system without its Phi solves
-    # them bit for bit as the untouched one does.
-    system, y, _, _ = _stack_that_loses_trials(planted)
+    # The stacks above shrink mid-solve. The engine hands the solvers views of
+    # storage its thread keeps, so a solve must not write to Psi, its norms
+    # or y: read-only copies solve bit for bit as the originals do.
+    psi, column_norms, y, _, _ = _stack_that_loses_trials(planted)
     config = csdoa.SolverConfig(sparsity=sparsity)
-    expected = solver(system, y, config)
-    system.phi = None
-    got = solver(system, y, config)
+    expected = solver(psi, column_norms, y, config)
+    frozen = [np.array(a) for a in (psi, column_norms, y)]
+    for a in frozen:
+        a.flags.writeable = False
+    got = solver(*frozen, config)
     for field in ("coefficients", "support", "residual_norm", "iterations", "converged",
                   "deficient"):
         assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
@@ -691,31 +721,29 @@ def test_stacked_solvers_read_only_psi_and_its_norms(solver, sparsity, planted):
 
 @pytest.mark.parametrize("solver", [omp_stack, cosamp_stack])
 def test_stacked_solvers_reject_one_system_for_several_trials(solver):
-    # A one-trial system is a stack of one; it does not serve a second row of y.
-    system = gaussian_system(8, 12, seed=0)
-    y = np.ones((2, 8), dtype=complex)
-    with pytest.raises(ValueError, match="2 rows"):
-        solver(system, y, csdoa.SolverConfig(sparsity=2))
+    # One trial's Psi is a stack of one; it does not serve a second row of y,
+    # and a one-trial y is not a stack.
+    psi, column_norms = _stacked([gaussian_system(8, 12, seed=0)])
+    config = csdoa.SolverConfig(sparsity=2)
+    for y in (np.ones((2, 8), dtype=complex), np.ones(8, dtype=complex)):
+        with pytest.raises(ValueError, match=r"must be a \(1, 8\) stack, a row per trial"):
+            solver(psi, column_norms, y, config)
 
 
 def test_omp_stack_drops_a_rank_deficient_trial_and_finishes_the_others():
     # Trial 0's two columns coincide, so its second fit is rank deficient.
     entries = np.array([[[1, 1], [0, 0]], [[1, 0], [0, 1]]], dtype=complex)
-    phi = csdoa.MeasurementMatrix(entries, csdoa.GAUSSIAN)
-    system = csdoa.build_sensing_system(phi, np.eye(2, dtype=complex))
+    first, single = (
+        csdoa.SensingSystem(csdoa.MeasurementMatrix(e, csdoa.GAUSSIAN), np.eye(2, dtype=complex))
+        for e in entries
+    )
     y = np.array([[1.0, 0.5], [1.0, 0.5]], dtype=complex)
     config = csdoa.SolverConfig(sparsity=2)
-    stacked = omp_stack(system, y, config)
+    stacked = omp_stack(*_stacked([first, single]), y, config)
     deficient, healthy = _row(stacked, 0), _row(stacked, 1)
     assert deficient is None and _is_empty_row(stacked, 0, y[0])
-    single = csdoa.build_sensing_system(
-        csdoa.MeasurementMatrix(entries[1], csdoa.GAUSSIAN), np.eye(2, dtype=complex)
-    )
     assert healthy.support == (0, 1)
     assert _same(healthy, reference_omp(single, y[1], config))
-    first = csdoa.build_sensing_system(
-        csdoa.MeasurementMatrix(entries[0], csdoa.GAUSSIAN), np.eye(2, dtype=complex)
-    )
     with pytest.raises(csdoa.RankDeficientError):
         csdoa.omp(first, y[0], config)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import csdoa
-from conftest import stack_measurements
-from csdoa.sensing import _system_into
+from conftest import psi_spy
+from csdoa import experiments
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,26 @@ def test_draw_rejects_unknown_kind():
         csdoa.draw_measurement_matrix(9, 15, "hadamard")
 
 
+def test_measurement_matrix_holds_one_trials_matrix():
+    identity = csdoa.draw_measurement_matrix(15, 15, csdoa.IDENTITY)
+    stack = np.stack([identity.entries, identity.entries])
+    for entries in (stack, identity.entries[0], np.ones((0, 15), dtype=complex)):
+        with pytest.raises(ValueError, match="a matrix with at least one row"):
+            csdoa.MeasurementMatrix(entries, csdoa.IDENTITY)
+    with pytest.raises(ValueError, match="must be the identity"):
+        csdoa.MeasurementMatrix(2.0 * identity.entries, csdoa.IDENTITY)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf-j"])
+def test_measurement_matrix_rejects_a_non_finite_entry(bad):
+    entries = np.array(csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=3).entries)
+    entries[4, 7] = bad
+    # Refused when built, before Phi A or Phi x, whose inf arithmetic would
+    # warn: an error under this suite's filter.
+    with pytest.raises(ValueError, match="Phi must hold only finite entries"):
+        csdoa.MeasurementMatrix(entries, csdoa.GAUSSIAN)
+
+
 # ---------------------------------------------------------------------------
 # compress
 
@@ -96,6 +116,8 @@ def test_compress_rejects_wrong_length():
     phi = csdoa.draw_measurement_matrix(9, 15, csdoa.GAUSSIAN, seed=1)
     with pytest.raises(csdoa.DimensionMismatchError):
         csdoa.compress(phi, np.zeros(14, dtype=complex))
+    with pytest.raises(csdoa.DimensionMismatchError, match="a vector of length 15"):
+        csdoa.compress(phi, np.zeros((2, 15), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +164,13 @@ def test_system_rejects_dimension_mismatch():
         csdoa.build_sensing_system(phi, manifold)
 
 
+@pytest.mark.parametrize("shape", [(15,), (15, 181, 1), ()], ids=["vector", "3-d", "scalar"])
+def test_system_rejects_a_manifold_that_is_not_a_matrix(shape):
+    phi = csdoa.draw_measurement_matrix(9, 15, csdoa.GAUSSIAN, seed=3)
+    with pytest.raises(csdoa.DimensionMismatchError, match=r"must be an \(N, N_s\) matrix"):
+        csdoa.SensingSystem(phi, np.ones(shape, dtype=complex))
+
+
 def test_system_derives_psi_and_cannot_take_it():
     # Psi and its column norms are computed from (Phi, A) and are not
     # constructor arguments, so Psi = Phi A holds by construction.
@@ -171,72 +200,41 @@ def test_system_rejects_a_non_finite_column(bad):
 
 
 # ---------------------------------------------------------------------------
-# stacked measurement matrices
-
-
-def test_stacked_system_equals_each_trials_system():
-    manifold = _standard_manifold()
-    phis = [csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=s) for s in range(5)]
-    phi = stack_measurements(phis)
-    assert phi.entries.shape == (5, 10, 15)
-    assert phi.num_measurements == 10 and phi.signal_len == 15
-    system = csdoa.build_sensing_system(phi, manifold)
-    assert system.num_measurements == 10 and system.num_atoms == 181
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((5, 15)) + 1j * rng.standard_normal((5, 15))
-    y = csdoa.compress(phi, x)
-    for t, single_phi in enumerate(phis):
-        single = csdoa.build_sensing_system(single_phi, manifold)
-        assert np.array_equal(system.psi[t], single.psi)
-        assert np.array_equal(system.column_norms[t], single.column_norms)
-        assert np.array_equal(y[t], csdoa.compress(single_phi, x[t]))
+# the Monte Carlo engine's Psi stack
 
 
 @pytest.mark.parametrize("trials", [1, 7, 21, 64])
 @pytest.mark.parametrize("m", [7, 10, 15, "identity"])
-def test_stacked_psi_rounds_as_each_trials_own_product(m, trials):
-    # Psi of a stack is one 2-D product over all trials' rows; each trial's
-    # block must equal that trial's own phi @ manifold bit for bit.
+def test_stacked_psi_rounds_as_each_trials_own_product(monkeypatch, m, trials):
+    # The engine forms a chunk's Psi (one product per trial) and its column
+    # norms in storage its thread keeps, and y with one product. Each trial's
+    # Psi, norms and y, as the solvers receive them, must equal that trial's
+    # own SensingSystem and compress bit for bit, whatever the kept storage
+    # held before.
+    kind = csdoa.IDENTITY if m == "identity" else csdoa.GAUSSIAN
+    m = 15 if m == "identity" else m
+    scenario = csdoa.build_scenario(
+        [-60.0, 60.0], measurement_kind=kind, num_measurements=m, seed=trials
+    )
+    tasks = [(t % 2, t) for t in range(trials)]
+    kept, scratch = experiments._psi_buffers((trials, m, len(scenario.grid.angles_deg)))
+    kept[...] = complex(np.nan, np.nan)
+    scratch[...] = 7.0 - 3.0j
+    seen = psi_spy(monkeypatch)
+    (data, _, _), _, _ = experiments._run_trials(scenario, (0.0, 20.0), tasks)
+    [(psi, column_norms, y)] = seen
+    assert np.shares_memory(psi, kept)
     manifold = _standard_manifold()
-    if m == "identity":
-        phis = [csdoa.draw_measurement_matrix(15, 15, csdoa.IDENTITY)] * trials
-    else:
-        phis = [
-            csdoa.draw_measurement_matrix(m, 15, csdoa.GAUSSIAN, seed=s) for s in range(trials)
-        ]
-    system = csdoa.build_sensing_system(stack_measurements(phis), manifold)
-    for t, phi in enumerate(phis):
-        assert system.psi[t].tobytes() == (phi.entries @ manifold).tobytes()
+    for k, task in enumerate(tasks):
+        _, phi_seed = csdoa.trial_seeds(scenario.seed, *task)
+        phi = csdoa.draw_measurement_matrix(m, 15, kind, seed=phi_seed)
+        system = csdoa.SensingSystem(phi, manifold)
+        assert psi[k].tobytes() == system.psi.tobytes()
+        assert column_norms[k].tobytes() == system.column_norms.tobytes()
+        assert y[k].tobytes() == csdoa.compress(phi, data[k]).tobytes()
 
 
 def test_column_norms_are_numpys_norms_bit_for_bit():
     phi = csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=7)
     system = csdoa.build_sensing_system(phi, _standard_manifold())
     assert np.array_equal(system.column_norms, np.linalg.norm(system.psi, axis=0))
-
-
-def test_stack_measurements_requires_one_shape():
-    identity = csdoa.draw_measurement_matrix(15, 15, csdoa.IDENTITY)
-    assert stack_measurements([identity, identity]).entries.shape == (2, 15, 15)
-    with pytest.raises(ValueError):
-        gaussian = csdoa.draw_measurement_matrix(15, 15, csdoa.GAUSSIAN, seed=1)
-        stack_measurements([gaussian, csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN)])
-    with pytest.raises(ValueError):
-        csdoa.MeasurementMatrix(np.stack([np.eye(3), 2.0 * np.eye(3)]) + 0j, csdoa.IDENTITY)
-
-
-@pytest.mark.parametrize("m", [7, 15])
-def test_system_built_into_buffers_equals_the_allocating_one(m):
-    # The Monte Carlo engine builds Psi into storage its thread keeps; the
-    # buffers' old contents must not reach Psi or its norms.
-    manifold = _standard_manifold()
-    phis = [csdoa.draw_measurement_matrix(m, 15, csdoa.GAUSSIAN, seed=s) for s in range(4)]
-    phi = stack_measurements(phis)
-    psi_out = np.full((4, m, 181), np.nan + 1j * np.nan)
-    scratch = np.full_like(psi_out, 7.0 - 3.0j)
-    kept = _system_into(phi, manifold, psi_out, scratch)
-    fresh = csdoa.SensingSystem(phi, manifold)
-    assert kept.psi is psi_out
-    assert kept.psi.tobytes() == fresh.psi.tobytes()
-    assert kept.column_norms.tobytes() == fresh.column_norms.tobytes()
-    assert kept.phi is phi and kept.manifold is manifold

@@ -203,6 +203,58 @@ def test_system_rejects_a_non_finite_column(bad):
 # the Monte Carlo engine's Psi stack
 
 
+def test_stacked_system_equals_each_trials_system(monkeypatch):
+    # A chunk's Phi entries, Psi, norms and y are stacks whose row k is the
+    # k-th task's own measurement matrix, system and compressed snapshot.
+    scenario = csdoa.build_scenario([-60.0, 60.0], num_measurements=10, seed=3)
+    tasks = [(0, 0), (1, 0), (0, 4), (1, 2), (0, 1)]
+    _, entries = experiments._draw_trials(scenario, (0.0, 20.0), tasks)
+    assert entries.shape == (5, 10, 15)
+    seen = psi_spy(monkeypatch)
+    (data, _, _), _, _ = experiments._run_trials(scenario, (0.0, 20.0), tasks)
+    [(psi, column_norms, y)] = seen
+    assert psi.shape == (5, 10, 181) and column_norms.shape == (5, 181) and y.shape == (5, 10)
+    manifold = _standard_manifold()
+    for k, task in enumerate(tasks):
+        _, phi_seed = csdoa.trial_seeds(scenario.seed, *task)
+        phi = csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=phi_seed)
+        assert np.array_equal(entries[k], phi.entries)
+        system = csdoa.build_sensing_system(phi, manifold)
+        assert system.num_measurements == 10 and system.num_atoms == 181
+        assert np.array_equal(psi[k], system.psi)
+        assert np.array_equal(column_norms[k], system.column_norms)
+        assert np.array_equal(y[k], csdoa.compress(phi, data[k]))
+
+
+@pytest.mark.parametrize("m", [7, 15])
+def test_system_built_into_buffers_equals_the_allocating_one(monkeypatch, m):
+    # The engine builds Psi into storage its thread keeps; the buffers' old
+    # contents must not reach Psi, its norms or the estimates, which must
+    # equal those of a run that allocates fresh buffers.
+    scenario = csdoa.build_scenario([-60.0, 60.0], num_measurements=m, seed=m)
+    tasks = [(0, t) for t in range(4)]
+    shape = (len(tasks), m, len(scenario.grid.angles_deg))
+    kept, scratch = experiments._psi_buffers(shape)
+    kept[...] = complex(np.nan, np.nan)
+    scratch[...] = 7.0 - 3.0j
+    seen = psi_spy(monkeypatch)
+    _, kept_estimates, _ = experiments._run_trials(scenario, (10.0,), tasks)
+    assert np.shares_memory(seen[0][0], kept)
+    kept_psi, kept_norms = seen[0][0].copy(), seen[0][1].copy()
+    monkeypatch.setattr(
+        experiments,
+        "_psi_buffers",
+        lambda shape: (np.empty(shape, complex), np.empty(shape, complex)),
+    )
+    _, fresh_estimates, _ = experiments._run_trials(scenario, (10.0,), tasks)
+    assert not np.shares_memory(seen[1][0], kept)
+    assert kept_psi.tobytes() == seen[1][0].tobytes()
+    assert kept_norms.tobytes() == seen[1][1].tobytes()
+    for algorithm, estimate in kept_estimates.items():
+        fresh = fresh_estimates[algorithm]
+        assert estimate.coefficients.tobytes() == fresh.coefficients.tobytes()
+
+
 @pytest.mark.parametrize("trials", [1, 7, 21, 64])
 @pytest.mark.parametrize("m", [7, 10, 15, "identity"])
 def test_stacked_psi_rounds_as_each_trials_own_product(monkeypatch, m, trials):

@@ -157,9 +157,7 @@ def steering_vector(theta_deg: float, geometry: ArrayGeometry) -> np.ndarray:
     """
     if not -90.0 <= theta_deg <= 90.0:
         raise AngleOutOfRangeError(f"theta_deg must lie in [-90, 90], got {theta_deg}")
-    n = np.arange(geometry.num_sensors)
-    phase = -2.0 * np.pi * geometry.spacing_over_wavelength * n * np.sin(np.deg2rad(theta_deg))
-    return np.exp(1j * phase)
+    return _steering_matrix(np.array([theta_deg], dtype=float), geometry)[:, 0]
 
 
 def build_manifold(grid: AngleGrid, geometry: ArrayGeometry) -> np.ndarray:
@@ -181,8 +179,7 @@ def _cached_manifold(geometry: ArrayGeometry, angles_deg: bytes) -> np.ndarray:
 
 
 def _steering_matrix(angles_deg: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """One steering-vector column per angle, each equal to ``steering_vector``'s bit for bit."""
-    # One broadcast in steering_vector's operation order.
+    """One steering-vector column per angle (N x angles); ``steering_vector`` is one column."""
     n = np.arange(geometry.num_sensors)
     scale = -2.0 * np.pi * geometry.spacing_over_wavelength * n
     return np.exp(1j * (scale[:, None] * np.sin(np.deg2rad(angles_deg))[None, :]))

@@ -435,6 +435,7 @@ def l0_oracle(system: SensingSystem, y: np.ndarray, sparsity: int) -> SparseEsti
     smallest support). Guarded to at most 10^6 candidate subsets; a ``y``
     that is not a finite vector of length m raises ValueError.
     """
+    sparsity = integer(sparsity, "sparsity")
     if sparsity < 1:
         raise ValueError("sparsity must be >= 1")
     num_atoms = system.num_atoms

@@ -1,10 +1,11 @@
 """Measurement-matrix draw, snapshot compression, and the effective dictionary.
 
-Compression is ``y = Phi x``; the sparse-recovery dictionary is
-``Psi = Phi A(theta)``, cached together with its column norms. These types
-hold one trial. The Monte Carlo engine builds a chunk's Phi stack from the
-trials' raw draws with :func:`gaussian_entries`, and its Psi and column norms
-as plain arrays, one product per trial as :class:`SensingSystem` forms one.
+Phi is a plain (m, N) array. Compression is ``y = Phi x``; the sparse-recovery
+dictionary is ``Psi = Phi A(theta)``, held with its column norms in one
+trial's :class:`SensingSystem`. The Monte Carlo engine builds a chunk's Phi
+stack from the trials' raw draws with :func:`gaussian_entries`, and its Psi
+and column norms as plain arrays, one product per trial as
+:class:`SensingSystem` forms one.
 """
 
 from __future__ import annotations
@@ -14,42 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, integer
 
 GAUSSIAN = "gaussian"
 IDENTITY = "identity"
 MEASUREMENT_KINDS = (GAUSSIAN, IDENTITY)
-
-
-@dataclass(eq=False)
-class MeasurementMatrix:
-    """Compression operator Phi (m x N) and its kind."""
-
-    entries: np.ndarray
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.entries.ndim != 2 or self.entries.shape[0] < 1:
-            raise ValueError("entries must be a matrix with at least one row")
-        # Checked before any product with Phi, whose inf arithmetic would warn.
-        if not np.isfinite(self.entries).all():
-            raise ValueError("Phi must hold only finite entries")
-        if self.kind not in MEASUREMENT_KINDS:
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        if self.kind == IDENTITY:
-            m, n = self.entries.shape
-            if m != n:
-                raise DimensionMismatchError("identity measurement requires m == n")
-            if not np.all(self.entries == np.eye(n, dtype=self.entries.dtype)):
-                raise ValueError("identity measurement entries must be the identity")
-
-    @property
-    def num_measurements(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def signal_len(self) -> int:
-        return self.entries.shape[1]
 
 
 @dataclass(eq=False)
@@ -61,26 +31,26 @@ class SensingSystem:
     construction.
     """
 
-    phi: MeasurementMatrix
+    phi: np.ndarray
     manifold: np.ndarray
     psi: np.ndarray = field(init=False)
     column_norms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.manifold = np.asarray(self.manifold)
+        self.phi, self.manifold = _checked_phi(self.phi), np.asarray(self.manifold)
         if self.manifold.ndim != 2:
             raise DimensionMismatchError(
                 f"the manifold must be an (N, N_s) matrix, got shape {self.manifold.shape}"
             )
-        if self.phi.signal_len != self.manifold.shape[0]:
+        if self.phi.shape[1] != self.manifold.shape[0]:
             raise DimensionMismatchError(
-                f"Phi has {self.phi.signal_len} columns but the dictionary has "
+                f"Phi has {self.phi.shape[1]} columns but the dictionary has "
                 f"{self.manifold.shape[0]} rows"
             )
         # Checked before the product, which would warn on inf arithmetic.
         if not np.isfinite(self.manifold).all():
             raise ValueError("the manifold must hold only finite entries")
-        self.psi = self.phi.entries @ self.manifold
+        self.psi = self.phi @ self.manifold
         self.column_norms = norms = _column_norms(self.psi)
         if not (np.isfinite(norms) & (norms > 0.0)).all():
             raise ValueError("every psi column must have a positive finite norm")
@@ -103,25 +73,24 @@ def min_measurements(num_sources: int, signal_len: int) -> int:
     return int(math.floor(num_sources * math.log(signal_len))) + 1
 
 
-def draw_measurement_matrix(m: int, n: int, kind: str, seed: int = 0) -> MeasurementMatrix:
-    """Draw an m x n measurement matrix of the given kind.
+def draw_measurement_matrix(m: int, n: int, kind: str, seed: int = 0) -> np.ndarray:
+    """Draw an (m, n) complex measurement matrix of the given kind.
 
     ``gaussian`` entries are i.i.d. circular complex Gaussian with real and
     imaginary parts N(0, 1/(2m)), giving unit expected column energy.
     ``identity`` requires m == n and takes no random draws; ``seed`` seeds
     the Gaussian draw.
     """
+    m, n = integer(m, "m"), integer(n, "n")
     if m < 1 or n < 1:
         raise ValueError("matrix dimensions must be positive")
     if kind == IDENTITY:
         if m != n:
             raise DimensionMismatchError(f"identity measurement requires m == n, got {m} x {n}")
-        entries = np.eye(n, dtype=complex)
-    elif kind == GAUSSIAN:
-        entries = gaussian_entries(np.random.default_rng(seed).standard_normal((2, m, n)))
-    else:
-        raise ValueError(f"unknown measurement kind {kind!r}")
-    return MeasurementMatrix(entries=entries, kind=kind)
+        return np.eye(n, dtype=complex)
+    if kind == GAUSSIAN:
+        return gaussian_entries(np.random.default_rng(seed).standard_normal((2, m, n)))
+    raise ValueError(f"unknown measurement kind {kind!r}")
 
 
 def gaussian_entries(normals: np.ndarray) -> np.ndarray:
@@ -135,19 +104,28 @@ def gaussian_entries(normals: np.ndarray) -> np.ndarray:
     return scale * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
 
 
-def compress(phi: MeasurementMatrix, x: np.ndarray) -> np.ndarray:
+def compress(phi: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exact matrix-vector product ``y = Phi x`` for one snapshot ``x`` of length N."""
-    x = np.asarray(x)
-    if x.shape != (phi.signal_len,):
-        raise DimensionMismatchError(
-            f"x must be a vector of length {phi.signal_len}, got shape {x.shape}"
-        )
-    return phi.entries @ x
+    phi, x = _checked_phi(phi), np.asarray(x)
+    if x.shape != (phi.shape[1],):
+        raise DimensionMismatchError(f"x must be a vector of length {phi.shape[1]}, got {x.shape}")
+    return phi @ x
 
 
-def build_sensing_system(phi: MeasurementMatrix, manifold: np.ndarray) -> SensingSystem:
+def build_sensing_system(phi: np.ndarray, manifold: np.ndarray) -> SensingSystem:
     """Form Psi = Phi A and its column norms."""
     return SensingSystem(phi, manifold)
+
+
+def _checked_phi(phi) -> np.ndarray:
+    """``phi`` as an array; ValueError unless it is a finite matrix with at least one row."""
+    phi = np.asarray(phi)
+    if phi.ndim != 2 or phi.shape[0] < 1:
+        raise ValueError(f"Phi must be a matrix with at least one row, got shape {phi.shape}")
+    # Checked before any product with Phi, whose inf arithmetic would warn.
+    if not np.isfinite(phi).all():
+        raise ValueError("Phi must hold only finite entries")
+    return phi
 
 
 def _column_norms(psi: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:

@@ -7,11 +7,16 @@ products) so agreement is meaningful.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import platform
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import csdoa
 import csdoa.experiments
@@ -22,6 +27,45 @@ def normal_equations(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares solution via the normal equations (B^H B) c = B^H y."""
     gram = basis.conj().T @ basis
     return np.linalg.solve(gram, basis.conj().T @ y)
+
+
+def openblas() -> str | None:
+    """numpy's bundled scipy-openblas library on x86-64, or None."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return None
+    if np.__config__.CONFIG["Build Dependencies"]["blas"].get("name") != "scipy-openblas":
+        return None
+    found = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas*"))
+    return found[0] if found else None
+
+
+def openblas_core() -> str | None:
+    """The core name of the kernels numpy's bundled OpenBLAS loaded, or None without it.
+
+    OpenBLAS picks them when it loads, from ``OPENBLAS_CORETYPE`` if set, else
+    from the CPU. It names the set it loaded, which may differ from the one
+    asked for: numpy 2.4.6's OpenBLAS 0.3.31 runs ``Zen`` on its ``Haswell``
+    kernels and ``Prescott`` on its ``Katmai`` ones.
+    """
+    library = openblas()
+    if library is None:
+        return None
+    corename = ctypes.CDLL(library).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def pinned_for_kernel(values: dict[str, str], what: str) -> str:
+    """The value of ``what`` recorded for the OpenBLAS kernels loaded here.
+
+    A lone trial's products round differently on each kernel set, so a pin
+    of their bits holds one value per core. An unrecorded core fails, naming
+    itself, so that its value gets recorded rather than skipped.
+    """
+    core = openblas_core()
+    if core not in values:
+        pytest.fail(f"{what} has no value recorded for the OpenBLAS core {core!r}")
+    return values[core]
 
 
 def psi_spy(monkeypatch) -> list:
@@ -215,6 +259,13 @@ REFERENCE_SOLVERS = {"omp": reference_omp, "cosamp": reference_cosamp}
 # bit for bit.
 
 
+def reference_steering(theta_deg: float, geometry) -> np.ndarray:
+    """One source's ULA steering vector, ``exp(-2j pi (d/lambda) n sin(theta))``."""
+    n = np.arange(geometry.num_sensors)
+    phase = -2.0 * np.pi * geometry.spacing_over_wavelength * n * np.sin(np.deg2rad(theta_deg))
+    return np.exp(1j * phase)
+
+
 def reference_synthesize(scenario, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(data, clean, noise) of one trial: group amplitudes, then the noise."""
     sources, geometry, grid = scenario.sources, scenario.geometry, scenario.grid
@@ -232,7 +283,7 @@ def reference_synthesize(scenario, rng) -> tuple[np.ndarray, np.ndarray, np.ndar
     clean = np.zeros(geometry.num_sensors, dtype=complex)
     for doa, amp in zip(sources.doas_deg, amps):
         theta = grid.angles_deg[grid.index_of(doa)]
-        clean = clean + csdoa.steering_vector(theta, geometry) * amp
+        clean = clean + reference_steering(theta, geometry) * amp
     if math.isinf(scenario.snr_db):
         noise = np.zeros_like(clean)
     else:
@@ -310,11 +361,13 @@ def reference_score(coefficients: np.ndarray, grid, truth, num_peaks: int):
 
 
 def per_trial_curve(scenario, snr_sweep_db, trials: int) -> dict:
-    """RMSE curve composed trial by trial from the public stage functions.
+    """RMSE curve composed trial by trial from the references above.
 
-    Draws, compression and scoring use the library's stage functions one
-    trial at a time, on streams seeded by numpy's own SeedSequence and
-    default_rng; the solvers are the loop references above. Returns
+    Each trial's snapshot and Phi come from ``reference_synthesize`` and
+    ``reference_phi`` on streams seeded by numpy's own SeedSequence and
+    default_rng; its Psi from a ``SensingSystem`` on that Phi, its solves
+    from the loop references and its score from ``reference_score``. None of
+    it shares a draw, stack or alignment helper with the engine. Returns
     what ``curve_key`` returns for ``run_monte_carlo``'s curve.
     """
     manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
@@ -326,12 +379,12 @@ def per_trial_curve(scenario, snr_sweep_db, trials: int) -> dict:
         hits = {a: [] for a in scenario.algorithms}
         for t in range(trials):
             data_seed, phi_seed = reference_trial_seeds(scenario.seed, i, t)
-            snapshot = csdoa.synthesize(point, np.random.default_rng(data_seed))
-            phi = csdoa.draw_measurement_matrix(
-                spec.num_measurements, scenario.geometry.num_sensors, spec.kind, seed=phi_seed
+            data, _, _ = reference_synthesize(point, np.random.default_rng(data_seed))
+            phi = reference_phi(
+                spec.num_measurements, scenario.geometry.num_sensors, spec.kind, phi_seed
             )
-            system = csdoa.build_sensing_system(phi, manifold)
-            y = csdoa.compress(phi, snapshot.data)
+            system = csdoa.SensingSystem(phi, manifold)
+            y = phi @ data
             for a in scenario.algorithms:
                 try:
                     estimate = REFERENCE_SOLVERS[a](system, y, scenario.solver)
@@ -339,11 +392,12 @@ def per_trial_curve(scenario, snr_sweep_db, trials: int) -> dict:
                     errors[a].append(np.full(scenario.sources.num_sources, csdoa.MISS_PENALTY_DEG))
                     hits[a].append(False)
                     continue
-                spectrum = csdoa.angle_spectrum(estimate, scenario.grid)
-                estimated = csdoa.pick_peaks(spectrum, scenario.solver.sparsity)
-                err = csdoa.trial_error(estimated, scenario.sources)
+                *_, err, success = reference_score(
+                    estimate.coefficients, scenario.grid, scenario.sources,
+                    scenario.solver.sparsity,
+                )
                 errors[a].append(err)
-                hits[a].append(bool(err.max() < scenario.grid.step_deg))
+                hits[a].append(success)
         for a in scenario.algorithms:
             rmse, rmse_hits, rate = per_algorithm[a]
             rmse.append(float(np.sqrt(np.mean(np.concatenate(errors[a]) ** 2))))

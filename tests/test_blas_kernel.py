@@ -8,16 +8,16 @@ bundled scipy-openblas picks its kernels when it loads, from
 an x86-64 CPU without AVX-512 gets.
 """
 
-import glob
 import json
 import os
-import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+from conftest import openblas, openblas_core, pinned_for_kernel
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,8 +32,8 @@ SELF_CONSISTENCY = [
 # directory is a temporary one, so neither Hypothesis nor pytest writes into
 # the repository.
 CHILD = """
-import ctypes, json, sys
-import numpy, pytest
+import json, sys
+import pytest
 
 class NoExampleDatabase:
     @staticmethod
@@ -42,36 +42,31 @@ class NoExampleDatabase:
         settings.register_profile("child", database=None)
         settings.load_profile("child")
 
-library, root, *tests = sys.argv[1:]
-corename = ctypes.CDLL(library).scipy_openblas_get_corename64_
-corename.restype = ctypes.c_char_p
-print(json.dumps(corename().decode()), flush=True)
+root, *tests = sys.argv[1:]
+sys.path.insert(0, root + "/tests")
+from conftest import openblas_core
+print(json.dumps(openblas_core()), flush=True)
 args = ["-q", "-p", "no:cacheprovider", "-c", root + "/pyproject.toml", "--rootdir", root]
 args += [root + "/" + test for test in tests]
 sys.exit(pytest.main(args, plugins=[NoExampleDatabase()]))
 """
 
 
-def _openblas() -> str | None:
-    """numpy's bundled scipy-openblas library on x86-64, or None."""
-    if platform.machine().lower() not in ("x86_64", "amd64"):
-        return None
-    if np.__config__.CONFIG["Build Dependencies"]["blas"].get("name") != "scipy-openblas":
-        return None
-    found = glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas*"))
-    return found[0] if found else None
-
-
 def test_self_consistency_holds_on_the_haswell_kernel(tmp_path):
-    library = _openblas()
-    if library is None:
+    if openblas() is None:
         pytest.skip("numpy's BLAS is not its bundled scipy-openblas on x86-64")
     env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", CHILD, library, str(ROOT), *SELF_CONSISTENCY],
+        [sys.executable, "-c", CHILD, str(ROOT), *SELF_CONSISTENCY],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=600,
     )
     corename, _, report = done.stdout.partition("\n")
     assert json.loads(corename) == "Haswell", done.stdout + done.stderr
     assert done.returncode == 0, report[-4000:] + done.stderr[-2000:]
+
+
+def test_a_pin_fails_by_name_on_an_unrecorded_core():
+    # A kernel with no recorded value fails, naming its core; it is never skipped.
+    with pytest.raises(pytest.fail.Exception, match=re.escape(f"OpenBLAS core {openblas_core()!r}")):
+        pinned_for_kernel({"no such core": "0" * 64}, "a pin")

@@ -185,8 +185,7 @@ def test_correlate_stack_matches_each_trial():
 def _orthonormal_system(m=8, seed=0):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-    phi = csdoa.MeasurementMatrix(q, csdoa.GAUSSIAN)
-    return csdoa.build_sensing_system(phi, np.eye(m, dtype=complex))
+    return csdoa.build_sensing_system(q, np.eye(m, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +445,7 @@ def test_oracle_skips_rank_deficient_subsets():
 
 
 def test_oracle_raises_when_every_subset_is_rank_deficient():
-    phi = csdoa.MeasurementMatrix(
-        np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex), csdoa.GAUSSIAN
-    )
+    phi = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     manifold = np.ones((2, 3), dtype=complex)
     system = csdoa.build_sensing_system(phi, manifold)
     with pytest.raises(csdoa.RankDeficientError):
@@ -459,6 +456,15 @@ def test_oracle_refuses_huge_searches():
     system = gaussian_system(10, 50, seed=0)
     with pytest.raises(csdoa.InstanceTooLargeError):
         csdoa.l0_oracle(system, system.psi[:, 0].copy(), 5)  # C(50,5) > 10^6
+
+
+@pytest.mark.parametrize("sparsity", [True, 2.0, np.float64(1)], ids=["bool", "float", "numpy-float"])
+def test_oracle_takes_an_integer_sparsity(sparsity):
+    # Refused by name before any enumeration; True used to run as sparsity 1.
+    system = gaussian_system(8, 12, seed=0)
+    with pytest.raises(TypeError, match="^sparsity must be an integer"):
+        csdoa.l0_oracle(system, system.psi[:, 0].copy(), sparsity)
+    assert csdoa.l0_oracle(system, system.psi[:, 0].copy(), np.int64(1)).support == (0,)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, -np.inf)])
@@ -733,10 +739,7 @@ def test_stacked_solvers_reject_one_system_for_several_trials(solver):
 def test_omp_stack_drops_a_rank_deficient_trial_and_finishes_the_others():
     # Trial 0's two columns coincide, so its second fit is rank deficient.
     entries = np.array([[[1, 1], [0, 0]], [[1, 0], [0, 1]]], dtype=complex)
-    first, single = (
-        csdoa.SensingSystem(csdoa.MeasurementMatrix(e, csdoa.GAUSSIAN), np.eye(2, dtype=complex))
-        for e in entries
-    )
+    first, single = (csdoa.SensingSystem(e, np.eye(2, dtype=complex)) for e in entries)
     y = np.array([[1.0, 0.5], [1.0, 0.5]], dtype=complex)
     config = csdoa.SolverConfig(sparsity=2)
     stacked = omp_stack(*_stacked([first, single]), y, config)

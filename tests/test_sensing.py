@@ -34,26 +34,24 @@ def test_min_measurements_validates_arguments():
 
 def test_gaussian_draw_shape_and_determinism():
     phi = csdoa.draw_measurement_matrix(9, 15, csdoa.GAUSSIAN, seed=4)
-    assert phi.entries.shape == (9, 15)
-    assert phi.entries.dtype == np.complex128
-    assert phi.kind == csdoa.GAUSSIAN
+    assert phi.shape == (9, 15)
+    assert phi.dtype == np.complex128
     again = csdoa.draw_measurement_matrix(9, 15, csdoa.GAUSSIAN, seed=4)
-    assert np.array_equal(phi.entries, again.entries)
+    assert np.array_equal(phi, again)
     other = csdoa.draw_measurement_matrix(9, 15, csdoa.GAUSSIAN, seed=5)
-    assert not np.array_equal(phi.entries, other.entries)
+    assert not np.array_equal(phi, other)
 
 
 def test_gaussian_columns_have_unit_expected_energy():
     # Var per entry is 1/(2m) each for real and imag, so E||col||^2 = 1.
     phi = csdoa.draw_measurement_matrix(9, 2000, csdoa.GAUSSIAN, seed=0)
-    energies = np.sum(np.abs(phi.entries) ** 2, axis=0)
+    energies = np.sum(np.abs(phi) ** 2, axis=0)
     assert abs(float(energies.mean()) - 1.0) < 0.05
 
 
 def test_identity_draw_is_exact_identity():
     phi = csdoa.draw_measurement_matrix(15, 15, csdoa.IDENTITY)
-    assert np.array_equal(phi.entries, np.eye(15, dtype=complex))
-    assert phi.kind == csdoa.IDENTITY
+    assert np.array_equal(phi, np.eye(15, dtype=complex))
 
 
 def test_identity_draw_requires_square():
@@ -66,24 +64,38 @@ def test_draw_rejects_unknown_kind():
         csdoa.draw_measurement_matrix(9, 15, "hadamard")
 
 
+@pytest.mark.parametrize(
+    "m, n, name", [(7.0, 15, "m"), (True, 15, "m"), (7, 15.0, "n"), (7, np.float64(15), "n")]
+)
+def test_draw_takes_integer_dimensions(m, n, name):
+    # Refused by name before any draw; a float used to fail inside numpy.
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        csdoa.draw_measurement_matrix(m, n, csdoa.GAUSSIAN)
+    assert csdoa.draw_measurement_matrix(np.int64(7), 15, csdoa.GAUSSIAN).shape == (7, 15)
+
+
 def test_measurement_matrix_holds_one_trials_matrix():
+    # SensingSystem and compress take one trial's Phi: a stack, a vector or
+    # no rows is refused before any product.
     identity = csdoa.draw_measurement_matrix(15, 15, csdoa.IDENTITY)
-    stack = np.stack([identity.entries, identity.entries])
-    for entries in (stack, identity.entries[0], np.ones((0, 15), dtype=complex)):
-        with pytest.raises(ValueError, match="a matrix with at least one row"):
-            csdoa.MeasurementMatrix(entries, csdoa.IDENTITY)
-    with pytest.raises(ValueError, match="must be the identity"):
-        csdoa.MeasurementMatrix(2.0 * identity.entries, csdoa.IDENTITY)
+    manifold = _standard_manifold()
+    for phi in (np.stack([identity, identity]), identity[0], np.ones((0, 15), dtype=complex)):
+        with pytest.raises(ValueError, match="Phi must be a matrix with at least one row"):
+            csdoa.SensingSystem(phi, manifold)
+        with pytest.raises(ValueError, match="Phi must be a matrix with at least one row"):
+            csdoa.compress(phi, np.ones(15, dtype=complex))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-inf-j"])
 def test_measurement_matrix_rejects_a_non_finite_entry(bad):
-    entries = np.array(csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=3).entries)
-    entries[4, 7] = bad
-    # Refused when built, before Phi A or Phi x, whose inf arithmetic would
-    # warn: an error under this suite's filter.
+    phi = csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=3)
+    phi[4, 7] = bad
+    # Refused before Phi A or Phi x, whose inf arithmetic would warn: an
+    # error under this suite's filter.
     with pytest.raises(ValueError, match="Phi must hold only finite entries"):
-        csdoa.MeasurementMatrix(entries, csdoa.GAUSSIAN)
+        csdoa.SensingSystem(phi, _standard_manifold())
+    with pytest.raises(ValueError, match="Phi must hold only finite entries"):
+        csdoa.compress(phi, np.ones(15, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +151,7 @@ def test_identity_system_keeps_manifold():
 
 
 def test_single_row_system_sums_columns():
-    phi = csdoa.MeasurementMatrix(np.ones((1, 15), dtype=complex), csdoa.GAUSSIAN)
+    phi = np.ones((1, 15), dtype=complex)
     manifold = np.ones((15, 1), dtype=complex)
     system = csdoa.build_sensing_system(phi, manifold)
     assert system.psi.shape == (1, 1)
@@ -152,7 +164,7 @@ def test_system_psi_matches_per_column_products():
     phi = csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=3)
     system = csdoa.build_sensing_system(phi, manifold)
     for j in (0, 45, 90, 135, 180):
-        expected = phi.entries @ manifold[:, j]
+        expected = phi @ manifold[:, j]
         assert np.linalg.norm(system.psi[:, j] - expected) < 1e-10
         assert abs(system.column_norms[j] - np.linalg.norm(expected)) < 1e-10
 
@@ -177,7 +189,7 @@ def test_system_derives_psi_and_cannot_take_it():
     manifold = _standard_manifold()
     phi = csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=3)
     system = csdoa.SensingSystem(phi, manifold)
-    assert system.psi.tobytes() == (phi.entries @ manifold).tobytes()
+    assert system.psi.tobytes() == (phi @ manifold).tobytes()
     assert np.array_equal(system.column_norms, np.linalg.norm(system.psi, axis=0))
     with pytest.raises(TypeError):
         csdoa.SensingSystem(phi, manifold, system.psi + 0.1)
@@ -218,7 +230,7 @@ def test_stacked_system_equals_each_trials_system(monkeypatch):
     for k, task in enumerate(tasks):
         _, phi_seed = csdoa.trial_seeds(scenario.seed, *task)
         phi = csdoa.draw_measurement_matrix(10, 15, csdoa.GAUSSIAN, seed=phi_seed)
-        assert np.array_equal(entries[k], phi.entries)
+        assert np.array_equal(entries[k], phi)
         system = csdoa.build_sensing_system(phi, manifold)
         assert system.num_measurements == 10 and system.num_atoms == 181
         assert np.array_equal(psi[k], system.psi)

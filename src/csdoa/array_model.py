@@ -268,7 +268,7 @@ def snapshot_stack(
     # The per-trial noise power is Python arithmetic, as for one trial: numpy's
     # power may round differently from the C library's pow.
     levels = np.array([columns.shape[0] * 10.0 ** (snr / 10.0) for snr in snr_db])
-    p_clean = np.sum(np.abs(clean) ** 2, axis=-1)
+    p_clean = np.add.reduce(np.abs(clean) ** 2, axis=-1)
     scale = np.sqrt(p_clean / levels / 2.0)
     noise = scale[:, None] * (noise[:, 0] + 1j * noise[:, 1])
     return clean + noise, clean, noise

@@ -245,7 +245,7 @@ class RmseCurve:
 
 def default_num_measurements(num_sources: int, num_sensors: int) -> int:
     """Default measurement count: one more than the information-theoretic floor."""
-    return min_measurements(num_sources, num_sensors) + 1
+    return min_measurements(num_sources, integer(num_sensors, "num_sensors")) + 1
 
 
 def build_scenario(

@@ -122,8 +122,7 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     complex input, so it rounds exactly as they do without their per-call
     Python wrappers.
     """
-    basis = np.asarray(basis)
-    y = np.asarray(y)
+    basis, y = np.asarray(basis), np.asarray(y)
     m, k = basis.shape[-2:]
     if k == 0:
         return np.zeros(basis.shape[:-2] + (0,), dtype=complex)
@@ -135,7 +134,7 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = np.where(_upper(k), a[..., :k, :], 0j)  # np.triu's own where
     diag = np.abs(a.diagonal(0, -2, -1))  # R's diagonal
     deficient = np.minimum.reduce(diag, axis=-1) <= RANK_TOL * np.maximum.reduce(diag, axis=-1)
-    any_deficient = deficient.any()
+    any_deficient = np.count_nonzero(deficient)
     if any_deficient:
         if basis.ndim == 2:
             raise RankDeficientError("selected columns are numerically rank deficient")
@@ -166,7 +165,8 @@ def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
     The same choice as a stable argsort of ``-values``, by repeated argmax,
     which is far cheaper for the few entries the solvers keep. Overwrites
     ``values``: each chosen entry becomes ``-inf``, so callers pass a
-    temporary of their own.
+    temporary of their own, and a row's picks are distinct while ``count``
+    is at most its entries above ``-inf`` (any ``count <= N`` for a proxy).
     """
     rows = np.arange(values.shape[0])
     top = np.empty((values.shape[0], count), dtype=int)
@@ -216,16 +216,18 @@ class _Live:
         self.tolerance = config.residual_tol * norm_y
         self.rows = np.arange(trials)
         self.index = self.rows[:, None]
+        support = np.empty((trials, width), dtype=int)
+        support.fill(-1)
         self.stack = StackedEstimate(
             coefficients=np.zeros((trials, num_atoms), dtype=complex),
-            support=np.full((trials, width), -1),
+            support=support,
             residual_norm=norm_y.copy(),
             iterations=np.zeros(trials, dtype=int),
             converged=norm_y == 0.0,  # as 0 <= residual_tol * 0; set as trials leave
             deficient=np.zeros(trials, dtype=bool),
         )
         going = norm_y > 0.0  # a zero y never enters the set: its empty row is its result
-        if not going.all():
+        if np.count_nonzero(going) < trials:
             self.keep(going)
 
     def leave(self, done, support, coef, residual_norm, iterations: int, failed) -> None:
@@ -233,7 +235,7 @@ class _Live:
         rows, stack, failed = self.rows[done], self.stack, failed[done]
         support, coef, residual_norm = support[done], coef[done], residual_norm[done]
         stack.converged[rows] = ~failed & (residual_norm <= self.tolerance[done])
-        if failed.any():
+        if np.count_nonzero(failed):
             stack.deficient[rows[failed]] = True
             ok = ~failed
             rows, support, coef, residual_norm = rows[ok], support[ok], coef[ok], residual_norm[ok]
@@ -314,7 +316,7 @@ def omp_stack(
         proxy = correlate(live.psi, live.column_norms, live.residual)
         if step:
             proxy[live.index, support[:, :step]] = -1.0  # an index is never re-selected
-        support[:, step] = np.argmax(proxy, axis=1)
+        support[:, step] = proxy.argmax(axis=1)
         basis = _columns(live.psi, support[:, : step + 1], live.index)
         fit = least_squares(basis, live.y)
         live.residual = live.y - np.matmul(basis, fit[..., None])[..., 0]
@@ -358,8 +360,29 @@ def _pruned_fit(psi, y, merged, trials, keep: int) -> tuple[np.ndarray, np.ndarr
         return merged[:, :keep], np.full((merged.shape[0], keep), np.nan, dtype=complex)
     fit = least_squares(_columns(psi, merged, trials), y)
     picked = np.arange(merged.shape[0])[:, None]
-    kept = np.sort(_top_indices(np.abs(fit), keep), axis=1)
+    kept = _top_indices(np.abs(fit), keep)
+    kept.sort(axis=1)
     return merged[picked, kept], fit[picked, kept]
+
+
+def _merged_fit(psi, y, trials, omega, support, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_pruned_fit` of each row on its ``omega`` atoms merged into its ``support``."""
+    if not support.shape[1]:  # the first iteration: omega's distinct atoms are the merged set
+        omega.sort(axis=1)
+        return _pruned_fit(psi, y, omega, trials, keep)
+    candidates = np.concatenate([omega, support], axis=1)
+    candidates.sort(axis=1)
+    fresh = np.ones(candidates.shape, dtype=bool)
+    fresh[:, 1:] = candidates[:, 1:] != candidates[:, :-1]
+    sizes = np.add.reduce(fresh, axis=1)
+    if not np.count_nonzero(sizes != sizes[0]):  # one size group, the usual case
+        return _pruned_fit(psi, y, candidates[fresh].reshape(sizes.size, sizes[0]), trials, keep)
+    kept, coef = np.empty_like(support), np.empty((support.shape[0], keep), dtype=complex)
+    for size in sorted(set(sizes.tolist())):  # one fit per merged-support size: nothing is padded
+        group = np.flatnonzero(sizes == size)
+        merged = candidates[group][fresh[group]].reshape(group.size, size)
+        kept[group], coef[group] = _pruned_fit(psi, y[group], merged, group[:, None], keep)
+    return kept, coef
 
 
 def cosamp_stack(
@@ -368,9 +391,8 @@ def cosamp_stack(
     """:func:`cosamp` on T trials at once: Psi (T, m, N_s), its norms (T, N_s) and ``y`` (T, m).
 
     A ``y`` of another shape raises ValueError. Each iteration runs once,
-    whole, on the live set: the trials still running. Only the fit runs once
-    per merged-support size, so nothing is padded. A trial leaves, with its
-    best iterate written, when it converges, stalls or runs out of
+    whole, on the live set: the trials still running. A trial leaves, with
+    its best iterate written, when it converges, stalls or runs out of
     iterations, and leaves deficient when its merged support outgrows the m
     measurements or its fit is rank deficient. Neither ``y`` nor Psi is
     checked for finite entries: the engine's are finite by construction, and
@@ -382,26 +404,13 @@ def cosamp_stack(
     trials = live.rows.size
     # The last iterate's support and residual norm; the stack's norms are still ||y||.
     support, prev_norm = np.zeros((trials, 0), dtype=int), live.stack.residual_norm[live.rows]
-    best_norm, best_support = np.full(trials, np.inf), np.zeros((trials, keep), dtype=int)
+    best_norm, best_support = np.empty(trials), np.zeros((trials, keep), dtype=int)
+    best_norm.fill(np.inf)
     best_coef = np.zeros((trials, keep), dtype=complex)
     for iteration in range(1, config.max_iterations + 1 if live.rows.size else 1):
         proxy = correlate(live.psi, live.column_norms, live.residual)
         omega = _top_indices(proxy, min(2 * sparsity, num_atoms))
-        candidates = np.sort(np.concatenate([omega, support], axis=1), axis=1)
-        fresh = np.ones(candidates.shape, dtype=bool)
-        fresh[:, 1:] = candidates[:, 1:] != candidates[:, :-1]
-        sizes = fresh.sum(axis=1)
-        if (sizes == sizes[0]).all():  # one size group, the usual case
-            merged = candidates[fresh].reshape(sizes.size, sizes[0])
-            support, coef = _pruned_fit(live.psi, live.y, merged, live.index, keep)
-        else:
-            support, coef = np.empty_like(best_support), np.empty_like(best_coef)
-            for size in sorted(set(sizes.tolist())):
-                group = np.flatnonzero(sizes == size)
-                merged = candidates[group][fresh[group]].reshape(group.size, size)
-                support[group], coef[group] = _pruned_fit(
-                    live.psi, live.y[group], merged, group[:, None], keep
-                )
+        support, coef = _merged_fit(live.psi, live.y, live.index, omega, support, keep)
         columns = _columns(live.psi, support, live.index)
         live.residual = live.y - np.matmul(columns, coef[..., None])[..., 0]
         residual_norm = _row_norms(live.residual)

@@ -66,6 +66,7 @@ class SensingSystem:
 
 def min_measurements(num_sources: int, signal_len: int) -> int:
     """Smallest integer strictly greater than ``num_sources * ln(signal_len)``."""
+    num_sources, signal_len = integer(num_sources, "num_sources"), integer(signal_len, "signal_len")
     if num_sources < 1:
         raise ValueError(f"num_sources must be >= 1, got {num_sources}")
     if signal_len < 2:

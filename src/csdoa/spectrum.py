@@ -127,7 +127,7 @@ def score_stack(
     n = len(true)
     if angles.shape[1] >= n:
         errors = np.abs(angles[:, :n] - true)
-        total = np.cumsum(errors[:, ::-1], axis=1)[:, -1]
+        total = errors[:, ::-1].cumsum(axis=1)[:, -1]
         aligned = np.flatnonzero((counts != n) | (total >= MISS_PENALTY_DEG))
     else:  # fewer peak slots than sources: no row has a full set of peaks
         errors = np.empty((len(counts), n))
@@ -147,8 +147,8 @@ def _peak_indices(power: np.ndarray, num_peaks: int) -> tuple[np.ndarray, np.nda
     positive = power > 0.0
     count = min(num_peaks, power.shape[-1])
     top = _top_indices(np.where(positive, power, -np.inf), count)
-    counts = np.minimum(positive.sum(axis=-1), count)
-    if (counts < count).any():
+    counts = np.minimum(np.add.reduce(positive, axis=-1), count)
+    if np.count_nonzero(counts < count):
         top[np.arange(count) >= counts[:, None]] = power.shape[-1]
     top.sort(axis=-1)
     return top, counts

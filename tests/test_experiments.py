@@ -54,6 +54,15 @@ def test_default_num_measurements_exceeds_minimum():
     assert csdoa.default_num_measurements(3, 15) > csdoa.min_measurements(3, 15)
 
 
+@pytest.mark.parametrize(
+    ("num_sources", "num_sensors", "name"),
+    [(True, 15, "num_sources"), (2.5, 15, "num_sources"), (2, 15.5, "num_sensors")],
+)
+def test_default_num_measurements_takes_integer_counts(num_sources, num_sensors, name):
+    with pytest.raises(TypeError, match=name):
+        csdoa.default_num_measurements(num_sources, num_sensors)
+
+
 def test_build_scenario_completes_partial_groups():
     scenario = csdoa.build_scenario([-60.0, 0.0, 40.0], coherent_groups=[(1, 2)])
     assert scenario.sources.coherent_groups == ((0,), (1, 2))

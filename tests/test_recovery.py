@@ -144,6 +144,37 @@ def test_stacked_least_squares_equals_the_numpy_reference_bit_for_bit(trials, sh
 
 
 # ---------------------------------------------------------------------------
+# _top_indices
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([-np.inf, 0.0, 0.5, 1.0, 2.0]), min_size=n, max_size=n),
+            min_size=1,
+            max_size=5,
+        )
+    ),
+    fraction=st.floats(0.0, 1.0),
+)
+def test_top_indices_is_a_stable_argsort_with_distinct_picks(rows, fraction):
+    # Few distinct values force ties; -inf entries are what _peak_indices passes for
+    # non-positive power. The picks are distinct up to a row's entries above -inf.
+    values = np.array(rows)
+    above = int(np.count_nonzero(values > -np.inf, axis=1).min())
+    count = round(fraction * above)
+    scratch = values.copy()
+    top = recovery._top_indices(scratch, count)
+    assert top.shape == (len(rows), count)
+    assert np.array_equal(top, np.argsort(-values, axis=1, kind="stable")[:, :count])
+    chosen = np.zeros(values.shape, dtype=bool)
+    chosen[np.arange(len(rows))[:, None], top] = True
+    assert np.array_equal(scratch, np.where(chosen, -np.inf, values))
+    assert all(len(set(row)) == count for row in top.tolist())
+
+
+# ---------------------------------------------------------------------------
 # correlate
 
 

@@ -28,6 +28,15 @@ def test_min_measurements_validates_arguments():
         csdoa.min_measurements(3, 1)
 
 
+@pytest.mark.parametrize(
+    ("num_sources", "signal_len", "name"),
+    [(True, 15, "num_sources"), (2.5, 15, "num_sources"), (2, 15.5, "signal_len")],
+)
+def test_min_measurements_takes_integer_counts(num_sources, signal_len, name):
+    with pytest.raises(TypeError, match=name):
+        csdoa.min_measurements(num_sources, signal_len)
+
+
 # ---------------------------------------------------------------------------
 # draw_measurement_matrix
 

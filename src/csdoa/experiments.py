@@ -41,7 +41,7 @@ from .recovery import (
     cosamp_stack,
     omp_stack,
 )
-from .seeding import stream_states, trial_seeds
+from .seeding import stream_generators, trial_seeds
 from .sensing import (
     GAUSSIAN,
     IDENTITY,
@@ -91,10 +91,7 @@ MAX_RING_BYTES = 2**28
 # `csdoa montecarlo` refuses a longer --snr-sweep before it builds the list.
 MAX_SWEEP_POINTS = MAX_RING_BYTES // (8 + 32 + len(ALGORITHMS) * 3 * (8 + 32))
 
-# Each thread's one generator for the raw draws and its kept Psi buffers.
-# Every stream sets its full state before drawing, so reusing the generator is
-# safe; building one per chunk would seed a PCG64 from OS entropy only to
-# overwrite it at once.
+# Each thread's kept Psi buffers (see _psi_buffers).
 _THREAD = threading.local()
 
 
@@ -311,14 +308,6 @@ def build_scenario(
     )
 
 
-def _generator() -> np.random.Generator:
-    """This thread's generator for the raw draws; its state is reset per stream."""
-    rng = getattr(_THREAD, "rng", None)
-    if rng is None:
-        rng = _THREAD.rng = np.random.Generator(np.random.PCG64())
-    return rng
-
-
 def _psi_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """A Psi buffer and a scratch buffer shaped ``shape``, C-contiguous complex.
 
@@ -343,13 +332,12 @@ def _draw_trials(
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
     """Snapshots ``(data, clean, noise)``, each (T, N), and the (T, m, N) Phi entries of ``tasks``.
 
-    Trial ``(i, t)`` runs at SNR ``snr_db[i]``. The PCG64 states of every
+    Trial ``(i, t)`` runs at SNR ``snr_db[i]``. The generators of every
     trial's two ``trial_seeds`` streams come from
-    :func:`~csdoa.seeding.stream_states`: numpy's own for a lone trial,
-    derived for the whole chunk at once otherwise. Per trial, the thread's
-    generator is reset to each stream's state and makes the raw draws, in
-    ``synthesize``'s and ``draw_measurement_matrix``'s order. The rest runs
-    once for the stack and gives each trial's arrays bit for bit.
+    :func:`~csdoa.seeding.stream_generators`: numpy's own for a lone trial,
+    seeded for the whole chunk at once otherwise. Per trial, they make the
+    raw draws in ``synthesize``'s and ``draw_measurement_matrix``'s order.
+    The rest runs once for the stack and gives each trial's arrays bit for bit.
     """
     sources, spec = scenario.sources, scenario.measurement
     n = scenario.geometry.num_sensors
@@ -359,15 +347,12 @@ def _draw_trials(
     normals = None
     if spec.kind == GAUSSIAN:
         normals = np.empty((len(tasks), 2, spec.num_measurements, n))
-    states = stream_states(scenario.seed, tasks)
-    rng = _generator()
-    for k, (data_state, phi_state) in enumerate(zip(states[0::2], states[1::2])):
-        rng.bit_generator.state = data_state
+    streams = stream_generators(scenario.seed, tasks)
+    for k, (data_rng, phi_rng) in enumerate(zip(streams[0::2], streams[1::2])):
         noise_row = None if math.isinf(snrs[k]) else noise[k]
-        draw_snapshot(sources, rng, amplitudes[k], noise_row)
+        draw_snapshot(sources, data_rng, amplitudes[k], noise_row)
         if normals is not None:
-            rng.bit_generator.state = phi_state
-            rng.standard_normal(out=normals[k])
+            phi_rng.standard_normal(out=normals[k])
     columns = build_manifold(scenario.grid, scenario.geometry)[:, list(scenario.source_indices)]
     snapshots = snapshot_stack(sources, columns, snrs, amplitudes, noise)
     if normals is None:
@@ -529,7 +514,8 @@ def run_monte_carlo(
         # Imported here, so that only a pooled sweep loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool forks all its workers at the first task, so it gets no more than the chunks.
+        with ProcessPoolExecutor(max_workers=min(workers, -(-total // size))) as pool:
             for flat, outcome in zip(chunks(), pool.map(solve, chunks())):
                 collect(flat, *outcome)
     else:

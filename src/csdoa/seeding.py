@@ -3,26 +3,25 @@
 Trial ``(snr_index, trial_index)`` of a run seeded ``seed`` draws from two
 streams, ``np.random.default_rng(d)`` and ``np.random.default_rng(p)``, where
 ``d, p = np.random.SeedSequence([seed, snr_index, trial_index])
-.generate_state(2, np.uint64)``. :func:`stream_states` gives a chunk's
-PCG64 states of those streams. A chunk of one trial takes them from numpy's
-``SeedSequence`` (:func:`trial_seeds`) and ``PCG64`` themselves. A larger
-chunk runs both fixed integer recipes, ``SeedSequence``'s ``hashmix``/``mix``
-entropy pool and PCG64's ``pcg_setseq_128_srandom_r`` (O'Neill, "PCG",
-HMC-CS-2014-0905), on ``uint32`` arrays shaped (words, T), one ufunc call
-per step for all T trials, and gives numpy's words bit for bit; the tests
-check them against numpy itself. The chunk then sets the PCG64 state of one ``Generator`` per
-stream, instead of building a ``SeedSequence`` and two ``default_rng`` per
-trial. ``np.random`` is loaded by the first call, not by the import.
+.generate_state(2, np.uint64)``. :func:`stream_generators` builds a chunk's
+generators of those streams. A chunk of one trial uses numpy's
+``SeedSequence`` and ``default_rng`` themselves. A larger chunk runs
+``SeedSequence``'s ``hashmix``/``mix`` entropy pool on ``uint32`` arrays
+shaped (words, T), one ufunc call per step for all T trials, for the stream
+seeds and then for each stream's PCG64 seed words, which it hands to
+``PCG64`` through numpy's ``ISeedSequence`` interface; the tests check them
+against numpy itself. ``np.random`` is loaded by the first call, not by the
+import.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4  # SeedSequence's default pool, in 32-bit words
 _INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
@@ -31,7 +30,6 @@ _MULT_B = 0x58F38DED
 _MIX_MULT_L = np.uint32(0xCA01F9DD)
 _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
-_PCG64_MULT = 2549297995355413924 << 64 | 4865540595714422341
 # Largest sweep or trial position: each is one 32-bit word of a trial's seed entropy.
 _MAX_INDEX = 2**32 - 1
 
@@ -145,29 +143,6 @@ def stream_seeds(seed: int, tasks: Sequence[tuple[int, int]]) -> np.ndarray:
     return _generate_state(_pool(entropy), 1)
 
 
-def pcg64_states(seeds: np.ndarray) -> list[dict]:
-    """``np.random.default_rng(s).bit_generator.state`` for each uint64 seed ``s``, in C order.
-
-    Each seed is its own entropy, two 32-bit words. The pool's first four
-    uint64 outputs are PCG64's initial state (high word first) and stream
-    selector, which ``pcg_setseq_128_srandom_r`` turns into the state.
-    """
-    words = np.asarray(seeds, dtype="<u8").reshape(-1).view("<u4")  # lo, hi of each seed
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in _generate_state(_pool(words.reshape(-1, 2).T), 2).tolist():
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
-
-
 def trial_seeds(seed: int, snr_index: int, trial_index: int) -> tuple[int, int]:
     """Derive independent (data_seed, phi_seed) for one trial.
 
@@ -184,14 +159,46 @@ def trial_seeds(seed: int, snr_index: int, trial_index: int) -> tuple[int, int]:
     return data_seed, phi_seed
 
 
-def stream_states(seed: int, tasks: Sequence[tuple[int, int]]) -> list[dict]:
-    """The PCG64 states of each trial's data and Phi streams, in that order: 2T dicts.
+@cache
+def _words_type() -> type:
+    """The ``ISeedSequence`` that hands a ``PCG64`` one stream's precomputed seed words.
 
-    Each equals ``np.random.default_rng(s).bit_generator.state`` for the
-    trial's stream seed ``s``. A lone trial takes them from numpy's
-    ``SeedSequence`` and ``PCG64``; two or more take them from
-    :func:`stream_seeds` and :func:`pcg64_states` for the whole chunk at once.
+    Built on first use, since importing ``numpy.random.bit_generator`` loads
+    ``np.random``; numpy seeds a bit generator only from an ``ISeedSequence``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamWords(ISeedSequence):
+        """``SeedSequence(s).generate_state(4, np.uint64)`` of a stream seed ``s``, computed beforehand.
+
+        ``words`` must be a C-contiguous uint64 row: ``PCG64`` reads it
+        through its data pointer, so a strided view would seed a wrong state.
+        """
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError(f"holds 4 uint64 words only, asked for {n_words} of {dtype}")
+            return self.words
+
+    return StreamWords
+
+
+def stream_generators(seed: int, tasks: Sequence[tuple[int, int]]) -> list[np.random.Generator]:
+    """Each trial's data and Phi stream generators, in that order: 2T ``Generator``s.
+
+    Each one's state equals ``np.random.default_rng(s)``'s for the trial's
+    stream seed ``s``. A lone trial builds them with ``default_rng`` from
+    :func:`trial_seeds`; two or more take every stream's PCG64 seed words
+    from :func:`stream_seeds` and the same pool for the whole chunk at once.
     """
     if len(tasks) == 1:
-        return [np.random.PCG64(s).state for s in trial_seeds(seed, *tasks[0])]
-    return pcg64_states(stream_seeds(seed, tasks))
+        return [np.random.default_rng(s) for s in trial_seeds(seed, *tasks[0])]
+    # Each stream seed is its own entropy, two 32-bit words, low word first.
+    seeds = stream_seeds(seed, tasks).reshape(-1).view("<u4").reshape(-1, 2).T
+    # (2T, 4): rows of a C-contiguous array, one stream's PCG64 seed words each.
+    words = _generate_state(_pool(seeds), 2)
+    stream_words, generator, pcg64 = _words_type(), np.random.Generator, np.random.PCG64
+    return [generator(pcg64(stream_words(row))) for row in words]

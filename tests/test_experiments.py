@@ -407,8 +407,8 @@ def test_monte_carlo_rejects_a_nan_or_minus_inf_sweep_point():
 
 
 def test_concurrent_sweeps_in_threads_equal_the_serial_curve():
-    # Each thread draws from its own generator: a shared one would be reset
-    # by one sweep between another's reset and its draws.
+    # Each stream draws from its own generator and each thread keeps its own
+    # Psi buffers: shared ones would be changed by one sweep mid-chunk of another.
     scenarios = [
         csdoa.build_scenario([-60.0, 60.0], seed=3),
         csdoa.build_scenario([-60.0, 0.0, 40.0], coherent_groups=[[1, 2]], seed=17),
@@ -492,6 +492,35 @@ def test_a_pool_task_does_not_carry_the_dictionary(monkeypatch):
     assert len(sizes) == 7  # 28 trials in chunks of 4
     assert max(sizes) < manifold.nbytes / 4
     assert curve_key(pooled) == curve_key(serial)
+
+
+def test_a_pool_forks_no_more_workers_than_there_are_chunks(monkeypatch):
+    # A process pool forks all its max_workers at the first task, so a sweep
+    # of 7 one-trial chunks must not ask for 64. The stub runs in-process.
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    scenario = csdoa.build_scenario([-60.0, 60.0], seed=3)
+    sweep = range(-10, 25, 5)
+    serial = curve_key(csdoa.run_monte_carlo(scenario, sweep, 1))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert curve_key(csdoa.run_monte_carlo(scenario, sweep, 1, workers=64)) == serial
+    assert curve_key(csdoa.run_monte_carlo(scenario, sweep, 1, workers=3)) == serial
+    assert sizes == [7, 3]
 
 
 def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():

@@ -1,4 +1,4 @@
-"""Tests for the chunk-wide stream seeding against numpy's own SeedSequence and PCG64."""
+"""Tests for the chunk-wide stream seeding against numpy's own SeedSequence and default_rng."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import csdoa
 from conftest import reference_trial_seeds
-from csdoa.seeding import pcg64_states, stream_seeds
+from csdoa.seeding import _generate_state, _pool, _words_type, stream_generators, stream_seeds
 
 SEEDS = st.one_of(
     st.integers(0, 2**32 - 1),  # one entropy word
@@ -30,8 +30,8 @@ SEEDS = st.one_of(
 def test_chunk_seeding_equals_numpys(seed, trials, snr_points, first_trial):
     tasks = [(k % snr_points, first_trial + k // snr_points) for k in range(trials)]
     seeds = stream_seeds(seed, tasks)
-    states = pcg64_states(seeds)
-    assert seeds.shape == (trials, 2) and len(states) == 2 * trials
+    generators = stream_generators(seed, tasks)
+    assert seeds.shape == (trials, 2) and len(generators) == 2 * trials
     for k, (snr_index, trial_index) in enumerate(tasks):
         expected = np.random.SeedSequence([seed, snr_index, trial_index]).generate_state(
             2, np.uint64
@@ -41,17 +41,47 @@ def test_chunk_seeding_equals_numpys(seed, trials, snr_points, first_trial):
             seed, snr_index, trial_index
         )
         for j, stream_seed in enumerate(expected):
-            assert states[2 * k + j] == np.random.default_rng(int(stream_seed)).bit_generator.state
+            expected_state = np.random.default_rng(int(stream_seed)).bit_generator.state
+            assert generators[2 * k + j].bit_generator.state == expected_state
 
 
 @pytest.mark.parametrize("data_seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
 def test_pcg64_states_equal_numpys_at_word_edges(data_seed):
-    # A seed below 2**32 is one entropy word, as numpy splits it; 0 is [0].
-    (state,) = pcg64_states(np.array([data_seed], dtype=np.uint64))
-    assert state == np.random.default_rng(data_seed).bit_generator.state
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = state
-    assert rng.standard_normal(5).tobytes() == np.random.default_rng(data_seed).standard_normal(5).tobytes()
+    # A stream seed below 2**32 is one entropy word, as numpy splits it; 0 is
+    # [0]. No trial is known whose stream has such a seed, so its words go
+    # straight into the pool and PCG64 seeding that a chunk runs.
+    entropy = np.array([data_seed], dtype="<u8").view("<u4").reshape(-1, 2).T
+    (row,) = _generate_state(_pool(entropy), 2)
+    rng = np.random.Generator(np.random.PCG64(_words_type()(row)))
+    expected = np.random.default_rng(data_seed)
+    assert rng.bit_generator.state == expected.bit_generator.state
+    assert rng.standard_normal(5).tobytes() == expected.standard_normal(5).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 10**30])
+@pytest.mark.parametrize("trials", [1, 2, 21])
+def test_stream_generators_equal_numpys_default_rng(seed, trials):
+    # Run seeds at the 32- and 64-bit word edges and past 2**64, one trial
+    # (numpy's own path) or a chunk, trial positions at both ends of a word.
+    tasks = [(k % 3, k // 3 if k % 2 else 2**32 - 1 - k // 3) for k in range(trials)]
+    generators = stream_generators(seed, tasks)
+    assert len(generators) == 2 * trials
+    for k, task in enumerate(tasks):
+        for j, stream_seed in enumerate(csdoa.trial_seeds(seed, *task)):
+            expected = np.random.default_rng(stream_seed)
+            rng = generators[2 * k + j]
+            assert rng.bit_generator.state == expected.bit_generator.state
+            assert rng.standard_normal(5).tobytes() == expected.standard_normal(5).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64), (8, np.uint64)]
+)
+def test_stream_words_refuse_any_request_but_four_uint64_words(n_words, dtype):
+    words = _words_type()(np.zeros(4, dtype=np.uint64))
+    assert words.generate_state(4, np.uint64) is words.words
+    with pytest.raises(ValueError):
+        words.generate_state(n_words, dtype)
 
 
 def test_trial_seeds_reject_what_numpy_cannot_seed_or_a_chunk_cannot_hold():

@@ -19,7 +19,6 @@ from .array_model import (
     SourceSet,
     build_manifold,
     make_grid,
-    steering_vector,
     synthesize,
 )
 from .errors import (
@@ -87,7 +86,6 @@ __all__ = [
     "SourceSet",
     "build_manifold",
     "make_grid",
-    "steering_vector",
     "synthesize",
     "AngleOutOfRangeError",
     "CsdoaError",

@@ -1,8 +1,10 @@
-"""ULA steering vectors, the scan-grid dictionary, and synthetic snapshots.
+"""The scan grid, its ULA steering dictionary, and synthetic snapshots.
 
 The data model is ``x = A(theta) s + n`` on an N-sensor uniform linear
 array: ``s`` holds one complex amplitude per source and ``n`` is circular
-complex Gaussian noise scaled to a target SNR.
+complex Gaussian noise scaled to a target SNR. The steering vectors are
+written once, as the columns of the cached :func:`build_manifold`
+dictionary; a snapshot's source columns are read from it.
 """
 
 from __future__ import annotations
@@ -137,32 +139,13 @@ def make_grid(start_deg: float, stop_deg: float, step_deg: float) -> AngleGrid:
     return AngleGrid(float(start_deg), float(stop_deg), float(step_deg), angles)
 
 
-def steering_vector(theta_deg: float, geometry: ArrayGeometry) -> np.ndarray:
-    """Narrowband ULA steering vector for a plane wave from ``theta_deg``.
-
-    Element ``n`` equals ``exp(-1j * 2*pi * (d/lambda) * n * sin(theta))`` with
-    the first sensor as phase reference, so every entry has unit modulus.
-
-    Parameters
-    ----------
-    theta_deg : float
-        Arrival angle in degrees, in [-90, 90].
-    geometry : ArrayGeometry
-        Sensor count and spacing.
-
-    Returns
-    -------
-    np.ndarray
-        Complex vector of length ``geometry.num_sensors``.
-    """
-    if not -90.0 <= theta_deg <= 90.0:
-        raise AngleOutOfRangeError(f"theta_deg must lie in [-90, 90], got {theta_deg}")
-    return _steering_matrix(np.array([theta_deg], dtype=float), geometry)[:, 0]
-
-
 def build_manifold(grid: AngleGrid, geometry: ArrayGeometry) -> np.ndarray:
     """Dictionary A(theta): one steering-vector column per grid angle (N x N_s).
 
+    Column ``j``'s element ``n`` is ``exp(-1j * 2*pi * (d/lambda) * n *
+    sin(theta_j))``, with the first sensor as phase reference, so every entry
+    has unit modulus. A lone direction's steering vector is the column of a
+    one-point grid, ``build_manifold(make_grid(theta, theta, 1.0), geometry)``.
     Built once per geometry and grid angles and then shared, so the array is
     read-only.
     """
@@ -173,16 +156,11 @@ def build_manifold(grid: AngleGrid, geometry: ArrayGeometry) -> np.ndarray:
 # many seeds, while a very fine grid's manifold is not held many times over.
 @lru_cache(maxsize=4)
 def _cached_manifold(geometry: ArrayGeometry, angles_deg: bytes) -> np.ndarray:
-    manifold = _steering_matrix(np.frombuffer(angles_deg), geometry)
+    scale = -2.0 * np.pi * geometry.spacing_over_wavelength * np.arange(geometry.num_sensors)
+    sines = np.sin(np.deg2rad(np.frombuffer(angles_deg)))
+    manifold = np.exp(1j * (scale[:, None] * sines[None, :]))
     manifold.flags.writeable = False
     return manifold
-
-
-def _steering_matrix(angles_deg: np.ndarray, geometry: ArrayGeometry) -> np.ndarray:
-    """One steering-vector column per angle (N x angles); ``steering_vector`` is one column."""
-    n = np.arange(geometry.num_sensors)
-    scale = -2.0 * np.pi * geometry.spacing_over_wavelength * n
-    return np.exp(1j * (scale[:, None] * np.sin(np.deg2rad(angles_deg))[None, :]))
 
 
 def synthesize(scenario: "Scenario", rng: np.random.Generator) -> Snapshot:
@@ -194,7 +172,9 @@ def synthesize(scenario: "Scenario", rng: np.random.Generator) -> Snapshot:
     ``sigma^2 = ||clean||^2 / (N * 10^(snr_db/10))``, so the configured SNR is
     total clean power over expected total noise power. ``snr_db = inf``
     disables noise entirely (no draws consumed for it). A stack of one over
-    :func:`draw_snapshot` and :func:`snapshot_stack`.
+    :func:`draw_snapshot` and :func:`snapshot_stack`, on the sources' columns
+    of ``build_manifold(scenario.grid, scenario.geometry)``, as a sweep's
+    trials use them.
 
     Parameters
     ----------
@@ -205,9 +185,7 @@ def synthesize(scenario: "Scenario", rng: np.random.Generator) -> Snapshot:
         Caller-owned random stream; equal seeds give bit-identical snapshots.
     """
     sources = scenario.sources
-    columns = _steering_matrix(
-        scenario.grid.angles_deg[list(scenario.source_indices)], scenario.geometry
-    )
+    columns = build_manifold(scenario.grid, scenario.geometry)[:, list(scenario.source_indices)]
     amplitudes = np.empty((1, 2, len(sources.coherent_groups)))
     noise = np.zeros((1, 2, scenario.geometry.num_sensors))
     draw_snapshot(sources, rng, amplitudes[0], None if math.isinf(scenario.snr_db) else noise[0])

@@ -47,8 +47,13 @@ _NEGATIVE_VALUE_RE = re.compile(r"^-\d+[\d.,:eE+-]*$")
 _FLOAT_FMT = "%.12g"
 
 
-def _fmt(value: float) -> str:
-    return _FLOAT_FMT % value
+def _csv_lines(header: list[str], columns: list) -> list[str]:
+    """The header line, then row ``i`` of the equal-length ``columns``, each value as %.12g.
+
+    %.12g prints an integer such as a sensor index as ``str`` does.
+    """
+    template = ",".join([_FLOAT_FMT] * len(columns))
+    return [",".join(header), *(template % row for row in zip(*columns))]
 
 
 def _parse_triple(text: str, flag: str) -> tuple[float, float, float]:
@@ -331,37 +336,31 @@ def _write_run(
 
 def _spectrum_lines(result: SingleRunResult) -> list[str]:
     algorithms = [a for a in ALGORITHMS if a in result.runs]
-    lines = ["theta_deg," + ",".join(f"power_{a}" for a in algorithms)]
-    grid = result.scenario.grid
-    for j, theta in enumerate(grid.angles_deg):
-        powers = ",".join(_fmt(result.runs[a].spectrum.power[j]) for a in algorithms)
-        lines.append(f"{_fmt(theta)},{powers}")
-    return lines
+    header = ["theta_deg"] + [f"power_{a}" for a in algorithms]
+    powers = [result.runs[a].spectrum.power for a in algorithms]
+    return _csv_lines(header, [result.scenario.grid.angles_deg, *powers])
 
 
 def _rmse_lines(curve: RmseCurve) -> list[str]:
     algorithms = [a for a in ALGORITHMS if a in curve.per_algorithm]
+    aggregates = [curve.per_algorithm[a] for a in algorithms]
     header = ["snr_db"]
     header += [f"rmse_{a}_deg" for a in algorithms]
     header += [f"rmse_{a}_success_only_deg" for a in algorithms]
     header += [f"success_rate_{a}" for a in algorithms]
-    lines = [",".join(header)]
-    for i, snr in enumerate(curve.snr_points_db):
-        row = [_fmt(snr)]
-        row += [_fmt(curve.per_algorithm[a].rmse_deg[i]) for a in algorithms]
-        row += [_fmt(curve.per_algorithm[a].rmse_success_only_deg[i]) for a in algorithms]
-        row += [_fmt(curve.per_algorithm[a].success_rate[i]) for a in algorithms]
-        lines.append(",".join(row))
-    return lines
+    columns = [curve.snr_points_db]
+    columns += [agg.rmse_deg for agg in aggregates]
+    columns += [agg.rmse_success_only_deg for agg in aggregates]
+    columns += [agg.success_rate for agg in aggregates]
+    return _csv_lines(header, columns)
 
 
 def _snapshot_lines(data: np.ndarray, clean: np.ndarray, noise: np.ndarray) -> list[str]:
-    lines = ["sensor_index,data_real,data_imag,clean_real,clean_imag,noise_real,noise_imag"]
-    for n in range(len(data)):
-        values = (data[n].real, data[n].imag, clean[n].real, clean[n].imag,
-                  noise[n].real, noise[n].imag)
-        lines.append(f"{n}," + ",".join(_fmt(v) for v in values))
-    return lines
+    header, columns = ["sensor_index"], [range(len(data))]
+    for name, values in (("data", data), ("clean", clean), ("noise", noise)):
+        header += [f"{name}_real", f"{name}_imag"]
+        columns += [values.real, values.imag]
+    return _csv_lines(header, columns)
 
 
 def cmd_spectrum(args: argparse.Namespace, scenario: Scenario) -> int:

@@ -441,13 +441,14 @@ def l0_oracle(system: SensingSystem, y: np.ndarray, sparsity: int) -> SparseEsti
 
     Test-scale oracle: evaluates a least-squares fit on every subset and keeps
     the one with the smallest residual (ties go to the lexicographically
-    smallest support). Guarded to at most 10^6 candidate subsets; a ``y``
-    that is not a finite vector of length m raises ValueError.
+    smallest support). Guarded to at most 10^6 candidate subsets; a
+    ``sparsity`` outside [1, number of atoms], or a ``y`` that is not a
+    finite vector of length m, raises ValueError.
     """
     sparsity = integer(sparsity, "sparsity")
-    if sparsity < 1:
-        raise ValueError("sparsity must be >= 1")
     num_atoms = system.num_atoms
+    if not 1 <= sparsity <= num_atoms:
+        raise ValueError(f"sparsity must lie in [1, {num_atoms}] (the atom count), got {sparsity}")
     n_subsets = math.comb(num_atoms, sparsity)
     if n_subsets > 1_000_000:
         raise InstanceTooLargeError(

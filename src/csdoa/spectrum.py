@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import AngleGrid, SourceSet
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, integer
 from .recovery import SparseEstimate, _top_indices
 
 # Charged once per true source that the estimate failed to recover.
@@ -81,11 +81,15 @@ def pick_peaks(spectrum: AngleSpectrum, num_peaks: int) -> DoaEstimate:
 
     Ties break toward the lower angle. Zero-power entries are never peaks, so
     the result is shorter than ``num_peaks`` when the spectrum has fewer
-    positive entries.
+    positive entries. ``power`` must be a vector of one entry per grid angle.
     """
-    if num_peaks < 1:
+    if integer(num_peaks, "num_peaks") < 1:
         raise ValueError("num_peaks must be >= 1")
     power = np.asarray(spectrum.power)
+    if power.shape != (len(spectrum.grid),):
+        raise DimensionMismatchError(
+            f"power shape {power.shape} does not match grid length {len(spectrum.grid)}"
+        )
     peaks, counts = _peak_indices(power[None], num_peaks)
     return _doa_estimate(spectrum.grid, power, peaks[0, : counts[0]])
 

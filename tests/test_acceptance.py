@@ -156,13 +156,14 @@ def test_criterion_5_invariant_suite(tmp_path, capsys):
     # (c) steering identities at every grid angle
     geometry = csdoa.ArrayGeometry(15, 0.5)
     grid = csdoa.make_grid(-90.0, 90.0, 1.0)
-    for theta in grid.angles_deg:
-        a = csdoa.steering_vector(theta, geometry)
+    manifold = csdoa.build_manifold(grid, geometry)
+    for j, theta in enumerate(grid.angles_deg):
+        a = manifold[:, j]
         if np.max(np.abs(np.abs(a) - 1.0)) > 1e-12:
             failures.append(f"(c) modulus off at {theta} deg")
         if abs(np.linalg.norm(a) - math.sqrt(15)) > 1e-12:
             failures.append(f"(c) norm off at {theta} deg")
-        if not np.array_equal(csdoa.steering_vector(-theta, geometry), np.conj(a)):
+        if not np.array_equal(manifold[:, grid.index_of(-theta)], np.conj(a)):
             failures.append(f"(c) conjugate symmetry off at {theta} deg")
 
     # (d) realized SNR: noise-to-clean power ratio averages to the configured

@@ -1,4 +1,4 @@
-"""Tests for the angle grid, steering vectors, and snapshot synthesis."""
+"""Tests for the angle grid, the steering dictionary, and snapshot synthesis."""
 
 import math
 
@@ -141,43 +141,40 @@ def test_source_set_group_validation():
 
 
 # ---------------------------------------------------------------------------
-# steering_vector / build_manifold
+# steering vectors (build_manifold columns)
+
+
+def one_point_column(theta_deg, geometry):
+    """The steering vector of ``theta_deg``: the column of a one-point grid's manifold."""
+    return csdoa.build_manifold(csdoa.make_grid(theta_deg, theta_deg, 1.0), geometry)[:, 0]
 
 
 def test_steering_vector_broadside_is_all_ones():
     geometry = csdoa.ArrayGeometry(15, 0.5)
-    a = csdoa.steering_vector(0.0, geometry)
+    a = one_point_column(0.0, geometry)
     assert a.shape == (15,)
     assert np.array_equal(a, np.ones(15, dtype=complex))
 
 
 def test_steering_vector_endfire_alternates_sign():
     geometry = csdoa.ArrayGeometry(4, 0.5)
-    a = csdoa.steering_vector(90.0, geometry)
+    a = one_point_column(90.0, geometry)
     assert np.allclose(a, [1, -1, 1, -1], atol=1e-12)
 
 
 def test_steering_vector_at_30_degrees():
     geometry = csdoa.ArrayGeometry(4, 0.5)
-    a = csdoa.steering_vector(30.0, geometry)
+    a = one_point_column(30.0, geometry)
     assert np.allclose(a, [1, -1j, -1, 1j], atol=1e-12)
 
 
 def test_steering_vector_identities():
     geometry = csdoa.ArrayGeometry(15, 0.5)
     for theta in (-90.0, -37.0, 0.0, 12.5, 60.0, 90.0):
-        a = csdoa.steering_vector(theta, geometry)
+        a = one_point_column(theta, geometry)
         assert np.all(np.abs(np.abs(a) - 1.0) < 1e-12)
         assert abs(np.linalg.norm(a) - np.sqrt(15)) < 1e-12
-        assert np.array_equal(csdoa.steering_vector(-theta, geometry), np.conj(a))
-
-
-def test_steering_vector_rejects_angles_outside_pm90():
-    geometry = csdoa.ArrayGeometry(15, 0.5)
-    with pytest.raises(csdoa.AngleOutOfRangeError):
-        csdoa.steering_vector(91.0, geometry)
-    with pytest.raises(csdoa.AngleOutOfRangeError):
-        csdoa.steering_vector(-90.5, geometry)
+        assert np.array_equal(one_point_column(-theta, geometry), np.conj(a))
 
 
 def test_build_manifold_matches_per_angle_steering_vectors():
@@ -187,6 +184,8 @@ def test_build_manifold_matches_per_angle_steering_vectors():
     assert manifold.shape == (15, 181)
     assert np.all(np.abs(np.linalg.norm(manifold, axis=0) - np.sqrt(15)) < 1e-12)
     assert np.array_equal(manifold[:, grid.index_of(0.0)], np.ones(15, dtype=complex))
+    # A column does not depend on the grid around it: synthesize and the
+    # engine read a trial's source columns off the same cached manifold.
     for step in (1.0, 0.5, 0.25, 0.7, 3.0):
         grid = csdoa.make_grid(-90.0, 90.0, step)
         for spacing in (0.5, 0.37, 1.0):
@@ -195,7 +194,7 @@ def test_build_manifold_matches_per_angle_steering_vectors():
                 manifold = csdoa.build_manifold(grid, geometry)
                 assert manifold.shape == (num_sensors, len(grid))
                 for j, theta in enumerate(grid.angles_deg):
-                    assert np.array_equal(manifold[:, j], csdoa.steering_vector(theta, geometry))
+                    assert np.array_equal(manifold[:, j], one_point_column(theta, geometry))
 
 
 def test_cached_manifold_is_shared_and_read_only():
@@ -255,7 +254,7 @@ def test_synthesize_clean_lies_on_dictionary_columns():
     scenario = csdoa.build_scenario([-60.0, 0.0, 40.0], snr_db=0.0, seed=0)
     snapshot = csdoa.synthesize(scenario, np.random.default_rng(11))
     geometry = scenario.geometry
-    basis = np.column_stack([csdoa.steering_vector(t, geometry) for t in (-60.0, 0.0, 40.0)])
+    basis = np.column_stack([one_point_column(t, geometry) for t in (-60.0, 0.0, 40.0)])
     coef = csdoa.least_squares(basis, snapshot.clean)
     assert np.linalg.norm(basis @ coef - snapshot.clean) < 1e-10
     assert np.all(np.abs(np.abs(coef) - 1.0) < 1e-10)
@@ -265,7 +264,7 @@ def test_synthesize_coherent_pair_shares_one_amplitude():
     scenario = csdoa.build_scenario([-60.0, 40.0], coherent_groups=[(0, 1)], snr_db=float("inf"))
     snapshot = csdoa.synthesize(scenario, np.random.default_rng(5))
     geometry = scenario.geometry
-    basis = np.column_stack([csdoa.steering_vector(t, geometry) for t in (-60.0, 40.0)])
+    basis = np.column_stack([one_point_column(t, geometry) for t in (-60.0, 40.0)])
     coef = csdoa.least_squares(basis, snapshot.clean)
     assert abs(coef[0] - coef[1]) < 1e-10
     assert abs(abs(coef[0]) - 1.0) < 1e-10
@@ -277,7 +276,7 @@ def test_synthesize_complex_gaussian_amplitudes_differ_across_sources():
     )
     snapshot = csdoa.synthesize(scenario, np.random.default_rng(5))
     geometry = scenario.geometry
-    basis = np.column_stack([csdoa.steering_vector(t, geometry) for t in (-60.0, 40.0)])
+    basis = np.column_stack([one_point_column(t, geometry) for t in (-60.0, 40.0)])
     coef = csdoa.least_squares(basis, snapshot.clean)
     assert abs(coef[0] - coef[1]) > 1e-6
 

@@ -338,7 +338,10 @@ def test_synth_and_spectrum_write_what_run_single_returns(tmp_path, capsys, vari
     assert run_cli(["spectrum", *flags, "--out", tmp_path / "spectrum"], capsys)[0] == 0
     result = csdoa.run_single(cli._scenario_from_dict(read_meta(tmp_path / "synth")["scenario"]))
     snapshot = result.snapshot
-    lines = cli._snapshot_lines(snapshot.data, snapshot.clean, snapshot.noise)
+    lines = ["sensor_index,data_real,data_imag,clean_real,clean_imag,noise_real,noise_imag"]
+    for n, (d, c, e) in enumerate(zip(snapshot.data, snapshot.clean, snapshot.noise)):
+        values = (d.real, d.imag, c.real, c.imag, e.real, e.imag)
+        lines.append(f"{n}," + ",".join("%.12g" % v for v in values))
     written = (tmp_path / "synth" / "snapshot.csv").read_text(encoding="utf-8")
     assert written == "".join(line + "\n" for line in lines)
     assert read_meta(tmp_path / "spectrum")["summary"] == {

@@ -483,6 +483,15 @@ def test_oracle_raises_when_every_subset_is_rank_deficient():
         csdoa.l0_oracle(system, np.array([1.0, 2.0], dtype=complex), 2)
 
 
+def test_oracle_refuses_a_sparsity_above_the_atom_count():
+    # No subset of 6 among 5 atoms exists; refused by its bound, not as rank deficient.
+    system = gaussian_system(8, 5, seed=0)
+    with pytest.raises(ValueError, match=r"sparsity must lie in \[1, 5\]") as raised:
+        csdoa.l0_oracle(system, system.psi[:, 0].copy(), 6)
+    assert not isinstance(raised.value, csdoa.RankDeficientError)
+    assert csdoa.l0_oracle(system, system.psi[:, 0].copy(), 5).support == (0, 1, 2, 3, 4)
+
+
 def test_oracle_refuses_huge_searches():
     system = gaussian_system(10, 50, seed=0)
     with pytest.raises(csdoa.InstanceTooLargeError):

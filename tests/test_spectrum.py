@@ -130,6 +130,23 @@ def test_pick_peaks_requires_positive_count():
         csdoa.pick_peaks(spectrum, 0)
 
 
+@pytest.mark.parametrize("shape", [(10,), (200,), (181, 1)], ids=["short", "long", "column"])
+def test_pick_peaks_refuses_a_power_vector_off_the_grid_length(shape):
+    # A short vector used to be read off the grid's first angles, a long one raised IndexError.
+    spectrum = csdoa.AngleSpectrum(grid=_grid(), power=np.ones(shape))
+    with pytest.raises(csdoa.DimensionMismatchError, match="does not match grid length 181"):
+        csdoa.pick_peaks(spectrum, 2)
+
+
+@pytest.mark.parametrize("num_peaks", [True, 2.0], ids=["bool", "float"])
+def test_pick_peaks_takes_an_integer_count(num_peaks):
+    grid = _grid()
+    spectrum = csdoa.angle_spectrum(_estimate_on(grid, {3: 1.0, 7: 2.0}), grid)
+    with pytest.raises(TypeError, match="^num_peaks must be an integer"):
+        csdoa.pick_peaks(spectrum, num_peaks)
+    assert csdoa.pick_peaks(spectrum, np.int64(2)).doas_deg == (-87.0, -83.0)
+
+
 def test_pick_peaks_composes_with_solver_output():
     # a 3-sparse coefficient vector round-trips to its three grid angles
     grid = _grid()

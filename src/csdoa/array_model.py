@@ -4,7 +4,9 @@ The data model is ``x = A(theta) s + n`` on an N-sensor uniform linear
 array: ``s`` holds one complex amplitude per source and ``n`` is circular
 complex Gaussian noise scaled to a target SNR. The steering vectors are
 written once, as the columns of the cached :func:`build_manifold`
-dictionary; a snapshot's source columns are read from it.
+dictionary; a snapshot's source columns are read from it. A stack of trials
+is drawn by :func:`snapshot_stack`, each from its own generator, and
+:func:`synthesize` is its stack of one.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ AMPLITUDE_MODELS = (UNIT_MODULUS, COMPLEX_GAUSSIAN)
 # A requested source direction counts as on-grid when it sits within this
 # absolute tolerance of a grid point (it is then snapped to that point).
 ON_GRID_ATOL = 1e-9
+
+# Most points a grid may hold: 2**23. No Scenario can use more, since one
+# trial's Psi would pass the engine's 128 MiB bound even at m = 1.
+MAX_GRID_POINTS = 2**23
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,8 +126,8 @@ class Snapshot:
 def make_grid(start_deg: float, stop_deg: float, step_deg: float) -> AngleGrid:
     """Build the uniform scan grid ``start, start+step, ...`` capped at ``stop``.
 
-    The grid holds ``floor((stop - start) / step) + 1`` points and must lie
-    inside [-90, 90] degrees.
+    The grid holds ``floor((stop - start) / step) + 1`` points, at most
+    ``MAX_GRID_POINTS``, and must lie inside [-90, 90] degrees.
     """
     if not 0 < step_deg < math.inf:
         raise NonPositiveStepError(f"step_deg must be finite and > 0, got {step_deg}")
@@ -131,8 +137,10 @@ def make_grid(start_deg: float, stop_deg: float, step_deg: float) -> AngleGrid:
         raise EmptyGridError(f"start_deg {start_deg} exceeds stop_deg {stop_deg}")
     # Small forward nudge so ratios that round just below an integer still count.
     span = (stop_deg - start_deg) / step_deg + 1e-9
-    if math.isinf(span):
-        raise InstanceTooLargeError(f"grid {start_deg}:{stop_deg}:{step_deg} has too many points")
+    if not span < MAX_GRID_POINTS:  # also an uncountable (inf) span; refused before allocating
+        raise InstanceTooLargeError(
+            f"grid {start_deg}:{stop_deg}:{step_deg} has more than {MAX_GRID_POINTS} points"
+        )
     angles = start_deg + step_deg * np.arange(int(math.floor(span)) + 1)
     if angles[0] < -90.0 or angles[-1] > 90.0 + 1e-12:
         raise AngleOutOfRangeError("grid angles must lie in [-90, 90] degrees")
@@ -171,10 +179,8 @@ def synthesize(scenario: "Scenario", rng: np.random.Generator) -> Snapshot:
     per-element noise variance is set from the realized clean power,
     ``sigma^2 = ||clean||^2 / (N * 10^(snr_db/10))``, so the configured SNR is
     total clean power over expected total noise power. ``snr_db = inf``
-    disables noise entirely (no draws consumed for it). A stack of one over
-    :func:`draw_snapshot` and :func:`snapshot_stack`, on the sources' columns
-    of ``build_manifold(scenario.grid, scenario.geometry)``, as a sweep's
-    trials use them.
+    disables noise entirely (no draws consumed for it). Row 0 of a
+    :func:`snapshot_stack` of one, as a sweep's trials draw it.
 
     Parameters
     ----------
@@ -184,57 +190,39 @@ def synthesize(scenario: "Scenario", rng: np.random.Generator) -> Snapshot:
     rng : np.random.Generator
         Caller-owned random stream; equal seeds give bit-identical snapshots.
     """
-    sources = scenario.sources
-    columns = build_manifold(scenario.grid, scenario.geometry)[:, list(scenario.source_indices)]
-    amplitudes = np.empty((1, 2, len(sources.coherent_groups)))
-    noise = np.zeros((1, 2, scenario.geometry.num_sensors))
-    draw_snapshot(sources, rng, amplitudes[0], None if math.isinf(scenario.snr_db) else noise[0])
-    data, clean, noise = snapshot_stack(sources, columns, [scenario.snr_db], amplitudes, noise)
+    data, clean, noise = snapshot_stack(scenario, [scenario.snr_db], [rng])
     return Snapshot(data=data[0], clean=clean[0], noise=noise[0])
 
 
-def draw_snapshot(
-    sources: SourceSet,
-    rng: np.random.Generator,
-    amplitudes: np.ndarray,
-    noise: np.ndarray | None,
-) -> None:
-    """One trial's raw draws, in :func:`synthesize`'s order, written into buffers.
-
-    ``amplitudes`` (2, groups) takes the raw uniforms in [0, 1) of the
-    unit-modulus phases in its first row, which :func:`snapshot_stack`
-    scales by 2 pi: ``rng.uniform(0, 2 pi)`` is ``0.0 + 2 pi * u`` for the
-    same ``u``, so the phases are the same doubles. For complex Gaussian
-    amplitudes it takes the real then imaginary parts. ``noise`` (2, N)
-    takes the real then imaginary noise parts; pass None for a noiseless
-    trial, which draws none. Both must be C-contiguous; the draws are
-    written straight into them.
-    """
-    if sources.amplitude_model == UNIT_MODULUS:
-        rng.random(out=amplitudes[0])
-    else:
-        rng.standard_normal(out=amplitudes)
-    if noise is not None:
-        rng.standard_normal(out=noise)
-
-
 def snapshot_stack(
-    sources: SourceSet,
-    columns: np.ndarray,
+    scenario: "Scenario",
     snr_db: Sequence[float],
-    amplitudes: np.ndarray,
-    noise: np.ndarray,
+    rngs: Sequence[np.random.Generator],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(data, clean, noise)``, each (T, N), of T trials from their raw draws.
+    """``(data, clean, noise)``, each (T, N): trial k's snapshot at ``snr_db[k]`` from ``rngs[k]``.
 
-    ``columns`` (N, sources) are the sources' steering vectors, ``snr_db``
-    the trials' SNRs, and ``amplitudes`` (T, 2, groups) and ``noise``
-    (T, 2, N) the trials' :func:`draw_snapshot` buffers; the unit-modulus
-    phases are scaled from their raw uniforms once for the stack, and a
-    noiseless trial's noise rows must be zero. Every step is elementwise per
-    trial and in :func:`synthesize`'s order, so each row is what that trial
-    alone gives.
+    Each trial makes its raw draws from its own generator in
+    :func:`synthesize`'s order, straight into the stack's buffers: the
+    unit-modulus phases' uniforms in [0, 1) (or the complex Gaussian
+    amplitudes' real then imaginary parts), then, unless its SNR is inf, the
+    real then imaginary noise parts. The phases are scaled by 2 pi once for
+    the stack: ``rng.uniform(0, 2 pi)`` is ``0.0 + 2 pi * u`` for the same
+    ``u``, so they are the same doubles. The sources' columns come from
+    :func:`build_manifold`'s cached dictionary. Every later step is
+    elementwise per trial and in :func:`synthesize`'s order, so each row is
+    what that trial alone gives.
     """
+    sources = scenario.sources
+    columns = build_manifold(scenario.grid, scenario.geometry)[:, list(scenario.source_indices)]
+    amplitudes = np.empty((len(rngs), 2, len(sources.coherent_groups)))
+    noise = np.zeros((len(rngs), 2, scenario.geometry.num_sensors))
+    for k, (rng, snr) in enumerate(zip(rngs, snr_db)):
+        if sources.amplitude_model == UNIT_MODULUS:
+            rng.random(out=amplitudes[k, 0])
+        else:
+            rng.standard_normal(out=amplitudes[k])
+        if not math.isinf(snr):
+            rng.standard_normal(out=noise[k])
     if sources.amplitude_model == UNIT_MODULUS:
         group_amps = np.exp(1j * (amplitudes[:, 0] * (2.0 * np.pi)))
     else:

@@ -13,6 +13,7 @@ one.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 from functools import partial
@@ -27,7 +28,6 @@ from .array_model import (
     Snapshot,
     SourceSet,
     build_manifold,
-    draw_snapshot,
     make_grid,
     snapshot_stack,
 )
@@ -47,7 +47,7 @@ from .sensing import (
     IDENTITY,
     MEASUREMENT_KINDS,
     _column_norms,
-    gaussian_entries,
+    gaussian_stack,
     min_measurements,
 )
 from .spectrum import AngleSpectrum, DoaEstimate, StackedScores, score_stack
@@ -59,14 +59,17 @@ _STACK_SOLVERS = {OMP: omp_stack, COSAMP: cosamp_stack}
 # Most trials one stacked solve holds: a bound on the stacks' memory. At 15
 # sensors, m <= 10 and 181 atoms a thread's first sweep has a traced peak that
 # grows by about 65-80 KiB a trial of chunk (4.0-5.1 MiB at 64, the kept Psi
-# buffers included); the time per trial stops falling near 32-64, and 128 is
-# no faster than 64.
+# buffers included); the time per trial stops falling near 32-64. Whether 128
+# or 256 is faster is unresolved: one run took 6% and 8% less time per trial
+# than 64, against about 10% run-to-run spread.
 CHUNK_TRIALS = 64
 
-# Largest Psi stack, (trials, m, grid points) complex, that one chunk builds:
-# 128 MiB. A chunk takes fewer than CHUNK_TRIALS trials to stay under it
-# (fewer than 64 only past about 8700 grid points at m = 15), and a Scenario
-# whose single trial's Psi would pass it is refused before any work starts.
+# Largest Psi stack, (trials, m, grid points) complex, that one chunk builds,
+# and separately its largest Phi stack, (trials, m, sensors) complex: 128 MiB
+# each. A chunk takes fewer than CHUNK_TRIALS trials to stay under both (for
+# Psi, fewer than 64 only past about 8700 grid points at m = 15; for an
+# identity Phi, past 362 sensors), and a Scenario whose single trial's Psi or
+# Phi would pass it is refused before any work starts.
 MAX_PSI_STACK_BYTES = 2**27
 
 # Largest Psi stack a thread keeps between chunks, with a scratch buffer of
@@ -95,21 +98,27 @@ MAX_SWEEP_POINTS = MAX_RING_BYTES // (8 + 32 + len(ALGORITHMS) * 3 * (8 + 32))
 _THREAD = threading.local()
 
 
-def _psi_trial_bytes(m: int, points: int) -> int:
-    """Bytes of one trial's Psi: m rows of ``points`` complex128 atoms."""
-    return m * points * 16
+def _trial_bytes(m: int, columns: int) -> int:
+    """Bytes of one trial's m-row complex128 matrix: Psi on the grid points, Phi on the sensors."""
+    return m * columns * 16
 
 
-def _sweep_layout(scenario: Scenario, points: int, trials: int, workers: int) -> tuple[int, int]:
-    """``(chunk trials, ring slots)`` of a sweep of ``points`` SNR points.
+def _sweep_layout(
+    scenario: Scenario, points: int, trials: int, workers: int
+) -> tuple[int, int, int]:
+    """``(chunk trials, ring slots, pool workers)`` of a sweep of ``points`` SNR points.
 
-    A chunk holds at most ``CHUNK_TRIALS`` trials, fewer when its Psi stack
-    would pass ``MAX_PSI_STACK_BYTES`` or when that keeps ``workers`` busy.
-    Raises :class:`InstanceTooLargeError` when the ring of point buffers
-    would pass ``MAX_RING_BYTES``.
+    A chunk holds at most ``CHUNK_TRIALS`` trials, fewer when its Psi or its
+    Phi stack would pass ``MAX_PSI_STACK_BYTES`` or when that keeps the pool
+    busy. The pool gets ``workers`` processes, but no more than the cores
+    (``os.cpu_count()``) or the chunks: it forks all of them at its first
+    task. Raises :class:`InstanceTooLargeError` when the ring of point
+    buffers would pass ``MAX_RING_BYTES``.
     """
-    m, grid_points = scenario.measurement.num_measurements, len(scenario.grid.angles_deg)
-    size = min(CHUNK_TRIALS, MAX_PSI_STACK_BYTES // _psi_trial_bytes(m, grid_points))
+    m, n = scenario.measurement.num_measurements, scenario.geometry.num_sensors
+    trial_bytes = _trial_bytes(m, max(len(scenario.grid.angles_deg), n))
+    size = min(CHUNK_TRIALS, MAX_PSI_STACK_BYTES // trial_bytes)
+    workers = min(workers, os.cpu_count() or 1)
     if workers > 1:  # several chunks per worker keep the pool evenly loaded
         size = max(1, min(size, -(-points * trials // (4 * workers))))
     # Point i fills slot i % ring; a chunk touches at most `ring` points, and
@@ -122,7 +131,7 @@ def _sweep_layout(scenario: Scenario, points: int, trials: int, workers: int) ->
             f"{trials} trials per SNR point need {ring_bytes / 2**20:.4g} MiB of point "
             f"buffers, over the {MAX_RING_BYTES / 2**20:.4g} MiB limit; use fewer trials"
         )
-    return size, ring
+    return size, ring, min(workers, -(-points * trials // size))
 
 
 def _check_snr(snr_db: float) -> None:
@@ -187,13 +196,18 @@ class Scenario:
             )
         for name in self.algorithms:
             check_config(name, self.solver, m)
-        points = len(self.grid.angles_deg)
-        if _psi_trial_bytes(m, points) > MAX_PSI_STACK_BYTES:
-            raise InstanceTooLargeError(
-                f"one trial's Psi at m = {m} on {points} grid points needs "
-                f"{_psi_trial_bytes(m, points) / 2**20:.4g} MiB, over the "
-                f"{MAX_PSI_STACK_BYTES / 2**20:.4g} MiB limit; use a coarser grid"
-            )
+        # Psi first, then Phi: the same bound on each.
+        for name, columns, unit, remedy in (
+            ("Psi", len(self.grid.angles_deg), "grid points", "a coarser grid"),
+            ("Phi", self.geometry.num_sensors, "sensors", "fewer sensors or measurements"),
+        ):
+            need = _trial_bytes(m, columns)
+            if need > MAX_PSI_STACK_BYTES:
+                raise InstanceTooLargeError(
+                    f"one trial's {name} at m = {m} on {columns} {unit} needs "
+                    f"{need / 2**20:.4g} MiB, over the "
+                    f"{MAX_PSI_STACK_BYTES / 2**20:.4g} MiB limit; use {remedy}"
+                )
 
 
 @dataclass(eq=False)
@@ -335,29 +349,19 @@ def _draw_trials(
     Trial ``(i, t)`` runs at SNR ``snr_db[i]``. The generators of every
     trial's two ``trial_seeds`` streams come from
     :func:`~csdoa.seeding.stream_generators`: numpy's own for a lone trial,
-    seeded for the whole chunk at once otherwise. Per trial, they make the
-    raw draws in ``synthesize``'s and ``draw_measurement_matrix``'s order.
-    The rest runs once for the stack and gives each trial's arrays bit for bit.
+    seeded for the whole chunk at once otherwise. The data streams go to
+    :func:`~csdoa.array_model.snapshot_stack` and the Phi streams to
+    :func:`~csdoa.sensing.gaussian_stack`, the draw functions that
+    ``synthesize`` and ``draw_measurement_matrix`` are stacks of one over, so
+    each trial's arrays are what those give it bit for bit. An identity Phi
+    draws nothing.
     """
-    sources, spec = scenario.sources, scenario.measurement
-    n = scenario.geometry.num_sensors
-    snrs = [snr_db[snr_index] for snr_index, _ in tasks]
-    amplitudes = np.empty((len(tasks), 2, len(sources.coherent_groups)))
-    noise = np.zeros((len(tasks), 2, n))
-    normals = None
-    if spec.kind == GAUSSIAN:
-        normals = np.empty((len(tasks), 2, spec.num_measurements, n))
     streams = stream_generators(scenario.seed, tasks)
-    for k, (data_rng, phi_rng) in enumerate(zip(streams[0::2], streams[1::2])):
-        noise_row = None if math.isinf(snrs[k]) else noise[k]
-        draw_snapshot(sources, data_rng, amplitudes[k], noise_row)
-        if normals is not None:
-            phi_rng.standard_normal(out=normals[k])
-    columns = build_manifold(scenario.grid, scenario.geometry)[:, list(scenario.source_indices)]
-    snapshots = snapshot_stack(sources, columns, snrs, amplitudes, noise)
-    if normals is None:
+    snapshots = snapshot_stack(scenario, [snr_db[i] for i, _ in tasks], streams[0::2])
+    m, n = scenario.measurement.num_measurements, scenario.geometry.num_sensors
+    if scenario.measurement.kind == IDENTITY:
         return snapshots, np.repeat(np.eye(n, dtype=complex)[None], len(tasks), axis=0)
-    return snapshots, gaussian_entries(normals)
+    return snapshots, gaussian_stack(m, n, streams[1::2])
 
 
 def _run_trials(
@@ -448,18 +452,18 @@ def run_monte_carlo(
     successful trials only (NaN when there are none), and the success rate.
 
     The flat list of (point, trial) pairs runs in chunks of at most
-    ``CHUNK_TRIALS`` trials, and fewer when their Psi stack would pass
+    ``CHUNK_TRIALS`` trials, and fewer when their Psi or Phi stack would pass
     ``MAX_PSI_STACK_BYTES``, each solved as one stacked problem; a pool of
-    ``workers`` processes takes whole chunks. A task carries the scenario,
-    the sweep and its range; each worker takes A from its own
-    :func:`build_manifold` cache. Only a sweep with ``workers > 1`` imports
-    the pool. Each chunk's rows are copied into a ring of point buffers, and
-    the points it completes are aggregated together, so memory holds one
-    chunk's stacks and the per-source errors of the points one chunk
-    touches. Point buffers over ``MAX_RING_BYTES`` raise
-    :class:`InstanceTooLargeError`, and a non-integer ``trials`` or
-    ``workers`` TypeError, before any work. Neither the chunking nor
-    ``workers`` changes the result.
+    ``workers`` processes, but no more than the cores or the chunks, takes
+    whole chunks. A task carries the scenario, the sweep and its range; each
+    worker takes A from its own :func:`build_manifold` cache. Only a sweep
+    with ``workers > 1`` imports the pool, on one core too. Each chunk's
+    rows are copied into a ring of point buffers, and the points it completes
+    are aggregated together, so memory holds one chunk's stacks and the
+    per-source errors of the points one chunk touches. Point buffers over
+    ``MAX_RING_BYTES`` raise :class:`InstanceTooLargeError`, and a
+    non-integer ``trials`` or ``workers`` TypeError, before any work. Neither
+    the chunking nor ``workers`` changes the result.
     """
     sweep = tuple(float(s) for s in snr_sweep_db)
     if not sweep:
@@ -472,7 +476,7 @@ def run_monte_carlo(
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    size, ring = _sweep_layout(scenario, len(sweep), trials, workers)
+    size, ring, pool_size = _sweep_layout(scenario, len(sweep), trials, workers)
     total = len(sweep) * trials
 
     def chunks():  # built as the loop takes them, not held for the whole sweep
@@ -514,8 +518,7 @@ def run_monte_carlo(
         # Imported here, so that only a pooled sweep loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        # The pool forks all its workers at the first task, so it gets no more than the chunks.
-        with ProcessPoolExecutor(max_workers=min(workers, -(-total // size))) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             for flat, outcome in zip(chunks(), pool.map(solve, chunks())):
                 collect(flat, *outcome)
     else:

@@ -2,16 +2,17 @@
 
 Phi is a plain (m, N) array. Compression is ``y = Phi x``; the sparse-recovery
 dictionary is ``Psi = Phi A(theta)``, held with its column norms in one
-trial's :class:`SensingSystem`. The Monte Carlo engine builds a chunk's Phi
-stack from the trials' raw draws with :func:`gaussian_entries`, and its Psi
-and column norms as plain arrays, one product per trial as
-:class:`SensingSystem` forms one.
+trial's :class:`SensingSystem`. The Monte Carlo engine draws a chunk's Gaussian
+Phi stack with :func:`gaussian_stack`, each trial from its own generator (a
+lone draw is its stack of one), and builds its Psi and column norms as plain
+arrays, one product per trial as :class:`SensingSystem` forms one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -90,19 +91,22 @@ def draw_measurement_matrix(m: int, n: int, kind: str, seed: int = 0) -> np.ndar
             raise DimensionMismatchError(f"identity measurement requires m == n, got {m} x {n}")
         return np.eye(n, dtype=complex)
     if kind == GAUSSIAN:
-        return gaussian_entries(np.random.default_rng(seed).standard_normal((2, m, n)))
+        return gaussian_stack(m, n, [np.random.default_rng(seed)])[0]
     raise ValueError(f"unknown measurement kind {kind!r}")
 
 
-def gaussian_entries(normals: np.ndarray) -> np.ndarray:
-    """Gaussian Phi entries from standard normal draws ``(..., 2, m, n)``: real, then imaginary.
+def gaussian_stack(m: int, n: int, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """(T, m, n) Gaussian Phi entries, trial k's drawn from ``rngs[k]``.
 
-    One ``standard_normal((2, m, n))`` call draws what two ``(m, n)`` calls
-    would, in the same order, so a stack of trials' draws gives each trial's
-    matrix bit for bit.
+    Each trial draws ``standard_normal`` into its own (2, m, n) block, the
+    real parts then the imaginary parts, as two ``(m, n)`` calls would; the
+    scaling then runs once for the stack, elementwise, so each matrix is
+    what its trial alone gives bit for bit.
     """
-    scale = math.sqrt(1.0 / (2.0 * normals.shape[-2]))
-    return scale * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
+    normals = np.empty((len(rngs), 2, m, n))
+    for k, rng in enumerate(rngs):
+        rng.standard_normal(out=normals[k])
+    return math.sqrt(1.0 / (2.0 * m)) * (normals[:, 0] + 1j * normals[:, 1])
 
 
 def compress(phi: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 import csdoa
 from conftest import ZeroRng
+from csdoa import array_model
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,16 @@ def test_make_grid_rejects_an_uncountable_grid():
     for spec in [(-90.0, 1e308, 1e-10), (-90.0, 90.0, 5e-324)]:
         with pytest.raises(csdoa.InstanceTooLargeError):
             csdoa.make_grid(*spec)
+
+
+def test_make_grid_refuses_more_than_max_grid_points(monkeypatch):
+    # The count is checked before the angles are allocated; a lowered limit
+    # stands in for a step such as 1e-10 degrees (1.8e12 points).
+    monkeypatch.setattr(array_model, "MAX_GRID_POINTS", 181)
+    assert len(csdoa.make_grid(-90.0, 90.0, 1.0)) == 181
+    monkeypatch.setattr(array_model, "MAX_GRID_POINTS", 180)
+    with pytest.raises(csdoa.InstanceTooLargeError, match="more than 180 points"):
+        csdoa.make_grid(-90.0, 90.0, 1.0)
 
 
 def test_make_grid_rejects_empty_range():

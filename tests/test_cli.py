@@ -222,6 +222,30 @@ def test_sweep_over_the_point_buffer_limit_is_a_usage_error(tmp_path, capsys, mo
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--grid=-90:90:1e-10"], "grid -90.0:90.0:1e-10 has more than 8388608 points"),
+        (["--sensors", "10000000"], "one trial's Phi at m = 18 on 10000000 sensors needs"),
+        (["--phi", "identity", "--sensors", "3000"], "one trial's Phi at m = 3000 on 3000 sensors"),
+    ],
+)
+def test_an_instance_too_large_to_allocate_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    # A 1e-10 degree grid has 1.8e12 points, and the two Phi are 2.7 GiB and
+    # 137 MiB a trial; each is refused before anything is allocated or written.
+    monkeypatch.setattr(cli, "_draw_trials", _forbidden)
+    monkeypatch.setattr(experiments, "_run_trials", _forbidden)
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["synth", "--sources", "0", *flags, "--out", out_dir], capsys)
+    assert code == 2
+    assert err.startswith(f"csdoa: error: {message}")
+    assert "Traceback" not in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_synth_on_a_fine_grid_within_the_limit_runs(tmp_path, capsys):
     # A 0.001 degree grid's 64-trial Psi stack would pass the limit, one
     # trial's does not; synth builds no Psi at all, and its meta replays.

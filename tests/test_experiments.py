@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -496,8 +497,11 @@ def test_a_pool_task_does_not_carry_the_dictionary(monkeypatch):
 
 def test_a_pool_forks_no_more_workers_than_there_are_chunks(monkeypatch):
     # A process pool forks all its max_workers at the first task, so a sweep
-    # of 7 one-trial chunks must not ask for 64. The stub runs in-process.
+    # of 7 one-trial chunks must not ask for 64. The stub runs in-process, on
+    # a stand-in 64-core host, so that the core cap (tested below) stays out.
     import concurrent.futures
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
 
     sizes = []
 
@@ -521,6 +525,41 @@ def test_a_pool_forks_no_more_workers_than_there_are_chunks(monkeypatch):
     assert curve_key(csdoa.run_monte_carlo(scenario, sweep, 1, workers=64)) == serial
     assert curve_key(csdoa.run_monte_carlo(scenario, sweep, 1, workers=3)) == serial
     assert sizes == [7, 3]
+
+
+def test_a_pool_forks_no_more_workers_than_there_are_cores(monkeypatch):
+    # A million workers on a sweep of 56 trials: the pool gets at most one
+    # process per core, and the chunks are cut as for that many workers. The
+    # stub records the pool's size and maps in-process, so nothing is forked.
+    import concurrent.futures
+
+    sizes, chunks = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            for flat in iterables[0]:
+                chunks.append(len(flat))
+                yield fn(flat)
+
+    scenario = csdoa.build_scenario([-60.0, 60.0], seed=3)
+    sweep = range(-10, 25, 5)
+    serial = curve_key(csdoa.run_monte_carlo(scenario, sweep, 8))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert curve_key(csdoa.run_monte_carlo(scenario, sweep, 8, workers=10**6)) == serial
+    split, chunks[:] = chunks[:], []
+    cores = os.cpu_count() or 1
+    assert curve_key(csdoa.run_monte_carlo(scenario, sweep, 8, workers=max(2, cores))) == serial
+    assert 1 <= sizes[0] <= cores and sizes[0] == sizes[1]
+    assert split == chunks and sum(split) == 56
 
 
 def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
@@ -717,6 +756,35 @@ def test_chunks_take_fewer_trials_to_keep_psi_under_the_limit(monkeypatch):
     curve = csdoa.run_monte_carlo(scenario, [0.0, 20.0], 13)
     assert [psi.shape[0] for psi, _, _ in seen] == [10, 10, 6]
     assert curve_key(curve) == per_trial_curve(scenario, [0.0, 20.0], 13)
+
+
+def test_chunks_take_fewer_trials_to_keep_phi_under_the_limit(monkeypatch):
+    # On a 30 degree grid (7 points) an identity Phi (15 x 15) is larger than
+    # Psi (15 x 7), so Phi alone sets the chunk: 10 trials of 3600 bytes.
+    seen = psi_spy(monkeypatch)
+    monkeypatch.setattr(experiments, "MAX_PSI_STACK_BYTES", 10 * 15 * 15 * 16 + 1)
+    scenario = csdoa.build_scenario(
+        [-60.0, 60.0], grid_spec=(-90.0, 90.0, 30.0), measurement_kind=csdoa.IDENTITY, seed=3
+    )
+    curve = csdoa.run_monte_carlo(scenario, [0.0, 20.0], 13)
+    assert [psi.shape for psi, _, _ in seen] == [(10, 15, 7), (10, 15, 7), (6, 15, 7)]
+    assert curve_key(curve) == per_trial_curve(scenario, [0.0, 20.0], 13)
+
+
+def test_phi_limit_is_m_times_sensors_checked_after_psi():
+    # Identity Phi at 15 sensors is 3600 bytes a trial and its Psi on a 30
+    # degree grid 1680: the Scenario refuses Phi at a limit between them,
+    # and names Psi first when both pass the limit.
+    flags = dict(grid_spec=(-90.0, 90.0, 30.0), measurement_kind=csdoa.IDENTITY)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "MAX_PSI_STACK_BYTES", 15 * 15 * 16)
+        csdoa.build_scenario([-60.0, 60.0], **flags)
+        mp.setattr(experiments, "MAX_PSI_STACK_BYTES", 15 * 15 * 16 - 1)
+        with pytest.raises(csdoa.InstanceTooLargeError, match="one trial's Phi at m = 15 on 15"):
+            csdoa.build_scenario([-60.0, 60.0], **flags)
+        mp.setattr(experiments, "MAX_PSI_STACK_BYTES", 15 * 7 * 16 - 1)
+        with pytest.raises(csdoa.InstanceTooLargeError, match="one trial's Psi"):
+            csdoa.build_scenario([-60.0, 60.0], **flags)
 
 
 def _forbidden(*args, **kwargs):

@@ -64,20 +64,19 @@ _STACK_SOLVERS = {OMP: omp_stack, COSAMP: cosamp_stack}
 # than 64, against about 10% run-to-run spread.
 CHUNK_TRIALS = 64
 
-# Largest Psi stack, (trials, m, grid points) complex, that one chunk builds,
-# and separately its largest Phi stack, (trials, m, sensors) complex: 128 MiB
-# each. A chunk takes fewer than CHUNK_TRIALS trials to stay under both (for
-# Psi, fewer than 64 only past about 8700 grid points at m = 15; for an
-# identity Phi, past 362 sensors), and a Scenario whose single trial's Psi or
-# Phi would pass it is refused before any work starts.
-MAX_PSI_STACK_BYTES = 2**27
-
-# Largest Psi stack a thread keeps between chunks, with a scratch buffer of
-# the same size: CHUNK_TRIALS trials of the default 181-atom grid at m <= 15
-# (2.8 MB each). A freed Psi-sized pair is returned to the OS by glibc and
-# faulted back in by the next chunk; a larger stack is allocated per chunk,
-# so a fine grid does not pin its buffers in the thread.
+# Byte budget of one chunk's Psi stack, (trials, m, grid points) complex, and
+# separately of its Phi stack, (trials, m, sensors): CHUNK_TRIALS trials of the
+# default 181-atom grid at m <= 15 (2.65 MiB). A chunk takes fewer trials to
+# stay within both, so it builds Psi in the pair of buffers each thread keeps
+# (_psi_buffers), since glibc returns a freed Psi-sized pair to the OS and the
+# next chunk faults it back in. Only a lone trial over the budget gets storage
+# of its own, so a fine grid does not pin large buffers in a thread.
 KEPT_PSI_BYTES = CHUNK_TRIALS * 15 * 181 * 16
+
+# Largest complex matrix one trial needs: its Psi (m, grid points), its Phi
+# (m, sensors) and the manifold A (sensors, grid points), 128 MiB each. A
+# Scenario that would pass it is refused before any work starts.
+MAX_ARRAY_BYTES = 2**27
 
 # Largest ring of per-point buffers a sweep allocates up front: 256 MiB. The
 # ring holds each algorithm's per-source errors and success flags for every
@@ -98,26 +97,21 @@ MAX_SWEEP_POINTS = MAX_RING_BYTES // (8 + 32 + len(ALGORITHMS) * 3 * (8 + 32))
 _THREAD = threading.local()
 
 
-def _trial_bytes(m: int, columns: int) -> int:
-    """Bytes of one trial's m-row complex128 matrix: Psi on the grid points, Phi on the sensors."""
-    return m * columns * 16
-
-
 def _sweep_layout(
     scenario: Scenario, points: int, trials: int, workers: int
 ) -> tuple[int, int, int]:
     """``(chunk trials, ring slots, pool workers)`` of a sweep of ``points`` SNR points.
 
-    A chunk holds at most ``CHUNK_TRIALS`` trials, fewer when its Psi or its
-    Phi stack would pass ``MAX_PSI_STACK_BYTES`` or when that keeps the pool
-    busy. The pool gets ``workers`` processes, but no more than the cores
-    (``os.cpu_count()``) or the chunks: it forks all of them at its first
-    task. Raises :class:`InstanceTooLargeError` when the ring of point
+    A chunk holds at most ``CHUNK_TRIALS`` trials, fewer (but one at least)
+    when its Psi or its Phi stack would pass ``KEPT_PSI_BYTES`` or when that
+    keeps the pool busy. The pool gets ``workers`` processes, but no more than
+    the cores (``os.cpu_count()``) or the chunks: it forks all of them at its
+    first task. Raises :class:`InstanceTooLargeError` when the ring of point
     buffers would pass ``MAX_RING_BYTES``.
     """
     m, n = scenario.measurement.num_measurements, scenario.geometry.num_sensors
-    trial_bytes = _trial_bytes(m, max(len(scenario.grid.angles_deg), n))
-    size = min(CHUNK_TRIALS, MAX_PSI_STACK_BYTES // trial_bytes)
+    trial_bytes = 16 * m * max(len(scenario.grid.angles_deg), n)
+    size = min(CHUNK_TRIALS, max(1, KEPT_PSI_BYTES // trial_bytes))
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:  # several chunks per worker keep the pool evenly loaded
         size = max(1, min(size, -(-points * trials // (4 * workers))))
@@ -196,17 +190,19 @@ class Scenario:
             )
         for name in self.algorithms:
             check_config(name, self.solver, m)
-        # Psi first, then Phi: the same bound on each.
-        for name, columns, unit, remedy in (
-            ("Psi", len(self.grid.angles_deg), "grid points", "a coarser grid"),
-            ("Phi", self.geometry.num_sensors, "sensors", "fewer sensors or measurements"),
+        n, points = self.geometry.num_sensors, len(self.grid.angles_deg)
+        # Psi first, then Phi, then A: the same bound on each.
+        for name, rows, columns, remedy in (
+            (f"one trial's Psi at m = {m} on {points} grid points", m, points, "a coarser grid"),
+            (f"one trial's Phi at m = {m} on {n} sensors", m, n, "fewer sensors or measurements"),
+            (f"A(theta) at {n} sensors on {points} grid points", n, points,
+             "fewer sensors or a coarser grid"),
         ):
-            need = _trial_bytes(m, columns)
-            if need > MAX_PSI_STACK_BYTES:
+            need = 16 * rows * columns
+            if need > MAX_ARRAY_BYTES:
                 raise InstanceTooLargeError(
-                    f"one trial's {name} at m = {m} on {columns} {unit} needs "
-                    f"{need / 2**20:.4g} MiB, over the "
-                    f"{MAX_PSI_STACK_BYTES / 2**20:.4g} MiB limit; use {remedy}"
+                    f"{name} needs {need / 2**20:.4g} MiB, over the "
+                    f"{MAX_ARRAY_BYTES / 2**20:.4g} MiB limit; use {remedy}"
                 )
 
 
@@ -327,8 +323,9 @@ def _psi_buffers(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
     Up to ``KEPT_PSI_BYTES`` they are views of this thread's kept pair, which
     grows to the largest stack asked for; a smaller stack takes a leading
-    slice. Past it they are fresh arrays that the thread does not keep. Only
-    ``_run_trials`` may use the kept pair, and no view of it may leave it.
+    slice. Past it, as a sweep's chunk is only when it is a lone trial, they
+    are fresh arrays that the thread does not keep. Only ``_run_trials`` may
+    use the kept pair, and no view of it may leave it.
     """
     size = math.prod(shape)
     if 16 * size > KEPT_PSI_BYTES:
@@ -354,12 +351,13 @@ def _draw_trials(
     :func:`~csdoa.sensing.gaussian_stack`, the draw functions that
     ``synthesize`` and ``draw_measurement_matrix`` are stacks of one over, so
     each trial's arrays are what those give it bit for bit. An identity Phi
-    draws nothing.
+    draws nothing, and its Phi streams get no generators.
     """
-    streams = stream_generators(scenario.seed, tasks)
-    snapshots = snapshot_stack(scenario, [snr_db[i] for i, _ in tasks], streams[0::2])
+    count = 1 if scenario.measurement.kind == IDENTITY else 2
+    streams = stream_generators(scenario.seed, tasks, count)
+    snapshots = snapshot_stack(scenario, [snr_db[i] for i, _ in tasks], streams[::count])
     m, n = scenario.measurement.num_measurements, scenario.geometry.num_sensors
-    if scenario.measurement.kind == IDENTITY:
+    if count == 1:
         return snapshots, np.repeat(np.eye(n, dtype=complex)[None], len(tasks), axis=0)
     return snapshots, gaussian_stack(m, n, streams[1::2])
 
@@ -453,7 +451,7 @@ def run_monte_carlo(
 
     The flat list of (point, trial) pairs runs in chunks of at most
     ``CHUNK_TRIALS`` trials, and fewer when their Psi or Phi stack would pass
-    ``MAX_PSI_STACK_BYTES``, each solved as one stacked problem; a pool of
+    ``KEPT_PSI_BYTES``, each solved as one stacked problem; a pool of
     ``workers`` processes, but no more than the cores or the chunks, takes
     whole chunks. A task carries the scenario, the sweep and its range; each
     worker takes A from its own :func:`build_manifold` cache. Only a sweep

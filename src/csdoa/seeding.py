@@ -186,19 +186,22 @@ def _words_type() -> type:
     return StreamWords
 
 
-def stream_generators(seed: int, tasks: Sequence[tuple[int, int]]) -> list[np.random.Generator]:
+def stream_generators(
+    seed: int, tasks: Sequence[tuple[int, int]], streams: int = 2
+) -> list[np.random.Generator]:
     """Each trial's data and Phi stream generators, in that order: 2T ``Generator``s.
 
-    Each one's state equals ``np.random.default_rng(s)``'s for the trial's
-    stream seed ``s``. A lone trial builds them with ``default_rng`` from
-    :func:`trial_seeds`; two or more take every stream's PCG64 seed words
-    from :func:`stream_seeds` and the same pool for the whole chunk at once.
+    ``streams=1`` gives the T data streams only. Each one's state equals
+    ``np.random.default_rng(s)``'s for the trial's stream seed ``s``. A lone
+    trial builds them with ``default_rng`` from :func:`trial_seeds`; two or
+    more take every stream's PCG64 seed words from :func:`stream_seeds` and
+    the same pool for the whole chunk at once.
     """
     if len(tasks) == 1:
-        return [np.random.default_rng(s) for s in trial_seeds(seed, *tasks[0])]
+        return [np.random.default_rng(s) for s in trial_seeds(seed, *tasks[0])[:streams]]
     # Each stream seed is its own entropy, two 32-bit words, low word first.
-    seeds = stream_seeds(seed, tasks).reshape(-1).view("<u4").reshape(-1, 2).T
-    # (2T, 4): rows of a C-contiguous array, one stream's PCG64 seed words each.
+    seeds = stream_seeds(seed, tasks)[:, :streams].ravel().view("<u4").reshape(-1, 2).T
+    # (streams * T, 4): rows of a C-contiguous array, one stream's PCG64 seed words each.
     words = _generate_state(_pool(seeds), 2)
     stream_words, generator, pcg64 = _words_type(), np.random.Generator, np.random.PCG64
     return [generator(pcg64(stream_words(row))) for row in words]

@@ -25,6 +25,7 @@ SELF_CONSISTENCY = [
     "tests/test_sensing.py::test_stacked_psi_rounds_as_each_trials_own_product",
     "tests/test_recovery.py::test_stacked_solvers_match_the_per_trial_loops",
     "tests/test_experiments.py::test_monte_carlo_is_independent_of_chunking_and_workers",
+    "tests/test_experiments.py::test_a_fine_grid_sweep_runs_in_lone_trials_in_little_memory",
 ]
 
 # Runs in the child: reports the kernel OpenBLAS loaded, then the tests. The

@@ -198,7 +198,7 @@ def test_trial_psi_over_the_limit_is_a_usage_error(tmp_path, capsys, monkeypatch
     first = tmp_path / "first"
     assert run_cli(["montecarlo", "--sources", "-60,60", "--trials", "1", "--out", first],
                    capsys)[0] == 0
-    monkeypatch.setattr(experiments, "MAX_PSI_STACK_BYTES", 2**14)
+    monkeypatch.setattr(experiments, "MAX_ARRAY_BYTES", 2**14)
     for command in (["spectrum"], ["montecarlo", "--trials", "1"], ["synth"]):
         out_dir = tmp_path / command[0]
         for source in (["--sources", "-60,60"], ["--from-meta", first / "meta.json"]):
@@ -228,13 +228,17 @@ def test_sweep_over_the_point_buffer_limit_is_a_usage_error(tmp_path, capsys, mo
         (["--grid=-90:90:1e-10"], "grid -90.0:90.0:1e-10 has more than 8388608 points"),
         (["--sensors", "10000000"], "one trial's Phi at m = 18 on 10000000 sensors needs"),
         (["--phi", "identity", "--sensors", "3000"], "one trial's Phi at m = 3000 on 3000 sensors"),
+        (["--sensors", "8000000", "--measurements", "1", "--algo", "omp"],
+         "A(theta) at 8000000 sensors on 181 grid points needs"),
     ],
 )
 def test_an_instance_too_large_to_allocate_is_a_usage_error(
     tmp_path, capsys, monkeypatch, flags, message
 ):
     # A 1e-10 degree grid has 1.8e12 points, and the two Phi are 2.7 GiB and
-    # 137 MiB a trial; each is refused before anything is allocated or written.
+    # 137 MiB a trial. The last Psi and Phi are 2.9 KB and 122 MiB a trial,
+    # but A(theta) would be 21.6 GiB. Each is refused before anything is
+    # allocated or written.
     monkeypatch.setattr(cli, "_draw_trials", _forbidden)
     monkeypatch.setattr(experiments, "_run_trials", _forbidden)
     out_dir = tmp_path / "out"

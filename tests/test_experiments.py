@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -721,6 +722,34 @@ def test_a_lone_trial_draws_what_it_draws_in_a_chunk(seed, kind, snr_db):
     assert math.isfinite(snr_db) == bool(noise.any())
 
 
+def test_an_identity_phi_builds_no_phi_generators(monkeypatch):
+    # A chunk seeds its PCG64s through np.random.PCG64, a lone trial through
+    # np.random.default_rng; both are counted.
+    built = []
+    pcg64, default_rng = np.random.PCG64, np.random.default_rng
+
+    class CountedPCG64(pcg64):
+        def __init__(self, seed=None):
+            built.append(seed)
+            super().__init__(seed)
+
+    def counted_default_rng(seed=None):
+        built.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", CountedPCG64)
+    monkeypatch.setattr(np.random, "default_rng", counted_default_rng)
+    tasks = [(0, t) for t in range(5)]
+    for kind, chunk, lone in ((csdoa.IDENTITY, 5, 1), (csdoa.GAUSSIAN, 10, 2)):
+        scenario = csdoa.build_scenario([-60.0, 60.0], measurement_kind=kind, seed=3)
+        built.clear()
+        experiments._draw_trials(scenario, (0.0,), tasks)
+        assert len(built) == chunk
+        built.clear()
+        experiments._draw_trials(scenario, (0.0,), tasks[:1])
+        assert len(built) == lone
+
+
 # ---------------------------------------------------------------------------
 # the Psi stack's size bound and each thread's kept Psi buffers
 
@@ -733,13 +762,16 @@ def test_scenario_refuses_a_trial_psi_over_the_limit():
 
 
 def test_psi_limit_is_m_times_grid_points():
+    # At 7 sensors and m = 7, A (sensors x grid points) is as large as Psi,
+    # which is checked first.
     at_limit = 7 * 181 * 16
+    flags = dict(num_sensors=7, num_measurements=7)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "MAX_PSI_STACK_BYTES", at_limit)
-        csdoa.build_scenario([-60.0, 60.0])
-        mp.setattr(experiments, "MAX_PSI_STACK_BYTES", at_limit - 1)
+        mp.setattr(experiments, "MAX_ARRAY_BYTES", at_limit)
+        csdoa.build_scenario([-60.0, 60.0], **flags)
+        mp.setattr(experiments, "MAX_ARRAY_BYTES", at_limit - 1)
         with pytest.raises(csdoa.InstanceTooLargeError, match="one trial's Psi"):
-            csdoa.build_scenario([-60.0, 60.0])
+            csdoa.build_scenario([-60.0, 60.0], **flags)
 
 
 def test_fine_grid_within_the_limit_builds():
@@ -749,9 +781,83 @@ def test_fine_grid_within_the_limit_builds():
     assert len(scenario.grid.angles_deg) == 180_001
 
 
+def test_chunk_layouts_of_the_benchmark_sweeps_and_criterion_3(monkeypatch):
+    # Each of these scenarios' 64-trial Psi stacks fits the kept-buffer
+    # budget, so the budget cuts none of their chunks: these are the layouts
+    # the chunks had while the 128 MiB bound sized them. Two cores, as the
+    # pool's sweeps are laid out on a 2-vCPU host.
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    two = csdoa.build_scenario([-60.0, 60.0])
+    coherent = csdoa.build_scenario([-60.0, 0.0, 40.0], coherent_groups=[[1, 2]])
+    three = csdoa.build_scenario([-60.0, 0.0, 40.0])
+    layouts = [
+        (two, 7, 3, 1, (64, 7, 1)),  # mc-2src
+        (two, 7, 40, 2, (35, 2, 2)),  # its pool sweep
+        (coherent, 1, 20, 1, (64, 1, 1)),  # mc-3src
+        (coherent, 1, 300, 2, (38, 1, 2)),  # its pool sweep
+        (three, 1, 1, 1, (64, 1, 1)),  # single-shot
+        (three, 1, 300, 2, (38, 1, 2)),  # its pool sweep
+        (two, 7, 1000, 1, (64, 2, 1)),  # criterion 3
+        (two, 7, 1000, 2, (64, 2, 2)),
+    ]
+    for scenario, points, trials, workers, layout in layouts:
+        assert experiments._sweep_layout(scenario, points, trials, workers) == layout
+
+
+@pytest.mark.parametrize("step", [1.0, 0.1, 0.01, 0.001])
+def test_every_chunk_of_two_or_more_trials_fits_the_kept_buffers(step):
+    # Psi or Phi may be the larger; identity Phi included. A chunk takes as
+    # many trials as fit the budget, up to CHUNK_TRIALS, and builds Psi in
+    # the thread's kept pair unless it is a lone trial over the budget. A
+    # Scenario whose A(theta) would pass the array bound is refused.
+    budget, points = experiments.KEPT_PSI_BYTES, round(180 / step) + 1
+    for sensors, m, kind in [
+        (15, 7, csdoa.GAUSSIAN), (15, 10, csdoa.GAUSSIAN), (15, 15, csdoa.IDENTITY),
+        (40, 25, csdoa.GAUSSIAN), (46, 46, csdoa.IDENTITY), (300, 300, csdoa.IDENTITY),
+        (417, 417, csdoa.IDENTITY), (2000, 30, csdoa.GAUSSIAN),
+    ]:
+        flags = dict(num_sensors=sensors, num_measurements=m, measurement_kind=kind)
+        limit = experiments.MAX_ARRAY_BYTES
+        if 16 * sensors * points > limit:  # Psi is checked first
+            refused = "one trial's Psi" if 16 * m * points > limit else r"A\(theta\)"
+            with pytest.raises(csdoa.InstanceTooLargeError, match=refused):
+                csdoa.build_scenario([-60.0, 60.0], grid_spec=(-90.0, 90.0, step), **flags)
+            continue
+        scenario = csdoa.build_scenario([-60.0, 60.0], grid_spec=(-90.0, 90.0, step), **flags)
+        assert len(scenario.grid.angles_deg) == points
+        trial = 16 * m * max(points, sensors)
+        for workers in (1, 2):
+            size, _, _ = experiments._sweep_layout(scenario, 7, 1000, workers)
+            assert 1 <= size <= experiments.CHUNK_TRIALS
+            if size > 1:
+                assert size * 16 * m * points <= budget and size * 16 * m * sensors <= budget
+                psi, _ = experiments._psi_buffers((size, m, points))
+                assert np.shares_memory(psi, _kept_buffers()[0])
+            if workers == 1:  # as many as fit
+                assert size == experiments.CHUNK_TRIALS or (size + 1) * trial > budget
+
+
+def test_a_fine_grid_sweep_runs_in_lone_trials_in_little_memory():
+    # 0.01 degrees: 18,001 points and 2.0 MB of Psi a trial at m = 7, so each
+    # chunk is one trial. One 64-trial chunk would build a 129 MB Psi stack
+    # and as much scratch (a 363.5 MiB traced peak). A(theta) is cached by
+    # the reference curve before tracing starts.
+    scenario = csdoa.build_scenario([-60.0, 60.0], grid_spec=(-90.0, 90.0, 0.01), seed=5)
+    expected = per_trial_curve(scenario, [0.0, 20.0], 32)
+    tracemalloc.start()
+    try:
+        serial = csdoa.run_monte_carlo(scenario, [0.0, 20.0], 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert curve_key(serial) == expected
+    assert peak < 16 * 2**20
+    assert curve_key(csdoa.run_monte_carlo(scenario, [0.0, 20.0], 32, workers=2)) == expected
+
+
 def test_chunks_take_fewer_trials_to_keep_psi_under_the_limit(monkeypatch):
     seen = psi_spy(monkeypatch)
-    monkeypatch.setattr(experiments, "MAX_PSI_STACK_BYTES", 10 * 7 * 181 * 16 + 1)
+    monkeypatch.setattr(experiments, "KEPT_PSI_BYTES", 10 * 7 * 181 * 16 + 1)
     scenario = csdoa.build_scenario([-60.0, 60.0], seed=3)
     curve = csdoa.run_monte_carlo(scenario, [0.0, 20.0], 13)
     assert [psi.shape[0] for psi, _, _ in seen] == [10, 10, 6]
@@ -762,7 +868,7 @@ def test_chunks_take_fewer_trials_to_keep_phi_under_the_limit(monkeypatch):
     # On a 30 degree grid (7 points) an identity Phi (15 x 15) is larger than
     # Psi (15 x 7), so Phi alone sets the chunk: 10 trials of 3600 bytes.
     seen = psi_spy(monkeypatch)
-    monkeypatch.setattr(experiments, "MAX_PSI_STACK_BYTES", 10 * 15 * 15 * 16 + 1)
+    monkeypatch.setattr(experiments, "KEPT_PSI_BYTES", 10 * 15 * 15 * 16 + 1)
     scenario = csdoa.build_scenario(
         [-60.0, 60.0], grid_spec=(-90.0, 90.0, 30.0), measurement_kind=csdoa.IDENTITY, seed=3
     )
@@ -777,12 +883,12 @@ def test_phi_limit_is_m_times_sensors_checked_after_psi():
     # and names Psi first when both pass the limit.
     flags = dict(grid_spec=(-90.0, 90.0, 30.0), measurement_kind=csdoa.IDENTITY)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "MAX_PSI_STACK_BYTES", 15 * 15 * 16)
+        mp.setattr(experiments, "MAX_ARRAY_BYTES", 15 * 15 * 16)
         csdoa.build_scenario([-60.0, 60.0], **flags)
-        mp.setattr(experiments, "MAX_PSI_STACK_BYTES", 15 * 15 * 16 - 1)
+        mp.setattr(experiments, "MAX_ARRAY_BYTES", 15 * 15 * 16 - 1)
         with pytest.raises(csdoa.InstanceTooLargeError, match="one trial's Phi at m = 15 on 15"):
             csdoa.build_scenario([-60.0, 60.0], **flags)
-        mp.setattr(experiments, "MAX_PSI_STACK_BYTES", 15 * 7 * 16 - 1)
+        mp.setattr(experiments, "MAX_ARRAY_BYTES", 15 * 7 * 16 - 1)
         with pytest.raises(csdoa.InstanceTooLargeError, match="one trial's Psi"):
             csdoa.build_scenario([-60.0, 60.0], **flags)
 
@@ -857,17 +963,18 @@ def test_equal_chunks_build_psi_in_the_threads_kept_storage(monkeypatch):
     kept = _kept_buffers()
     assert np.shares_memory(first, kept[0])
 
-    # Over the cap, a chunk builds Psi in fresh storage and keeps nothing.
-    monkeypatch.setattr(experiments, "KEPT_PSI_BYTES", 10 * 7 * 181 * 16)
+    # Under a budget below one trial's Psi, each chunk is a lone trial that
+    # builds Psi in fresh storage and keeps nothing.
+    monkeypatch.setattr(experiments, "KEPT_PSI_BYTES", 7 * 181 * 16 - 1)
     seen.clear()
-    csdoa.run_monte_carlo(scenario, [0.0], 11)
-    [(psi, _, _)] = seen
-    assert psi.shape == (11, 7, 181)
+    csdoa.run_monte_carlo(scenario, [0.0], 3)
+    assert [psi.shape for psi, _, _ in seen] == [(1, 7, 181)] * 3
     assert _kept_buffers() is kept
-    assert not any(np.shares_memory(psi, buffer) for buffer in kept)
+    for psi, _, _ in seen:
+        assert not any(np.shares_memory(psi, buffer) for buffer in kept)
 
     def kept_after_an_over_cap_sweep() -> tuple:
-        csdoa.run_monte_carlo(scenario, [0.0], 11)
+        csdoa.run_monte_carlo(scenario, [0.0], 3)
         return _kept_buffers()
 
     with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh thread, which keeps nothing
@@ -912,8 +1019,8 @@ def _single_key(result) -> dict:
 
 def test_kept_psi_buffers_survive_shape_churn_in_one_thread():
     # One fresh thread runs chunks of many shapes: full and tail chunks, m of
-    # 7, 10 and 15 (the buffers grow), a trial of one, and a stack over the
-    # kept size. Every curve must still be the trial-by-trial one.
+    # 7, 10 and 15 (the buffers grow), a trial of one, and lone trials over
+    # the budget. Every curve must still be the trial-by-trial one.
     criterion3 = csdoa.build_scenario([-60.0, 60.0], seed=0)
     coherent = csdoa.build_scenario([-60.0, 0.0, 40.0], coherent_groups=[[1, 2]], seed=17)
     identity = csdoa.build_scenario([-60.0, 60.0], measurement_kind=csdoa.IDENTITY, seed=6)
@@ -937,7 +1044,7 @@ def test_kept_psi_buffers_survive_shape_churn_in_one_thread():
                 continue
             with pytest.MonkeyPatch.context() as mp:
                 if name == "over_cap":
-                    mp.setattr(experiments, "KEPT_PSI_BYTES", 10 * 7 * 181 * 16)
+                    mp.setattr(experiments, "KEPT_PSI_BYTES", 7 * 181 * 16 - 1)
                 curve = csdoa.run_monte_carlo(*runs[name])
             got.setdefault(name, []).append(curve_key(curve))
         return got

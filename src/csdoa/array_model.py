@@ -38,9 +38,12 @@ AMPLITUDE_MODELS = (UNIT_MODULUS, COMPLEX_GAUSSIAN)
 # absolute tolerance of a grid point (it is then snapped to that point).
 ON_GRID_ATOL = 1e-9
 
-# Most points a grid may hold: 2**23. No Scenario can use more, since one
-# trial's Psi would pass the engine's 128 MiB bound even at m = 1.
-MAX_GRID_POINTS = 2**23
+# Largest complex matrix a trial may need, 128 MiB: a Scenario whose Psi (m, grid
+# points), Phi (m, sensors) or manifold A (sensors, grid points) passes it is refused.
+MAX_ARRAY_BYTES = 2**27
+
+# Most points a grid may hold (2**23): one trial's Psi within MAX_ARRAY_BYTES at m = 1.
+MAX_GRID_POINTS = MAX_ARRAY_BYTES // 16
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .array_model import (
+    MAX_ARRAY_BYTES,
     UNIT_MODULUS,
     AngleGrid,
     ArrayGeometry,
@@ -72,11 +73,6 @@ CHUNK_TRIALS = 64
 # next chunk faults it back in. Only a lone trial over the budget gets storage
 # of its own, so a fine grid does not pin large buffers in a thread.
 KEPT_PSI_BYTES = CHUNK_TRIALS * 15 * 181 * 16
-
-# Largest complex matrix one trial needs: its Psi (m, grid points), its Phi
-# (m, sensors) and the manifold A (sensors, grid points), 128 MiB each. A
-# Scenario that would pass it is refused before any work starts.
-MAX_ARRAY_BYTES = 2**27
 
 # Largest ring of per-point buffers a sweep allocates up front: 256 MiB. The
 # ring holds each algorithm's per-source errors and success flags for every
@@ -490,12 +486,9 @@ def run_monte_carlo(
     aggregates: list[np.ndarray] = []
 
     def collect(flat: range, chunk_errors: np.ndarray, chunk_success: np.ndarray) -> None:
-        for i in range(flat.start // trials, (flat.stop - 1) // trials + 1):
-            lo, hi = max(flat.start, i * trials), min(flat.stop, (i + 1) * trials)
-            rows = slice(lo - flat.start, hi - flat.start)
-            cols = slice(lo - i * trials, hi - i * trials)
-            errors[i % ring, :, cols] = chunk_errors[:, rows]
-            success[i % ring, :, cols] = chunk_success[:, rows]
+        slot, column = np.divmod(np.arange(flat.start, flat.stop) % (ring * trials), trials)
+        errors[slot, :, column] = chunk_errors.swapaxes(0, 1)
+        success[slot, :, column] = chunk_success.T
         done = range(flat.start // trials, flat.stop // trials)
         if not done:
             return

@@ -13,8 +13,8 @@ column norms (T, N_s) as plain arrays, all that a solve reads of a system, and
 ``omp``/``cosamp`` pass a system's two as a stack of one. Every greedy step
 runs once, whole, on the live set: the trials still running, with their
 ``y``, Psi and column norms gathered so that each rounds exactly as it does
-alone. A trial leaves the set when it stops, and writes its row of the one
-:class:`StackedEstimate` as it goes.
+alone. Both solvers end every step in one ``_Live.settle``, where the trials
+that stop leave the set and write their rows of the one :class:`StackedEstimate`.
 """
 
 from __future__ import annotations
@@ -165,8 +165,8 @@ def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
     The same choice as a stable argsort of ``-values``, by repeated argmax,
     which is far cheaper for the few entries the solvers keep. Overwrites
     ``values``: each chosen entry becomes ``-inf``, so callers pass a
-    temporary of their own, and a row's picks are distinct while ``count``
-    is at most its entries above ``-inf`` (any ``count <= N`` for a proxy).
+    temporary of their own. No caller passes ``-inf`` entries, so a row's
+    picks are distinct for every ``count <= N``.
     """
     rows = np.arange(values.shape[0])
     top = np.empty((values.shape[0], count), dtype=int)
@@ -199,7 +199,7 @@ class _Live:
     ``column_norms`` their rows, gathered into C-contiguous copies as trials
     leave. ``psi`` (T, m, N_s) holds one trial per row of ``y``. Each row of
     ``stack`` starts empty, as a zero ``y`` or a failed fit leaves it; a
-    trial that leaves with an iterate writes its row once.
+    trial that leaves with an iterate writes its row once, in ``settle``.
     """
 
     def __init__(
@@ -230,9 +230,19 @@ class _Live:
         if np.count_nonzero(going) < trials:
             self.keep(going)
 
-    def leave(self, done, support, coef, residual_norm, iterations: int, failed) -> None:
-        """Write the rows of the trials ``done`` (a mask or slice of the live rows) as they leave."""
-        rows, stack, failed = self.rows[done], self.stack, failed[done]
+    def settle(self, going, last: bool, fit, leaving, *state: np.ndarray) -> tuple | None:
+        """End a step: trials leave where ``going`` fails, or all of them if ``last``.
+
+        NaN rows of ``fit`` leave deficient; the rest write ``leaving`` (support,
+        coefficients, residual norm, iterations). Returns the staying trials' rows
+        of ``state``, or None when none stays.
+        """
+        staying = 0 if last else np.count_nonzero(going)
+        if staying == going.size:
+            return state
+        done = ~going if staying else slice(None)
+        support, coef, residual_norm, iterations = leaving
+        rows, stack, failed = self.rows[done], self.stack, np.isnan(fit[:, 0])[done]
         support, coef, residual_norm = support[done], coef[done], residual_norm[done]
         stack.converged[rows] = ~failed & (residual_norm <= self.tolerance[done])
         if np.count_nonzero(failed):
@@ -243,6 +253,7 @@ class _Live:
         stack.coefficients[rows[:, None], support] = coef
         stack.residual_norm[rows] = residual_norm
         stack.iterations[rows] = iterations
+        return self.keep(going, *state) if staying else None
 
     def keep(self, going: np.ndarray, *state: np.ndarray) -> tuple[np.ndarray, ...]:
         """Keep the live trials where ``going`` holds; returns their rows of ``state``."""
@@ -322,14 +333,11 @@ def omp_stack(
         live.residual = live.y - np.matmul(basis, fit[..., None])[..., 0]
         residual_norm = _row_norms(live.residual)
         going = residual_norm > live.tolerance  # false after a rank-deficient (NaN) fit
-        staying = np.count_nonzero(going) if step + 1 < config.sparsity else 0
-        if staying < going.size:
-            done = ~going if staying else slice(None)
-            failed = np.isnan(fit[:, 0])
-            live.leave(done, support[:, : step + 1], fit, residual_norm, step + 1, failed)
-            if not staying:
-                break
-            (support,) = live.keep(going, support)
+        leaving = (support[:, : step + 1], fit, residual_norm, step + 1)
+        state = live.settle(going, step + 1 == config.sparsity, fit, leaving, support)
+        if state is None:
+            break
+        (support,) = state
     return live.stack
 
 
@@ -375,8 +383,6 @@ def _merged_fit(psi, y, trials, omega, support, keep: int) -> tuple[np.ndarray, 
     fresh = np.ones(candidates.shape, dtype=bool)
     fresh[:, 1:] = candidates[:, 1:] != candidates[:, :-1]
     sizes = np.add.reduce(fresh, axis=1)
-    if not np.count_nonzero(sizes != sizes[0]):  # one size group, the usual case
-        return _pruned_fit(psi, y, candidates[fresh].reshape(sizes.size, sizes[0]), trials, keep)
     kept, coef = np.empty_like(support), np.empty((support.shape[0], keep), dtype=complex)
     for size in sorted(set(sizes.tolist())):  # one fit per merged-support size: nothing is padded
         group = np.flatnonzero(sizes == size)
@@ -424,15 +430,12 @@ def cosamp_stack(
             best_coef = np.where(better[:, None], coef, best_coef)
         stalled = prev_norm - residual_norm < STAGNATION_TOL * prev_norm
         going = (residual_norm > live.tolerance) & ~stalled  # false after a deficient (NaN) fit
-        prev_norm = residual_norm
-        staying = np.count_nonzero(going) if iteration < config.max_iterations else 0
-        if staying < going.size:
-            done = ~going if staying else slice(None)
-            live.leave(done, best_support, best_coef, best_norm, iteration, np.isnan(coef[:, 0]))
-            if not staying:
-                break
-            state = (support, prev_norm, best_norm, best_support, best_coef)
-            support, prev_norm, best_norm, best_support, best_coef = live.keep(going, *state)
+        leaving = (best_support, best_coef, best_norm, iteration)
+        state = (support, residual_norm, best_norm, best_support, best_coef)
+        state = live.settle(going, iteration == config.max_iterations, coef, leaving, *state)
+        if state is None:
+            break
+        support, prev_norm, best_norm, best_support, best_coef = state
     return live.stack
 
 

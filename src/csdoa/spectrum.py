@@ -150,7 +150,7 @@ def _peak_indices(power: np.ndarray, num_peaks: int) -> tuple[np.ndarray, np.nda
     """
     positive = power > 0.0
     count = min(num_peaks, power.shape[-1])
-    top = _top_indices(np.where(positive, power, -np.inf), count)
+    top = _top_indices(np.where(positive, power, 0.0), count)  # no -inf: distinct picks
     counts = np.minimum(np.add.reduce(positive, axis=-1), count)
     if np.count_nonzero(counts < count):
         top[np.arange(count) >= counts[:, None]] = power.shape[-1]

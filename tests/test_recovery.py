@@ -159,8 +159,8 @@ def test_stacked_least_squares_equals_the_numpy_reference_bit_for_bit(trials, sh
     fraction=st.floats(0.0, 1.0),
 )
 def test_top_indices_is_a_stable_argsort_with_distinct_picks(rows, fraction):
-    # Few distinct values force ties; -inf entries are what _peak_indices passes for
-    # non-positive power. The picks are distinct up to a row's entries above -inf.
+    # Few distinct values force ties. No caller passes -inf entries; with them the
+    # picks are distinct only up to a row's entries above -inf.
     values = np.array(rows)
     above = int(np.count_nonzero(values > -np.inf, axis=1).min())
     count = round(fraction * above)

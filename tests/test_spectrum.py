@@ -1,6 +1,7 @@
 """Tests for the angle spectrum, peak picking, and per-source error scoring."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +122,14 @@ def test_pick_peaks_never_returns_zero_power():
     spectrum = csdoa.AngleSpectrum(grid=grid, power=np.array([0.0, 2.0, 0.0]))
     peaks = csdoa.pick_peaks(spectrum, 3)
     assert peaks.doas_deg == (0.0,)
+
+
+@pytest.mark.parametrize("power", [[0, 3, 1], [math.nan, 2.0, -1.0], [-1.0, 2.0, -3.0]])
+def test_pick_peaks_takes_only_positive_entries_of_any_real_vector(power):
+    # A caller's spectrum need not be |coef|^2: integer, NaN or negative entries
+    # neither break the pick nor displace a positive peak.
+    spectrum = csdoa.AngleSpectrum(grid=csdoa.make_grid(-10.0, 10.0, 10.0), power=np.array(power))
+    assert csdoa.pick_peaks(spectrum, 3).doas_deg == ((0.0, 10.0) if power[2] > 0 else (0.0,))
 
 
 def test_pick_peaks_requires_positive_count():

@@ -230,20 +230,20 @@ class _Live:
         if np.count_nonzero(going) < trials:
             self.keep(going)
 
-    def settle(self, going, last: bool, fit, leaving, *state: np.ndarray) -> tuple | None:
+    def settle(self, going, last: bool, leaving, *state: np.ndarray) -> tuple | None:
         """End a step: trials leave where ``going`` fails, or all of them if ``last``.
 
-        NaN rows of ``fit`` leave deficient; the rest write ``leaving`` (support,
-        coefficients, residual norm, iterations). Returns the staying trials' rows
-        of ``state``, or None when none stays.
+        Each leaving trial writes its row of ``leaving`` (support, coefficients,
+        residual norm, iterations), or leaves deficient if its coefficients are
+        NaN. Returns the staying trials' rows of ``state``, or None when none stays.
         """
         staying = 0 if last else np.count_nonzero(going)
         if staying == going.size:
             return state
         done = ~going if staying else slice(None)
         support, coef, residual_norm, iterations = leaving
-        rows, stack, failed = self.rows[done], self.stack, np.isnan(fit[:, 0])[done]
         support, coef, residual_norm = support[done], coef[done], residual_norm[done]
+        rows, stack, failed = self.rows[done], self.stack, np.isnan(coef[:, 0])
         stack.converged[rows] = ~failed & (residual_norm <= self.tolerance[done])
         if np.count_nonzero(failed):
             stack.deficient[rows[failed]] = True
@@ -334,7 +334,7 @@ def omp_stack(
         residual_norm = _row_norms(live.residual)
         going = residual_norm > live.tolerance  # false after a rank-deficient (NaN) fit
         leaving = (support[:, : step + 1], fit, residual_norm, step + 1)
-        state = live.settle(going, step + 1 == config.sparsity, fit, leaving, support)
+        state = live.settle(going, step + 1 == config.sparsity, leaving, support)
         if state is None:
             break
         (support,) = state
@@ -348,10 +348,11 @@ def cosamp(system: SensingSystem, y: np.ndarray, config: SolverConfig) -> Sparse
     strongest indices into the current support, least-squares fit on the
     merged set, prune back to the M largest coefficients, and recompute the
     residual. Halts on a small relative residual, on stagnation (relative
-    improvement below ``STAGNATION_TOL``), or after ``max_iterations``; the
-    best-residual iterate seen is returned. A batch of one over
-    :func:`cosamp_stack`; a ``y`` that is not a finite vector of length m
-    raises ValueError.
+    improvement below ``STAGNATION_TOL``), or after ``max_iterations``, and
+    returns the last iterate, or the one before it when the last fits no
+    better (so the first, if it halts after one iteration). A batch of one
+    over :func:`cosamp_stack`; a ``y`` that is not a finite vector of length
+    m raises ValueError.
     """
     y = _measured(system, y)
     stack = cosamp_stack(system.psi[None], system.column_norms[None], y[None], config)
@@ -398,44 +399,41 @@ def cosamp_stack(
 
     A ``y`` of another shape raises ValueError. Each iteration runs once,
     whole, on the live set: the trials still running. A trial leaves, with
-    its best iterate written, when it converges, stalls or runs out of
-    iterations, and leaves deficient when its merged support outgrows the m
-    measurements or its fit is rank deficient. Neither ``y`` nor Psi is
+    the iterate :func:`cosamp` returns, when it converges, stalls or runs out
+    of iterations, and leaves deficient when its merged support outgrows the
+    m measurements or its fit is rank deficient. Neither ``y`` nor Psi is
     checked for finite entries: the engine's are finite by construction, and
-    :func:`cosamp` checks a caller's.
+    :func:`cosamp` checks a caller's. That iterate is the best one seen: a
+    trial goes on only from an iterate that fits better than the one before,
+    unless ``STAGNATION_TOL`` times the residual norm underflows to zero
+    (||y|| near the subnormal range) and two residual norms tie exactly.
     """
     sparsity, num_atoms = config.sparsity, psi.shape[-1]
     keep = min(sparsity, num_atoms)
     live = _Live(COSAMP, psi, column_norms, y, config, keep)
     trials = live.rows.size
-    # The last iterate's support and residual norm; the stack's norms are still ||y||.
-    support, prev_norm = np.zeros((trials, 0), dtype=int), live.stack.residual_norm[live.rows]
-    best_norm, best_support = np.empty(trials), np.zeros((trials, keep), dtype=int)
-    best_norm.fill(np.inf)
-    best_coef = np.zeros((trials, keep), dtype=complex)
-    for iteration in range(1, config.max_iterations + 1 if live.rows.size else 1):
+    # The last iterate's support, coefficients and residual norm; the stack's norms are still ||y||.
+    support, coef = np.zeros((trials, 0), dtype=int), None
+    norm = live.stack.residual_norm[live.rows]
+    for iteration in range(1, config.max_iterations + 1 if trials else 1):
         proxy = correlate(live.psi, live.column_norms, live.residual)
         omega = _top_indices(proxy, min(2 * sparsity, num_atoms))
+        prev_support, prev_coef, prev_norm = support, coef, norm
         support, coef = _merged_fit(live.psi, live.y, live.index, omega, support, keep)
         columns = _columns(live.psi, support, live.index)
         live.residual = live.y - np.matmul(columns, coef[..., None])[..., 0]
-        residual_norm = _row_norms(live.residual)
-        better = residual_norm < best_norm
-        improved = np.count_nonzero(better)
-        if improved == better.size:
-            best_norm, best_support, best_coef = residual_norm, support, coef
-        elif improved:
-            best_norm = np.where(better, residual_norm, best_norm)
-            best_support = np.where(better[:, None], support, best_support)
-            best_coef = np.where(better[:, None], coef, best_coef)
-        stalled = prev_norm - residual_norm < STAGNATION_TOL * prev_norm
-        going = (residual_norm > live.tolerance) & ~stalled  # false after a deficient (NaN) fit
-        leaving = (best_support, best_coef, best_norm, iteration)
-        state = (support, residual_norm, best_norm, best_support, best_coef)
-        state = live.settle(going, iteration == config.max_iterations, coef, leaving, *state)
+        norm = _row_norms(live.residual)
+        stalled = prev_norm - norm < STAGNATION_TOL * prev_norm
+        going = (norm > live.tolerance) & ~stalled  # false after a deficient (NaN) fit
+        leaving = (support, coef, norm, iteration)
+        if iteration > 1:  # the previous iterate, the best so far, leaves if this one is no better
+            back = (norm >= prev_norm)[:, None]  # false on NaN: a deficient trial stays deficient
+            leaving = (np.where(back, prev_support, support), np.where(back, prev_coef, coef),
+                       np.where(back[:, 0], prev_norm, norm), iteration)
+        state = live.settle(going, iteration == config.max_iterations, leaving, support, coef, norm)
         if state is None:
             break
-        support, prev_norm, best_norm, best_support, best_coef = state
+        support, coef, norm = state
     return live.stack
 
 

@@ -108,7 +108,7 @@ def _sweep_layout(
     m, n = scenario.measurement.num_measurements, scenario.geometry.num_sensors
     trial_bytes = 16 * m * max(len(scenario.grid.angles_deg), n)
     size = min(CHUNK_TRIALS, max(1, KEPT_PSI_BYTES // trial_bytes))
-    workers = min(workers, os.cpu_count() or 1)
+    workers = 1 if workers == 1 else min(workers, os.cpu_count() or 1)  # serial: no core count
     if workers > 1:  # several chunks per worker keep the pool evenly loaded
         size = max(1, min(size, -(-points * trials // (4 * workers))))
     # Point i fills slot i % ring; a chunk touches at most `ring` points, and

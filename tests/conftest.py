@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import itertools
 import math
 import platform
 from dataclasses import replace
@@ -163,7 +164,8 @@ class ZeroRng:
 # ---------------------------------------------------------------------------
 # Per-trial loop references for the stacked solvers. These are the scalar
 # OMP and CoSaMP loops, one trial at a time with 1-D vectors and Python
-# scalars; the stacked kernels must reproduce them bit for bit.
+# scalars, and the l0 oracle's loop, one subset at a time; the stacked
+# kernels must reproduce them bit for bit.
 
 
 def _reference_least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -250,6 +252,44 @@ def reference_cosamp(system, y, config) -> csdoa.SparseEstimate:
 
 
 REFERENCE_SOLVERS = {"omp": reference_omp, "cosamp": reference_cosamp}
+
+
+def reference_l0_oracle(system, y, sparsity: int) -> csdoa.SparseEstimate:
+    """The exhaustive search one subset at a time, each a 2-D ``least_squares`` fit."""
+    sparsity = csdoa.errors.integer(sparsity, "sparsity")
+    num_atoms = system.num_atoms
+    if not 1 <= sparsity <= num_atoms:
+        raise ValueError(f"sparsity must lie in [1, {num_atoms}] (the atom count), got {sparsity}")
+    n_subsets = math.comb(num_atoms, sparsity)
+    if n_subsets > 1_000_000:
+        raise csdoa.InstanceTooLargeError(
+            f"{n_subsets} candidate subsets exceed the 10^6 enumeration guard"
+        )
+    y = csdoa.recovery._measured(system, y)
+    best: tuple[float, tuple[int, ...], np.ndarray] | None = None
+    evaluated = 0
+    for subset in itertools.combinations(range(num_atoms), sparsity):
+        basis = system.psi[:, subset]
+        try:
+            coef = csdoa.least_squares(basis, y)
+        except csdoa.RankDeficientError:
+            continue
+        evaluated += 1
+        res_norm = float(np.linalg.norm(y - basis @ coef))
+        if best is None or res_norm < best[0]:
+            best = (res_norm, subset, coef)
+    if best is None:
+        raise csdoa.RankDeficientError("every candidate subset was rank deficient")
+    res_norm, subset, coef = best
+    coefficients = np.zeros(num_atoms, dtype=complex)
+    coefficients[list(subset)] = coef
+    return csdoa.SparseEstimate(
+        coefficients=coefficients,
+        support=subset,
+        residual_norm=res_norm,
+        iterations=evaluated,
+        converged=True,
+    )
 
 
 # ---------------------------------------------------------------------------

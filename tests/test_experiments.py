@@ -28,7 +28,7 @@ from conftest import (
     reference_synthesize,
     reference_trial_seeds,
 )
-from csdoa import experiments
+from csdoa import cli, experiments
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +566,20 @@ def test_a_pool_forks_no_more_workers_than_there_are_cores(monkeypatch):
     assert split == chunks and sum(split) == 56
 
 
+def test_a_serial_sweep_reads_no_core_count(monkeypatch, tmp_path):
+    # Only a pool is capped at the cores, so a serial sweep, in the library
+    # or in `csdoa montecarlo --workers 1`, never asks the host for them.
+    def refuse():
+        raise AssertionError("a serial sweep read the core count")
+
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    scenario = csdoa.build_scenario([-60.0, 60.0], seed=3)
+    csdoa.run_monte_carlo(scenario, [0.0, 10.0], 3)
+    argv = ["montecarlo", "--sources", "-60,60", "--trials", "3", "--snr-sweep", "0:10:10",
+            "--workers", "1", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+
+
 def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
     # Trial (596, 0, 0) of the criterion-3 scenario at -10 dB: CoSaMP's
     # least-squares fit on the merged support is rank deficient.
@@ -677,6 +691,27 @@ def test_cosamp_mostly_stops_on_a_first_iterate_that_fits_worse_than_zero():
             stopped += np.count_nonzero(
                 ok & (cosamp.iterations == 1) & (cosamp.residual_norm > norm_y))
         assert (stopped, kept) == (first, fitted), sweep[point]
+
+
+def test_l0_recovers_the_noiseless_trials_that_the_greedy_solvers_miss():
+    # The yardstick for both solvers on the criterion-3 dictionary (m = 7):
+    # without noise, the exhaustive l0 search finds both sources in all of
+    # trials (0, 0)-(0, 49), where OMP finds them in 1 and CoSaMP in 2. The
+    # data determine the sources; the greedy searches miss them. The counts
+    # are measured; a change that moves them changes what a solver returns.
+    scenario = csdoa.build_scenario([-60.0, 60.0], snr_db=math.inf, seed=0)
+    sweep, tasks = (scenario.snr_db,), [(0, t) for t in range(50)]
+    (data, _, _), entries = experiments._draw_trials(scenario, sweep, tasks)
+    manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
+    truth = tuple(scenario.grid.index_of(doa) for doa in scenario.sources.doas_deg)
+    found = sum(
+        csdoa.l0_oracle(csdoa.SensingSystem(phi, manifold), phi @ snapshot, 2).support == truth
+        for phi, snapshot in zip(entries, data)
+    )
+    _, _, scores = experiments._run_trials(scenario, sweep, tasks)
+    success = scores.success.reshape(len(scenario.algorithms), len(tasks)).sum(axis=1)
+    assert found == 50
+    assert dict(zip(scenario.algorithms, success.tolist())) == {"omp": 1, "cosamp": 2}
 
 
 def _same_bits(a, b) -> bool:

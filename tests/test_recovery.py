@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import csdoa
@@ -16,6 +16,7 @@ from conftest import (
     oracle_match_counts,
     planted_instance,
     reference_cosamp,
+    reference_l0_oracle,
     reference_omp,
 )
 from csdoa import cli, recovery
@@ -505,6 +506,73 @@ def test_oracle_takes_an_integer_sparsity(sparsity):
     with pytest.raises(TypeError, match="^sparsity must be an integer"):
         csdoa.l0_oracle(system, system.psi[:, 0].copy(), sparsity)
     assert csdoa.l0_oracle(system, system.psi[:, 0].copy(), np.int64(1)).support == (0,)
+
+
+def _assert_oracle_is_the_subset_loop(system, y, sparsity: int) -> None:
+    """l0_oracle's stacked search returns what the per-subset loop returns, bit for bit."""
+    try:
+        expected = reference_l0_oracle(system, y, sparsity)
+    except csdoa.RankDeficientError:
+        with pytest.raises(csdoa.RankDeficientError):
+            csdoa.l0_oracle(system, y, sparsity)
+        return
+    assert _same(csdoa.l0_oracle(system, y, sparsity), expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(3, 10),
+    num_atoms=st.integers(4, 22),
+    sparsity=st.integers(1, 3),
+    # (source, copy) column pairs: subsets holding both are rank deficient,
+    # and a copy ties exactly with its source.
+    duplicates=st.lists(st.tuples(st.integers(0, 21), st.integers(0, 21)), max_size=3),
+    tiny=st.lists(st.integers(0, 21), max_size=3),  # columns scaled by 2^-30
+    target=st.sampled_from(["random", "planted", "duplicated column"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=4, num_atoms=6, sparsity=2, duplicates=[(0, 1), (2, 5)], tiny=[3],
+         target="duplicated column", seed=0)
+def test_oracle_stacks_equal_the_subset_loop(m, num_atoms, sparsity, duplicates, tiny, target, seed):
+    rng = np.random.default_rng(seed)
+    manifold = rng.standard_normal((m, num_atoms)) + 1j * rng.standard_normal((m, num_atoms))
+    for source, copy in duplicates:
+        manifold[:, copy % num_atoms] = manifold[:, source % num_atoms]
+    for j in tiny:
+        manifold[:, j % num_atoms] *= 2.0**-30
+    system = csdoa.build_sensing_system(np.eye(m, dtype=complex), manifold)
+    if target == "random":
+        y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    elif target == "planted":
+        atoms = rng.choice(num_atoms, size=sparsity, replace=False)
+        y = system.psi[:, atoms] @ np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, sparsity))
+    else:
+        y = system.psi[:, duplicates[0][0] % num_atoms if duplicates else 0].copy()
+    _assert_oracle_is_the_subset_loop(system, y, sparsity)
+
+
+def test_oracle_ties_go_to_the_first_support_across_stacks():
+    # C(60, 3) = 34,220 subsets: two stacks, the second of which holds every
+    # subset whose first atom is 39 or later. Atoms 39, 41 and 43 copy atoms 0, 40 and 42, so
+    # the 8 supports that take one atom of each pair keep the columns in one
+    # order and tie exactly: (0, 40, 42), (0, 41, 43) and others in the first
+    # stack, (39, 40, 42) and others in the second. A subset holding both
+    # atoms of a pair is rank deficient.
+    rng = np.random.default_rng(60)
+    manifold = rng.standard_normal((10, 60)) + 1j * rng.standard_normal((10, 60))
+    manifold[:, [39, 41, 43]] = manifold[:, [0, 40, 42]]
+    system = csdoa.build_sensing_system(np.eye(10, dtype=complex), manifold)
+    y = system.psi[:, [0, 40, 42]] @ np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 3))
+    y += 0.01 * (rng.standard_normal(10) + 1j * rng.standard_normal(10))
+    estimate = csdoa.l0_oracle(system, y, 3)
+    assert estimate.support == (0, 40, 42)
+    assert estimate.iterations == 34_220 - 3 * 58  # each pair, with any third atom
+    _assert_oracle_is_the_subset_loop(system, y, 3)
+    # More atoms than measurements: every subset is underdetermined.
+    small = csdoa.build_sensing_system(np.eye(3, dtype=complex), manifold[:3, :5])
+    for oracle in (csdoa.l0_oracle, reference_l0_oracle):
+        with pytest.raises(csdoa.RankDeficientError):
+            oracle(small, small.psi[:, 0].copy(), 4)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(1.0, -np.inf)])

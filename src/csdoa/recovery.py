@@ -139,7 +139,7 @@ def least_squares(basis: np.ndarray, y: np.ndarray) -> np.ndarray:
         if basis.ndim == 2:
             raise RankDeficientError("selected columns are numerically rank deficient")
         r[deficient] = np.eye(k)  # solvable stand-ins; their rows are set to NaN below
-    qhy = np.matmul(q.conj().swapaxes(-1, -2), y[..., None])
+    qhy = np.matmul(np.conjugate(q, out=q).swapaxes(-1, -2), y[..., None])
     coef = _umath_linalg.solve(r, qhy, signature="DD->D")[..., 0]
     if any_deficient:
         coef[deficient] = np.nan
@@ -214,14 +214,11 @@ class _Live:
         self.psi, self.column_norms, self.y, self.residual = psi, column_norms, y, y
         norm_y = _row_norms(y)
         self.tolerance = config.residual_tol * norm_y
-        self.rows = np.arange(trials)
-        self.index = self.rows[:, None]
-        support = np.empty((trials, width), dtype=int)
-        support.fill(-1)
+        self.rows, self.index = np.arange(trials), np.arange(trials)[:, None]
         self.stack = StackedEstimate(
             coefficients=np.zeros((trials, num_atoms), dtype=complex),
-            support=support,
-            residual_norm=norm_y.copy(),
+            support=np.full((trials, width), -1),
+            residual_norm=norm_y,
             iterations=np.zeros(trials, dtype=int),
             converged=norm_y == 0.0,  # as 0 <= residual_tol * 0; set as trials leave
             deficient=np.zeros(trials, dtype=bool),
@@ -375,7 +372,11 @@ def _pruned_fit(psi, y, merged, trials, keep: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _merged_fit(psi, y, trials, omega, support, keep: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_pruned_fit` of each row on its ``omega`` atoms merged into its ``support``."""
+    """:func:`_pruned_fit` of each row on its ``omega`` atoms merged into its ``support``.
+
+    One unpadded fit per merged-support size, in place on views when every row has that size.
+    An empty support fits its sorted ``omega`` directly: merging costs ~6% of a ``run_single`` call.
+    """
     if not support.shape[1]:  # the first iteration: omega's distinct atoms are the merged set
         omega.sort(axis=1)
         return _pruned_fit(psi, y, omega, trials, keep)
@@ -385,10 +386,10 @@ def _merged_fit(psi, y, trials, omega, support, keep: int) -> tuple[np.ndarray, 
     fresh[:, 1:] = candidates[:, 1:] != candidates[:, :-1]
     sizes = np.add.reduce(fresh, axis=1)
     kept, coef = np.empty_like(support), np.empty((support.shape[0], keep), dtype=complex)
-    for size in sorted(set(sizes.tolist())):  # one fit per merged-support size: nothing is padded
-        group = np.flatnonzero(sizes == size)
-        merged = candidates[group][fresh[group]].reshape(group.size, size)
-        kept[group], coef[group] = _pruned_fit(psi, y[group], merged, group[:, None], keep)
+    for size in sorted(set(sizes.tolist())):
+        rows = sizes == size if np.count_nonzero(sizes != size) else slice(None)
+        merged = candidates[rows][fresh[rows]].reshape(-1, size)
+        kept[rows], coef[rows] = _pruned_fit(psi, y[rows], merged, trials[rows], keep)
     return kept, coef
 
 
@@ -411,11 +412,10 @@ def cosamp_stack(
     sparsity, num_atoms = config.sparsity, psi.shape[-1]
     keep = min(sparsity, num_atoms)
     live = _Live(COSAMP, psi, column_norms, y, config, keep)
-    trials = live.rows.size
     # The last iterate's support, coefficients and residual norm; the stack's norms are still ||y||.
-    support, coef = np.zeros((trials, 0), dtype=int), None
+    support, coef = np.zeros((live.rows.size, 0), dtype=int), None
     norm = live.stack.residual_norm[live.rows]
-    for iteration in range(1, config.max_iterations + 1 if trials else 1):
+    for iteration in range(1, config.max_iterations + 1 if live.rows.size else 1):
         proxy = correlate(live.psi, live.column_norms, live.residual)
         omega = _top_indices(proxy, min(2 * sparsity, num_atoms))
         prev_support, prev_coef, prev_norm = support, coef, norm

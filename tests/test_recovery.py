@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import csdoa
@@ -635,6 +635,41 @@ def test_both_solvers_track_the_oracle_on_generic_instances():
     assert report["worst_coef_rel"]["cosamp"] <= 1e-8
 
 
+def _exact_recovery_coefficient(psi: np.ndarray, support: np.ndarray) -> float:
+    """Tropp's ERC: the largest ||pinv(Psi_S) psi_j||_1 over atoms j off S, on unit-norm columns."""
+    unit = psi / np.linalg.norm(psi, axis=0)
+    off = np.setdiff1d(np.arange(psi.shape[1]), support)
+    return np.abs(np.linalg.pinv(unit[:, support]) @ unit[:, off]).sum(axis=0).max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    step=st.integers(10, 30),
+    m=st.integers(10, 14),
+    num_sources=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_omp_and_the_oracle_recover_every_support_that_meets_the_exact_recovery_condition(
+    step, m, num_sources, seed
+):
+    # Tropp, "Greed is good" (IEEE Trans. IT 50(10), 2004): when ERC < 1,
+    # noiseless OMP picks an atom of S at every step, whatever its amplitudes.
+    # The -90 degree atom is left out: at d/lambda = 0.5 it aliases the +90 one.
+    grid = csdoa.make_grid(step - 90.0, 90.0, step)
+    manifold = csdoa.build_manifold(grid, csdoa.ArrayGeometry(15))
+    rng = np.random.default_rng(seed)
+    phi = csdoa.draw_measurement_matrix(m, 15, csdoa.GAUSSIAN, seed=int(rng.integers(2**32)))
+    system = csdoa.SensingSystem(phi, manifold)
+    support = np.sort(rng.choice(system.num_atoms, size=num_sources, replace=False))
+    assume(_exact_recovery_coefficient(system.psi, support) < 1 - 1e-6)
+    x = np.zeros(system.num_atoms, dtype=complex)
+    x[support] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, num_sources))
+    y = system.psi @ x
+    estimate = csdoa.omp(system, y, csdoa.SolverConfig(sparsity=num_sources))
+    assert sorted(estimate.support) == support.tolist()
+    assert list(csdoa.l0_oracle(system, y, num_sources).support) == support.tolist()
+
+
 # ---------------------------------------------------------------------------
 # stacked solvers against the per-trial loop references
 
@@ -861,6 +896,32 @@ def test_omp_stack_drops_a_rank_deficient_trial_and_finishes_the_others():
     assert _same(healthy, reference_omp(single, y[1], config))
     with pytest.raises(csdoa.RankDeficientError):
         csdoa.omp(first, y[0], config)
+
+
+@pytest.mark.parametrize(
+    "supports, sizes",
+    [
+        # Row 1's support lies inside its omega; rows 0 and 2 add both atoms.
+        pytest.param([[8, 9], [1, 3], [10, 19]], [6, 4, 6], id="two-sizes"),
+        pytest.param([[8, 9], [5, 6], [10, 19]], [6, 6, 6], id="one-size"),
+    ],
+)
+def test_merged_fit_fits_each_row_on_the_psi_its_trials_entry_names(supports, sizes):
+    # Psi holds 5 trials and y only 3 rows; trials[i, 0], not i, names row i's Psi.
+    rng = np.random.default_rng(33)
+    psi = rng.standard_normal((5, 8, 20)) + 1j * rng.standard_normal((5, 8, 20))
+    y = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    trials = np.array([[4], [1], [3]])
+    omega = np.array([[0, 1, 2, 3], [3, 2, 1, 0], [4, 11, 7, 2]])
+    support = np.array(supports)
+    merged = np.concatenate([omega, support], axis=1)
+    assert [np.unique(row).size for row in merged] == sizes
+    kept, coef = recovery._merged_fit(psi, y, trials, omega, support, 2)
+    for i, t in enumerate(trials[:, 0]):
+        alone = recovery._merged_fit(
+            psi[t][None], y[i][None], np.array([[0]]), omega[i][None], support[i][None], 2)
+        assert np.array_equal(kept[i], alone[0][0])
+        assert coef[i].tobytes() == alone[1][0].tobytes()
 
 
 # ---------------------------------------------------------------------------

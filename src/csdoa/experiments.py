@@ -53,9 +53,9 @@ from .sensing import (
 )
 from .spectrum import AngleSpectrum, DoaEstimate, StackedScores, score_stack
 
-ALGORITHMS = (OMP, COSAMP)
-
 _STACK_SOLVERS = {OMP: omp_stack, COSAMP: cosamp_stack}
+
+ALGORITHMS = tuple(_STACK_SOLVERS)
 
 # Most trials one stacked solve holds: a bound on the stacks' memory. At 15
 # sensors, m <= 10 and 181 atoms a thread's first sweep has a traced peak that
@@ -165,11 +165,11 @@ class Scenario:
     source_indices: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.algorithms:
-            raise ValueError("at least one algorithm is required")
-        for name in self.algorithms:
-            if name not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {name!r}")
+        if not self.algorithms or not set(self.algorithms) <= _STACK_SOLVERS.keys():
+            raise ValueError(
+                f"algorithms must be one or more of {', '.join(ALGORITHMS)}, "
+                f"got {list(self.algorithms)}"
+            )
         if len(set(self.algorithms)) != len(self.algorithms):
             raise ValueError("algorithms must not repeat")
         object.__setattr__(self, "seed", integer(self.seed, "seed"))
@@ -207,7 +207,8 @@ class AlgorithmRun:
     """One algorithm's spectrum, peak estimate and scores on a single run.
 
     ``errors_deg`` has one entry per source, by ascending angle, and ``success``
-    is whether every entry is below the grid step.
+    is whether every source's peak is in its exact grid bin: every entry is
+    below half the grid step.
     """
 
     spectrum: AngleSpectrum
@@ -231,7 +232,6 @@ class SingleRunResult:
 class AlgorithmRmse:
     """Aggregated sweep results for one algorithm, index-aligned with the SNR points."""
 
-    algorithm: str
     rmse_deg: tuple[float, ...]
     rmse_success_only_deg: tuple[float, ...]
     success_rate: tuple[float, ...]
@@ -518,7 +518,7 @@ def run_monte_carlo(
 
     table = np.concatenate(aggregates)
     per_algorithm = {
-        algorithm: AlgorithmRmse(algorithm, *(tuple(table[:, k, a].tolist()) for k in range(3)))
+        algorithm: AlgorithmRmse(*(tuple(table[:, k, a].tolist()) for k in range(3)))
         for a, algorithm in enumerate(algorithms)
     }
     return RmseCurve(snr_points_db=sweep, per_algorithm=per_algorithm, trials=trials)

@@ -113,8 +113,11 @@ def score_stack(
     """Spectrum, peaks and per-source errors of each row of a (T, N_s) coefficient stack.
 
     Row by row this is ``angle_spectrum`` -> ``pick_peaks`` -> ``trial_error``;
-    a trial succeeds when its largest error is below the grid step. A zero row
-    (as a rank-deficient solve leaves) has no peaks and misses every source.
+    a trial succeeds when every source's peak is in its exact grid bin,
+    checked as a largest error below half the grid step: on a step that is
+    not exact in binary, such as 0.7, a one-bin miss can round below the
+    step itself. A zero row (as a rank-deficient solve leaves) has no peaks
+    and misses every source.
 
     A row with one peak per source whose positional gaps ``|est_k - true_k|``
     sum, right to left as ``_align`` adds them, to less than
@@ -138,7 +141,7 @@ def score_stack(
         aligned = range(len(counts))
     for t in aligned:
         errors[t] = _align(angles[t, : counts[t]].tolist(), true)
-    return StackedScores(power, peaks, counts, errors, errors.max(axis=1) < grid.step_deg)
+    return StackedScores(power, peaks, counts, errors, errors.max(axis=1) < grid.step_deg / 2)
 
 
 def _peak_indices(power: np.ndarray, num_peaks: int) -> tuple[np.ndarray, np.ndarray]:

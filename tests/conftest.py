@@ -397,7 +397,7 @@ def reference_score(coefficients: np.ndarray, grid, truth, num_peaks: int):
     power = np.abs(coefficients) ** 2
     doas, powers = reference_pick_peaks(power, grid, num_peaks)
     errors = reference_trial_error(doas, truth)
-    return power, doas, powers, errors, bool(errors.max() < grid.step_deg)
+    return power, doas, powers, errors, bool(errors.max() < grid.step_deg / 2)
 
 
 def per_trial_curve(scenario, snr_sweep_db, trials: int) -> dict:

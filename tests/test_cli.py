@@ -82,13 +82,39 @@ def test_identity_with_wrong_measurement_count_is_a_usage_error(tmp_path, capsys
 
 
 def test_bad_coherent_group_is_a_usage_error(tmp_path, capsys):
-    for value in ("0", "2"):
-        code, _, err = run_cli(
-            ["synth", "--sources", "-60,0", "--coherent", value, "--out", tmp_path],
+    out_dir = tmp_path / "out"
+    for value in ("0", "2", "1,x", "0,1"):
+        code, out, err = run_cli(
+            ["synth", "--sources", "-60,0", "--coherent", value, "--out", out_dir],
             capsys,
         )
         assert code == 2
-        assert "--coherent" in err
+        assert err.startswith("csdoa: error: --coherent")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "algo, got",
+    [("bogus", "['bogus']"), (",", "[]"), (None, "['cosamp', 'music']")],
+    ids=["unknown", "empty", "from-meta"],
+)
+def test_unknown_or_no_algorithm_is_a_usage_error(tmp_path, capsys, algo, got):
+    # Scenario is the one check of the names, for flags and meta.json alike.
+    if algo is None:
+        meta = read_meta(DATA / "noiseless_coherent")
+        meta["scenario"]["algorithms"] = ["cosamp", "music"]
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        source = ["--from-meta", tmp_path / "meta.json"]
+    else:
+        source = ["--sources", "0", "--algo", algo]
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["montecarlo", *source, "--out", out_dir], capsys)
+    assert code == 2
+    assert err == f"csdoa: error: algorithms must be one or more of omp, cosamp, got {got}\n"
+    assert out == ""
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize(
@@ -117,12 +143,17 @@ def test_unwritable_output_is_a_runtime_error(tmp_path, capsys):
 
 
 def test_descending_snr_sweep_is_a_usage_error(tmp_path, capsys):
-    code, _, err = run_cli(
-        ["montecarlo", "--sources", "0", "--snr-sweep", "20:10:5", "--out", tmp_path],
-        capsys,
-    )
-    assert code == 2
-    assert "--snr-sweep" in err
+    out_dir = tmp_path / "out"
+    for value in ("20:10:5", "0:10:0"):
+        code, out, err = run_cli(
+            ["montecarlo", "--sources", "0", "--snr-sweep", value, "--out", out_dir],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("csdoa: error: --snr-sweep")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -155,6 +186,23 @@ def test_nonfinite_triple_is_a_usage_error(tmp_path, capsys, command, flag, vali
     assert code == 2
     assert err.startswith(f"csdoa: error: {flag} expects finite lo:hi:step")
     assert "Traceback" not in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--grid=1:2", "--grid expects lo:hi:step, got '1:2'"),
+        ("--grid=a:b:c", "--grid expects numeric lo:hi:step, got 'a:b:c'"),
+        ("--sources=a,b", "--sources expects comma-separated numbers, got 'a,b'"),
+    ],
+)
+def test_malformed_number_list_is_a_usage_error(tmp_path, capsys, flag, message):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(["spectrum", "--sources", "0", flag, "--out", out_dir], capsys)
+    assert code == 2
+    assert err == f"csdoa: error: {message}\n"
     assert out == ""
     assert not out_dir.exists()
 
@@ -388,7 +436,8 @@ def test_synth_and_spectrum_write_what_run_single_returns(tmp_path, capsys, vari
 # draws, the in-place draws and the certified positional scoring: all three
 # must leave every output byte as it was, for both amplitude models. The
 # spectra of the first two rows print Psi's rounding, which differs between
-# OpenBLAS kernels, so theirs are kept per core name.
+# OpenBLAS kernels, so theirs are kept per core name. The 0.7-degree sweep's
+# digest was recorded again once success required the exact grid bin.
 PINNED_OUTPUTS = [
     ("spectrum", ["--sources", "-60,60", "--seed", "3"], {
         "SkylakeX": "c983cf135537e7167cbdaa804d8e406ba03b56236c8d44f0f6178d25e69f7fc1",
@@ -424,7 +473,7 @@ PINNED_OUTPUTS = [
      "5a6a821ab1ffbab3b2c8b1565b1185bc5ecb35b78e96e461bfc9f4873b910681"),
     ("montecarlo", ["--sources", "-59.9,29.0", "--grid=-90:90:0.7", "--phi", "identity",
                     "--trials", "35", "--snr-sweep=10:10:1", "--seed", "5"],
-     "b506705b8082068b51935f0b9c8a544597b2fbb40a7ab2b46a6893eee1702f76"),
+     "f26218937f8d2795a45f4ee818f047510f2324b28d8e7e07bc94b499b307b0f0"),
     ("montecarlo", ["--sources", "-30,45", "--noise", "off", "--amplitude-model",
                     "complex_gaussian", "--trials", "11", "--seed", "2"],
      "83827815f6883c436be286f3d36b2c50623f149e6785372fc3d34c41c32b41b0"),

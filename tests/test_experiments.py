@@ -88,10 +88,9 @@ def test_build_scenario_deduplicates_algorithms():
 def test_build_scenario_validation():
     with pytest.raises(csdoa.OffGridSourceError):
         csdoa.build_scenario([0.5])
-    with pytest.raises(ValueError):
-        csdoa.build_scenario([0.0], algorithms=["music"])
-    with pytest.raises(ValueError):
-        csdoa.build_scenario([0.0], algorithms=[])
+    for algorithms in (["music"], ["omp", "music"], []):
+        with pytest.raises(ValueError, match="algorithms must be one or more of omp, cosamp"):
+            csdoa.build_scenario([0.0], algorithms=algorithms)
     with pytest.raises(ValueError):
         csdoa.build_scenario([0.0], seed=-1)
     with pytest.raises(ValueError):
@@ -100,6 +99,10 @@ def test_build_scenario_validation():
         csdoa.build_scenario([-60.0, 0.0, 40.0], num_measurements=2, algorithms=["omp"])
     with pytest.raises(csdoa.DimensionMismatchError):
         csdoa.build_scenario([0.0], measurement_kind=csdoa.IDENTITY, num_measurements=10)
+    with pytest.raises(ValueError, match="unknown measurement kind 'bogus'"):
+        csdoa.MeasurementSpec("bogus", 7)
+    with pytest.raises(ValueError, match="num_measurements must be >= 1"):
+        csdoa.MeasurementSpec(csdoa.GAUSSIAN, 0)
     with pytest.raises(ValueError):
         csdoa.build_scenario([0.0], snr_db=float("-inf"))
     with pytest.raises(ValueError):
@@ -611,6 +614,22 @@ def test_rank_deficient_trial_scores_the_same_alone_and_in_a_sweep():
     curve = csdoa.run_monte_carlo(scenario, [-10.0], 1)
     assert curve.per_algorithm["cosamp"].rmse_deg == (csdoa.MISS_PENALTY_DEG,)
     assert curve.per_algorithm["cosamp"].success_rate == (0.0,)
+
+
+def test_a_success_on_a_step_not_exact_in_binary_has_every_peak_in_its_source_bin():
+    # On the 0.7-degree grid, 93 of the 257 gaps between neighbouring angles
+    # round below 0.7, so a peak one bin off can have an error below the step.
+    scenario = csdoa.build_scenario(
+        [-59.9, 29.0], grid_spec=(-90.0, 90.0, 0.7), snr_db=10.0,
+        measurement_kind=csdoa.IDENTITY, seed=5,
+    )
+    tasks = [(0, t) for t in range(70)]
+    _, _, scores = experiments._run_trials(scenario, (scenario.snr_db,), tasks)
+    hits = np.flatnonzero(scores.success)
+    assert len(hits) >= 10
+    for row in hits:
+        peaks = scores.peaks[row, : scores.counts[row]]
+        assert sorted(peaks.tolist()) == sorted(scenario.source_indices)
 
 
 # SHA-256 over every field of every StackedEstimate the engine makes on the

@@ -1,5 +1,6 @@
 """Tests for the complex least-squares core and the three sparse solvers."""
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -19,7 +20,7 @@ from conftest import (
     reference_l0_oracle,
     reference_omp,
 )
-from csdoa import cli, recovery
+from csdoa import cli, experiments, recovery
 from csdoa.recovery import cosamp_stack, omp_stack
 
 
@@ -418,6 +419,55 @@ def test_power_of_two_scaling_keeps_each_selection(
     for j in {column % num_atoms, *(base[0][:1] if base else ())}:
         scaled[:, j] *= 2.0**column_power
     assert outcome(csdoa.omp, csdoa.build_sensing_system(phi, scaled), y) == base
+
+
+# The benchmark's two sweep scenarios: two sources at m = 7, and three at
+# m = 10 with the second and third coherent.
+_BENCHMARK_SCENARIOS = [([-60.0, 60.0], []), ([-60.0, 0.0, 40.0], [[1, 2]])]
+# Their grid without the -90 degree atom: at d/lambda = 0.5 it aliases the +90
+# one, so the two proxies tie and rounding picks either. With both in the grid
+# CoSaMP's first merge on trial (0, 0) of the three-source scenario, noiseless
+# at seed 4713, takes atom -90 (its fit passes the rank guard) or +90 (it
+# fails) as numpy's dispatch and the phase of y round that tie.
+_ALIAS_FREE_GRID = (-89.0, 90.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scenario=st.sampled_from(_BENCHMARK_SCENARIOS),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(1, 4),
+    snr_db=st.one_of(st.floats(-5.0, 25.0), st.just(math.inf)),
+    power=st.integers(-40, 40),
+    phase=st.floats(0.0, 2.0 * np.pi, exclude_max=True),
+)
+def test_both_solvers_are_invariant_to_scaling_and_rotating_y(
+    scenario, seed, trials, snr_db, power, phase
+):
+    # y -> c e^{j phase} y with c = 2^power rescales every proxy and residual
+    # alike, so each relative test the solvers make has the same outcome.
+    sources, coherent = scenario
+    scenario = csdoa.build_scenario(
+        sources, grid_spec=_ALIAS_FREE_GRID, coherent_groups=coherent, snr_db=snr_db, seed=seed
+    )
+    tasks = [(0, t) for t in range(trials)]
+    (data, _, _), phis = experiments._draw_trials(scenario, (snr_db,), tasks)
+    manifold = csdoa.build_manifold(scenario.grid, scenario.geometry)
+    psi, column_norms = _stacked(csdoa.SensingSystem(phi, manifold) for phi in phis)
+    y = np.matmul(phis, data[..., None])[..., 0]
+    c, rotation = 2.0**power, np.exp(1j * phase)
+    floor = 1e-12 * c * np.linalg.norm(y, axis=1)  # a noiseless fit's residual is rounding
+    for solver in (omp_stack, cosamp_stack):
+        base = solver(psi, column_norms, y, scenario.solver)
+        scaled = solver(psi, column_norms, c * rotation * y, scenario.solver)
+        assert np.array_equal(scaled.support, base.support)
+        assert np.array_equal(scaled.iterations, base.iterations)
+        assert np.array_equal(scaled.converged, base.converged)
+        assert np.array_equal(scaled.deficient, base.deficient)
+        np.testing.assert_allclose(scaled.coefficients, c * rotation * base.coefficients,
+                                   rtol=1e-9, atol=0)
+        gap = np.abs(scaled.residual_norm - c * base.residual_norm)
+        assert np.all(gap <= 1e-9 * c * base.residual_norm + floor)
 
 
 # ---------------------------------------------------------------------------

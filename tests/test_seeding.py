@@ -89,3 +89,5 @@ def test_trial_seeds_reject_what_numpy_cannot_seed_or_a_chunk_cannot_hold():
     for args in [(-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 2**32, 0), (0, 0, 2**32)]:
         with pytest.raises(ValueError):
             csdoa.trial_seeds(*args)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        stream_seeds(-1, [(0, 0)])

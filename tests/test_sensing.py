@@ -81,6 +81,8 @@ def test_draw_takes_integer_dimensions(m, n, name):
     with pytest.raises(TypeError, match=f"^{name} must be an integer"):
         csdoa.draw_measurement_matrix(m, n, csdoa.GAUSSIAN)
     assert csdoa.draw_measurement_matrix(np.int64(7), 15, csdoa.GAUSSIAN).shape == (7, 15)
+    with pytest.raises(ValueError, match="matrix dimensions must be positive"):
+        csdoa.draw_measurement_matrix(0, 15, csdoa.GAUSSIAN)
 
 
 def test_measurement_matrix_holds_one_trials_matrix():

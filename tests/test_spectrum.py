@@ -320,7 +320,7 @@ def test_full_peak_rows_score_as_the_reference_alignment(step, true, rows):
         peaks = scores.peaks[t, : len(picked)]
         errors = reference_trial_error(grid.angles_deg[peaks].tolist(), truth)
         assert scores.errors_deg[t].tobytes() == errors.tobytes()
-        assert scores.success[t] == (errors.max() < grid.step_deg)
+        assert scores.success[t] == (errors.max() < grid.step_deg / 2)
 
 
 _ANGLES = [-90.0, -60.0, -59.5, -30.0, -1.0, 0.0, 0.5, 1.0, 30.0, 60.0, 89.0, 90.0]

@@ -131,9 +131,8 @@ def _scenario_flags() -> argparse.ArgumentParser:
         default=UNIT_MODULUS,
         help="per-group source amplitude distribution",
     )
-    parser.add_argument("--snr-db", type=float, default=0.0, help="per-element SNR in dB")
     parser.add_argument(
-        "--noise", choices=("on", "off"), default="on", help="disable to run noiseless"
+        "--snr-db", type=float, default=0.0, help="per-element SNR in dB; inf runs noiseless"
     )
     parser.add_argument(
         "--phi",
@@ -215,7 +214,7 @@ def _scenario_from_flags(args: argparse.Namespace) -> Scenario:
         grid_spec=_parse_triple(args.grid, "--grid"),
         coherent_groups=_parse_groups(args.coherent),
         amplitude_model=args.amplitude_model,
-        snr_db=math.inf if args.noise == "off" else args.snr_db,
+        snr_db=args.snr_db,
         measurement_kind=args.phi,
         num_measurements=args.measurements,
         algorithms=[p for p in args.algo.split(",") if p != ""],

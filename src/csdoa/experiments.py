@@ -295,20 +295,13 @@ def build_scenario(
             num_measurements = num_sensors
         else:
             num_measurements = default_num_measurements(sparsity, num_sensors)
-    if max_iterations is None:
-        max_iterations = max(50, sparsity)
-    solver = SolverConfig(
-        sparsity=sparsity,
-        max_iterations=max_iterations,
-        residual_tol=residual_tol,
-    )
     return Scenario(
         geometry=geometry,
         grid=grid,
         sources=sources,
         snr_db=snr_db,
         measurement=MeasurementSpec(measurement_kind, num_measurements),
-        solver=solver,
+        solver=SolverConfig(sparsity, max_iterations, residual_tol),
         algorithms=tuple(dict.fromkeys(algorithms)),
         seed=seed,
     )

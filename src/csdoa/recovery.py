@@ -43,15 +43,20 @@ COSAMP = "cosamp"
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Sparsity budget and termination settings shared by both solvers."""
+    """Sparsity budget and termination settings shared by both solvers.
+
+    OMP runs exactly ``sparsity`` steps unless ``residual_tol`` stops it first.
+    CoSaMP's cap, ``max_iterations``, defaults to ``max(50, sparsity)``.
+    """
 
     sparsity: int
-    max_iterations: int = 50
+    max_iterations: int | None = None
     residual_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("sparsity", "max_iterations"):
-            object.__setattr__(self, name, integer(getattr(self, name), name))
+        object.__setattr__(self, "sparsity", integer(self.sparsity, "sparsity"))
+        cap = max(50, self.sparsity) if self.max_iterations is None else self.max_iterations
+        object.__setattr__(self, "max_iterations", integer(cap, "max_iterations"))
         if self.sparsity < 1:
             raise ValueError("sparsity must be >= 1")
         if self.max_iterations < 1:

@@ -348,7 +348,7 @@ def test_spectrum_reruns_are_byte_identical(tmp_path, capsys):
 
 def test_spectrum_noiseless_uncompressed_single_source(tmp_path, capsys):
     code, _, _ = run_cli(
-        ["spectrum", "--sources", "0", "--noise", "off", "--phi", "identity",
+        ["spectrum", "--sources", "0", "--snr-db", "inf", "--phi", "identity",
          "--out", tmp_path],
         capsys,
     )
@@ -381,7 +381,7 @@ def test_synth_writes_snapshot(tmp_path, capsys):
 
 
 def test_synth_noise_off_zeroes_noise_columns(tmp_path, capsys):
-    run_cli(["synth", "--sources", "0", "--noise", "off", "--out", tmp_path], capsys)
+    run_cli(["synth", "--sources", "0", "--snr-db", "inf", "--out", tmp_path], capsys)
     for line in (tmp_path / "snapshot.csv").read_text().splitlines()[1:]:
         parts = line.split(",")
         assert parts[5] == "0" and parts[6] == "0"
@@ -401,7 +401,7 @@ SINGLE_RUNS = {
     "unit-modulus": ["--sources", "-60,0,40", "--amplitude-model", "unit_modulus"],
     "complex-gaussian": ["--sources", "-60,0,40", "--amplitude-model", "complex_gaussian"],
     "coherent": ["--sources", "-60,0,40", "--coherent", "2,3"],
-    "noise-off": ["--sources", "-60,0,40", "--noise", "off"],
+    "noise-off": ["--sources", "-60,0,40", "--snr-db", "inf"],
     "identity-phi": ["--sources", "-20,30", "--phi", "identity"],
     "half-degree-grid": ["--sources", "-20.5,30", "--grid=-90:90:0.5"],
 }
@@ -455,7 +455,7 @@ PINNED_OUTPUTS = [
     ("spectrum", ["--sources", "-59.9,29.0", "--grid=-90:90:0.7", "--phi", "identity",
                   "--snr-db", "10", "--seed", "5"],
      "25ec2ff79fd09c5b6a2feadf55cfe2e49b81a86547de8adbd302c042f21ce991"),
-    ("spectrum", ["--sources", "-30,45", "--noise", "off", "--amplitude-model", "complex_gaussian",
+    ("spectrum", ["--sources", "-30,45", "--snr-db", "inf", "--amplitude-model", "complex_gaussian",
                   "--seed", "2"],
      "cc5f7adca0b2a349719b3ded825bff1f874b03b0f84a57e87cd819e1e7115277"),
     ("synth", ["--sources", "-60,60", "--seed", "3"],
@@ -463,7 +463,7 @@ PINNED_OUTPUTS = [
     ("synth", ["--sources", "-20,10,40", "--coherent", "1,2",
                "--amplitude-model", "complex_gaussian", "--seed", "5"],
      "1fc4e8a5bdedb0343d319956581851b03c988430c7beba4e14743912cebca9e2"),
-    ("synth", ["--sources", "-59.9,29.0", "--grid=-90:90:0.7", "--noise", "off", "--seed", "1"],
+    ("synth", ["--sources", "-59.9,29.0", "--grid=-90:90:0.7", "--snr-db", "inf", "--seed", "1"],
      "ccc4cc62831d239cbf2140e14670fa1cc51d84a883a9a53eb6e4e24a46ca3f44"),
     ("montecarlo", ["--sources", "-60,60", "--trials", "7", "--snr-sweep=-5:10:5", "--seed", "4"],
      "f7072e74953c98dba9deff4c414a792f9235c280284ec3b91d1bcb315997daa1"),
@@ -474,7 +474,7 @@ PINNED_OUTPUTS = [
     ("montecarlo", ["--sources", "-59.9,29.0", "--grid=-90:90:0.7", "--phi", "identity",
                     "--trials", "35", "--snr-sweep=10:10:1", "--seed", "5"],
      "f26218937f8d2795a45f4ee818f047510f2324b28d8e7e07bc94b499b307b0f0"),
-    ("montecarlo", ["--sources", "-30,45", "--noise", "off", "--amplitude-model",
+    ("montecarlo", ["--sources", "-30,45", "--snr-db", "inf", "--amplitude-model",
                     "complex_gaussian", "--trials", "11", "--seed", "2"],
      "83827815f6883c436be286f3d36b2c50623f149e6785372fc3d34c41c32b41b0"),
 ]
@@ -548,9 +548,9 @@ def test_montecarlo_single_trial_matches_library(tmp_path, capsys):
 
 def test_montecarlo_nan_and_inf_render_plainly(tmp_path, capsys):
     # no successes at 0 dB in 2 trials -> success-only RMSE prints as nan;
-    # noise off runs the sweep at snr inf
+    # a noiseless run sweeps its one point, snr inf
     run_cli(
-        ["montecarlo", "--sources", "-60,60", "--trials", "2", "--noise", "off",
+        ["montecarlo", "--sources", "-60,60", "--trials", "2", "--snr-db", "inf",
          "--out", tmp_path],
         capsys,
     )
@@ -625,6 +625,13 @@ def test_run_after_a_usage_error_matches_a_first_run(tmp_path, capsys, parser_bu
     with pytest.raises(SystemExit) as exc:  # argparse rejects the value itself
         run_cli(args + ["--trials", "x", "--out", tmp_path / "bad"], capsys)
     assert exc.value.code == 2
+    # a noiseless run has one spelling, --snr-db inf, so --noise is unknown
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--noise", "off", "--out", tmp_path / "bad"], capsys)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --noise off" in err
+    assert "Traceback" not in err
     assert run_cli(args + ["--trials", "0", "--out", tmp_path / "bad"], capsys)[0] == 2
     assert run_cli(args + ["--out", tmp_path / "again"], capsys)[0] == 0
     assert not (tmp_path / "bad").exists()
@@ -711,7 +718,7 @@ def test_scenario_round_trips_through_json(scenario):
 def test_meta_scenario_block_is_canonical(tmp_path, capsys):
     code, _, _ = run_cli(
         ["montecarlo", "--sources", "-60,0,40", "--coherent", "3,2", "--algo", "cosamp,omp,omp",
-         "--noise", "off", "--trials", "3", "--out", tmp_path / "mc"],
+         "--snr-db", "inf", "--trials", "3", "--out", tmp_path / "mc"],
         capsys,
     )
     assert code == 0
@@ -732,14 +739,13 @@ def test_meta_scenario_block_is_canonical(tmp_path, capsys):
     assert scenario["noise"] == "off" and scenario["snr_db"] is None
 
 
-def test_infinite_snr_sweeps_like_noise_off(tmp_path, capsys):
-    args = ["montecarlo", "--sources", "-60,60", "--trials", "4", "--snr-sweep", "0:10:5"]
-    assert run_cli(args + ["--snr-db", "inf", "--out", tmp_path / "inf"], capsys)[0] == 0
-    assert run_cli(args + ["--noise", "off", "--out", tmp_path / "off"], capsys)[0] == 0
-    first, again = tmp_path / "inf", tmp_path / "off"
-    assert (first / "rmse.csv").read_text().splitlines()[1].startswith("inf,")
-    assert (first / "rmse.csv").read_bytes() == (again / "rmse.csv").read_bytes()
-    assert read_meta(first)["scenario"] == read_meta(again)["scenario"]
+@pytest.mark.parametrize("command", ["spectrum", "montecarlo", "synth"])
+def test_cli_defaults_are_the_library_defaults(tmp_path, capsys, command):
+    # The parser restates build_scenario's defaults for --sensors, --spacing,
+    # --grid, --amplitude-model, --snr-db, --phi, --algo and --seed.
+    assert run_cli([command, "--sources", "-60,60", "--out", tmp_path], capsys)[0] == 0
+    library = cli._scenario_to_dict(csdoa.build_scenario([-60.0, 60.0]))
+    assert read_meta(tmp_path)["scenario"] == library
 
 
 def test_earlier_meta_reproduces_its_csv(tmp_path, capsys):

@@ -40,6 +40,28 @@ def test_solver_config_defaults_and_validation():
         csdoa.SolverConfig(sparsity=1, residual_tol=-1.0)
 
 
+def test_the_iteration_cap_has_one_default():
+    # SolverConfig states max(50, sparsity) once; build_scenario passes its
+    # max_iterations through. 80 identity rows let OMP take every sparsity.
+    for sparsity in range(1, 81):
+        config = csdoa.SolverConfig(sparsity=sparsity)
+        assert config.max_iterations == max(50, sparsity)
+        scenario = csdoa.build_scenario(
+            [-60.0, 60.0], num_sensors=80, measurement_kind="identity", algorithms=["omp"],
+            sparsity=sparsity,
+        )
+        assert scenario.solver == config
+
+
+def test_omp_runs_a_default_config_whose_sparsity_exceeds_50():
+    geometry, grid = csdoa.ArrayGeometry(64), csdoa.make_grid(-90.0, 90.0, 1.0)
+    system = csdoa.SensingSystem(np.eye(64, dtype=complex), csdoa.build_manifold(grid, geometry))
+    atom = grid.index_of(20.0)
+    estimate = csdoa.omp(system, system.psi[:, atom], csdoa.SolverConfig(sparsity=60))
+    assert estimate.support == (atom,)
+    assert estimate.converged
+
+
 # ---------------------------------------------------------------------------
 # least_squares
 
